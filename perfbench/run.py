@@ -6,8 +6,9 @@
 Run from a checkout: the program is imported from ``src/`` beside this
 directory, and the script exits with code 2 when it is missing.  Inputs are
 written from ``--seed`` into ``.perfbench_work/`` (removed at the end).  One
-job runs at a time, each in a fresh interpreter, until ``--seconds`` have
-passed and at least two jobs have run; BLAS threads are pinned per workload.
+job runs at a time, each in a fresh interpreter.  At least three jobs run,
+and a further job starts only if it would end within ``--seconds``, judged
+by the median job so far; BLAS is pinned to one thread.
 
 With ``--trace 0`` the last line of standard output carries the end-to-end
 metrics; with ``--trace 1`` untraced and traced jobs alternate and it carries
@@ -39,19 +40,18 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 DEADLINE_S = 170  # a run must end within 180 s; a job still going then is killed
+MIN_JOBS = 3  # so that the median discards one slow job
 SETUP_CODE = ("import time; t = time.perf_counter(); import kreinkit, kreinkit.cli; "
               "print(time.perf_counter() - t)")
 END_TO_END_UNITS = {"setup_s": "s", "wall_s": "s", "peak_rss_mb": "MiB",
                     "quality_error": "ratio"}
 
 
-def blas_threads(workload: str) -> int:
-    """Two BLAS threads where the work is large GEMMs.  cv_grid's BLAS calls
-    are all on blocks of at most a few hundred rows by 50 columns, where a
-    second thread only spins: it doubles CPU time and run-to-run noise on a
-    2-core machine without making the job faster."""
-    cores = len(os.sched_getaffinity(0))
-    return 1 if workload == "cv_grid" else max(1, min(2, cores))
+# One BLAS thread on every workload.  On the shared 2-core host a second
+# thread left approx_sketch no faster (its time goes to memory-bound n x n
+# array passes), and a job that needs both cores is slowed by whatever else
+# runs on either of them, which widened the run-to-run spread.
+BLAS_THREADS = 1
 
 
 def child_env(threads: int) -> dict:
@@ -79,14 +79,13 @@ def run_child(argv: list, env: dict, log_path: str, timeout: float) -> tuple[int
 
 
 def measure_setup(env: dict, repeats: int) -> list:
-    """Fresh-interpreter import time of kreinkit and its CLI, after one
-    discarded import that compiles the bytecode."""
+    """Fresh-interpreter import times of kreinkit and its CLI."""
     times = []
-    for _ in range(repeats + 1):
+    for _ in range(repeats):
         done = subprocess.run([sys.executable, "-c", SETUP_CODE], env=env, cwd=ROOT,
                               capture_output=True, text=True, timeout=60, check=True)
         times.append(float(done.stdout))
-    return times[1:]
+    return times
 
 
 def environment(seed: int, threads: int) -> dict:
@@ -201,26 +200,36 @@ def main(argv=None) -> int:
         print(f"no kreinkit sources under {SRC}; run from a kreinkit checkout",
               file=sys.stderr)
         return 2
-    threads = blas_threads(args.workload)
-    env = child_env(threads)
+    env = child_env(BLAS_THREADS)
     work = os.path.join(ROOT, ".perfbench_work", f"{args.workload}-{os.getpid()}")
     shutil.rmtree(work, ignore_errors=True)
     os.makedirs(work)
     try:
         spec = workloads.generate(args.workload, args.seed, work, args.smoke)
-        setup = measure_setup(env, 2 if args.smoke else 7)
+        os.sync()  # so that writing back the inputs does not overlap the first job
+        # setup_s samples the whole run, like wall_s: half its imports come
+        # before the jobs and half after, behind one discarded import that
+        # compiles the bytecode
+        half = 1 if args.smoke else 4
+        measure_setup(env, 1)
+        setup = measure_setup(env, half)
         jobs = []
         reference = None
         start = time.perf_counter()
-        while len(jobs) < 2 or time.perf_counter() - start < args.seconds:
+        durations = []
+        while len(jobs) < MIN_JOBS or (time.perf_counter() - start
+                                       + statistics.median(durations) <= args.seconds):
             traced = bool(args.trace) and len(jobs) % 2 == 1
+            began = time.perf_counter()
             job = run_job(len(jobs), traced, args, spec, work, env, reference,
                           max(1.0, deadline - time.monotonic()))
+            durations.append(time.perf_counter() - began)
             if reference is None and not job["problems"]:
                 reference = job["fingerprint"]
             jobs.append(job)
             if len(jobs) >= 2 and all(j["problems"] for j in jobs):
                 break
+        setup += measure_setup(env, half)
     finally:
         shutil.rmtree(work, ignore_errors=True)
         try:
@@ -244,7 +253,7 @@ def main(argv=None) -> int:
     report = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "trace": args.trace, "smoke": args.smoke,
-        "environment": environment(args.seed, threads),
+        "environment": environment(args.seed, BLAS_THREADS),
         "setup_s": setup, "extra": extra,
         "jobs": [{key: job.get(key) for key in ("traced", "wall_s", "phases", "rss_mb",
                                                  "quality", "problems")} for job in jobs],

@@ -28,9 +28,10 @@ KERNEL = "kernel=gaussdiff sigma1=4.0 sigma2=8.0"
 # the metrics measure the full size; the smoke size only exercises the harness
 SIZES = {
     # 32 clusters: with 8, where the few centres fell moved quality_error by
-    # up to 18% between seeds
+    # up to 18% between seeds.  One repetition (after the CLI's own warm-up
+    # one) keeps a job near 11 s, so a run holds several jobs.
     "approx_sketch": {"full": {"n": 3000, "p": 16, "clusters": 32, "ranks": "25,50,100",
-                               "reps": "2"},
+                               "reps": "1"},
                       "smoke": {"n": 160, "p": 4, "clusters": 3, "ranks": "5,10",
                                 "reps": "1"}},
     "cv_grid": {"full": {"n": 400, "dim": 8, "folds": 5, "ranks": "50", "lambdas": None},
