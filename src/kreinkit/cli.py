@@ -24,6 +24,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -79,6 +80,7 @@ from .landmarks import (
 from .learners import (
     RegPair,
     build_feature_map,
+    feature_rows,
     flip_shsvm_baseline,
     krein_krr_lowrank,
     save_model,
@@ -346,6 +348,13 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("--reps must be at least 1")
     if cfg.workers < 1:
         raise ConfigError("--workers must be at least 1")
+    if cfg.pinv_tol is not None and not (math.isfinite(cfg.pinv_tol) and cfg.pinv_tol >= 0):
+        raise ConfigError("--pinv-tol must be a finite non-negative number")
+    if cfg.command == "flops":
+        for n in cfg.n_schedule:
+            for m in cfg.ranks:
+                if not n >= m >= 1:
+                    raise ConfigError(f"flops needs n >= m >= 1, got n={n}, m={m}")
     if cfg.command == "cv":
         if cfg.folds < 2:
             raise ConfigError("--folds must be at least 2")
@@ -662,9 +671,22 @@ def _hyper_grid(cfg: RunConfig, learner: str):
     return [(reg, None) for reg in pairs]
 
 
-def _cv_fit_predict(learner: str, K: SymMatrix, y, train, test, marks, rank: int,
-                    pinv_tol, hyper):
-    """Train one learner on a training fold and predict the held-out fold."""
+def _fold_features(K: SymMatrix, train, test, marks, rank: int, pinv_tol):
+    """Signed features of one (train, test) split.
+
+    The truncated landmark factor depends on neither the penalties nor the
+    radius, so it is fitted once per split and shared by every grid point.
+    """
+    factor = fit(SymMatrix(K.values[np.ix_(marks.indices, marks.indices)]),
+                 pinv_tol, marks)
+    factor = truncate_factor(factor, rank)
+    fmap = build_feature_map(factor, K.values[np.ix_(train, marks.indices)])
+    return fmap, feature_rows(factor, K.values[np.ix_(test, marks.indices)])
+
+
+def _cv_fit_predict(learner: str, K: SymMatrix, y, train, test, features, hyper):
+    """Train one learner on a training fold and predict the held-out fold;
+    ``features`` is the split's ``_fold_features`` for the low-rank learners."""
     if learner == "sf-lsm":
         lam, _ = hyper
         block = SymMatrix(K.values[np.ix_(train, train)])
@@ -675,15 +697,12 @@ def _cv_fit_predict(learner: str, K: SymMatrix, y, train, test, marks, rank: int
         value = 1.0 if positive * 2 >= train.size else -1.0
         return np.full(test.size, value)
     reg, radius_factor = hyper
-    factor = fit(SymMatrix(K.values[np.ix_(marks.indices, marks.indices)]),
-                 pinv_tol, marks)
-    factor = truncate_factor(factor, rank)
-    fmap = build_feature_map(factor, K.values[np.ix_(train, marks.indices)])
+    fmap, phi_test = features
     radius = None
     if learner == "vclsm":
         radius = float(radius_factor * np.sqrt(train.size) * np.std(y[train]))
     model = _train_one(learner, fmap, y[train], reg, radius)
-    return model.predict(K.values[np.ix_(test, marks.indices)])
+    return phi_test @ model.z
 
 
 def _pick_hyper(learner, K, y, train, rank, budget, sampler, pinv_tol, cfg, key):
@@ -697,15 +716,16 @@ def _pick_hyper(learner, K, y, train, rank, budget, sampler, pinv_tol, cfg, key)
     for fi, (itr, ite) in enumerate(inner.splits()):
         sub_train = train[itr]
         sub_test = train[ite]
-        marks = None
+        features = None
         if learner in LEARNERS:
             rng = spawn_rng(cfg.seed, _DOMAIN_CV, *key, fi)
             marks = _fold_landmarks(sampler, K, sub_train,
                                     min(budget, sub_train.size), rng, pinv_tol)
+            features = _fold_features(K, sub_train, sub_test, marks, rank, pinv_tol)
         for gi, hyper in enumerate(grid):
             try:
-                preds = _cv_fit_predict(learner, K, y, sub_train, sub_test, marks,
-                                        rank, pinv_tol, hyper)
+                preds = _cv_fit_predict(learner, K, y, sub_train, sub_test, features,
+                                        hyper)
                 scores[gi] += misclassification(np.sign(preds), y[sub_test])
             except (SolverError, RankDeficient):
                 scores[gi] += 1.0  # a failing combination never wins
@@ -748,8 +768,8 @@ def run_cv(source: GramSource, y, cfg: RunConfig):
                 hyper = _pick_hyper(learner, K, y, train, k, budget, cfg.samplers[0],
                                     cfg.pinv_tol, cfg, (li, ki, fi))
                 t0 = time.perf_counter()
-                preds_fn = _cv_fit_predict(learner, K, y, train, test, marks, k,
-                                           cfg.pinv_tol, hyper)
+                features = _fold_features(K, train, test, marks, k, cfg.pinv_tol)
+                preds_fn = _cv_fit_predict(learner, K, y, train, test, features, hyper)
                 t1 = time.perf_counter()
                 rate = misclassification(np.sign(preds_fn), y[test])
                 t2 = time.perf_counter()
@@ -770,8 +790,7 @@ def run_cv(source: GramSource, y, cfg: RunConfig):
                                     cfg.pinv_tol, cfg, (97, fi))
             else:
                 hyper = (None, None)
-            preds = _cv_fit_predict(baseline, raw_K, y, train, test, None, 0,
-                                    cfg.pinv_tol, hyper)
+            preds = _cv_fit_predict(baseline, raw_K, y, train, test, None, hyper)
             rate = misclassification(np.sign(preds), y[test])
             rates.append(rate)
             fold_rows.append((baseline, "full", "full", fi, rate))

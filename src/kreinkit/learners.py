@@ -13,6 +13,7 @@ n * lambda.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import InvalidInput, RankDeficient, ShapeError, SolverError
 from .kernels import KernelSpec, format_kernel_spec, parse_kernel_spec
 from .linalg import (
+    SVDFactors,
     SignedEigenSystem,
     SphereQP,
     SymMatrix,
@@ -88,6 +90,8 @@ class FeatureMap:
     ``phi`` has one row per training point and one column per retained
     landmark eigendirection; ``signs`` are the matching eigenvalue signs, so
     phi diag(signs) phi' reproduces the low-rank kernel approximation.
+    ``svd`` is computed on first use and then shared by every learner trained
+    on this map.
     """
 
     phi: np.ndarray
@@ -101,6 +105,10 @@ class FeatureMap:
     @property
     def rank(self) -> int:
         return self.phi.shape[1]
+
+    @functools.cached_property
+    def svd(self) -> SVDFactors:
+        return thin_svd(self.phi)
 
 
 def feature_rows(factor: NystroemFactor, K_rows) -> np.ndarray:
@@ -235,7 +243,13 @@ def krein_krr_lowrank(fmap: FeatureMap, y, reg: RegPair) -> LowRankModel:
     lam = _lambda_diag(reg, fmap.signs)
     system = fmap.phi.T @ fmap.phi + n * np.diag(lam)
     rhs = fmap.phi.T @ y
-    z = np.linalg.solve(system, rhs)
+    try:
+        z = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(
+            f"ridge system is singular: {exc}",
+            diagnostics={"lam_pos": reg.lam_pos, "lam_neg": reg.lam_neg},
+        ) from exc
     residual = float(np.linalg.norm(system @ z - rhs))
     return LowRankModel(z=z, map=fmap, learner="lsm", reg=reg,
                         diagnostics={"residual": residual})
@@ -253,7 +267,7 @@ def vc_lsm_lowrank(fmap: FeatureMap, y, reg: RegPair, r: float) -> LowRankModel:
     y = _as_labels(y, fmap.n)
     if not (math.isfinite(r) and r > 0.0):
         raise InvalidInput("the variance target r must be positive")
-    svd = thin_svd(fmap.phi)
+    svd = fmap.svd
     if svd.sigma.size == 0 or svd.sigma.min() <= 1e-10 * svd.sigma.max():
         raise RankDeficient("feature matrix is rank deficient; reduce the landmark set")
     n = fmap.n
@@ -305,7 +319,14 @@ def _newton_squared_hinge(features, y, lam_diag, n_scale, *, max_iter=100,
         margin = 1.0 - y * (features @ z)
         rows = features[margin > 0.0]
         hess = 2.0 * rows.T @ rows + 2.0 * n_scale * np.diag(lam_diag)
-        direction = np.linalg.solve(hess, -grad)
+        try:
+            direction = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(
+                f"singular Hessian in the squared-hinge Newton solver: {exc}",
+                iterations=iteration,
+                diagnostics={"grad_norm": gnorm, "objective": obj},
+            ) from exc
         slope = float(grad @ direction)
         step = 1.0
         for _ in range(60):

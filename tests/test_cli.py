@@ -190,13 +190,43 @@ def test_cv_constant_row_is_majority_class_error(tmp_path):
 
 
 def test_cv_identical_seeds_identical_files(tmp_path):
-    args = ["cv", *synthetic_args(n=48), "--learners", "lsm,shsvm", "--ranks", "8",
+    args = ["cv", *synthetic_args(n=48), "--learners", "lsm,vclsm,shsvm", "--ranks", "8",
             "--folds", "3", "--lambdas", "0.01,0.1", "--inner-folds", "2",
             "--seed", "13"]
     main([*args, "--out", str(tmp_path / "a")])
     main([*args, "--out", str(tmp_path / "b")])
     for name in ("cv_folds.csv", "cv_summary.csv"):
         assert (tmp_path / "a" / name).read_text() == (tmp_path / "b" / name).read_text()
+
+
+def test_cv_builds_each_split_factor_once(tmp_path, monkeypatch):
+    import kreinkit.cli
+    import kreinkit.learners
+
+    calls = {"fit": 0, "thin_svd": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(kreinkit.cli, "fit")
+    counted(kreinkit.learners, "thin_svd")
+    learners, folds, inner_folds = ["lsm", "vclsm", "shsvm"], 3, 2
+    rc = main(["cv", *synthetic_args(n=48), "--learners", ",".join(learners),
+               "--ranks", "8", "--folds", str(folds), "--lambdas", "0.01,0.1",
+               "--inner-folds", str(inner_folds), "--seed", "13",
+               "--out", str(tmp_path / "cv")])
+    assert rc == 0
+    # one factor per (learner, outer fold, inner fold or the outer refit),
+    # however many penalty pairs and radius factors the grid holds
+    assert calls["fit"] == len(learners) * folds * (inner_folds + 1)
+    # only vclsm needs the SVD of its features, once per split
+    assert calls["thin_svd"] == folds * (inner_folds + 1)
 
 
 def test_cv_separable_data_full_budget(tmp_path):
@@ -244,6 +274,9 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert main(["approx", *synthetic_args(), "--ranks", "5", "--reps", "0"]) == 2
     assert main(["approx", "--synthetic", "two_gaussians", "--n", "20",
                  "--kernel", "kernel=warp", "--ranks", "5"]) == 2
+    assert main(["flops", "--n", "0"]) == 2  # needs n >= m >= 1
+    assert main(["eigen", "--synthetic", "two_gaussians", "--n", "50", "--m", "10",
+                 "--pinv-tol", "nan"]) == 2
     capsys.readouterr()
 
 
@@ -265,6 +298,11 @@ def test_exit_code_solver_errors(tmp_path, capsys):
     write_matrix(zeros, np.zeros((4, 4)))
     assert main(["eigen", "--matrix", str(zeros), "--m", "2", "--seed", "0"]) == 4
     capsys.readouterr()
+    # a vanishing penalty makes the linear-kernel systems exactly singular
+    assert main(["cv", "--synthetic", "two_gaussians", "--n", "40", "--folds", "3",
+                 "--ranks", "10", "--lambdas", "1e-300", "--learners", "lsm,shsvm",
+                 "--kernel", "kernel=linear"]) == 4
+    assert capsys.readouterr().err.startswith("solver error: ")
 
 
 def test_unknown_flag_exits_two(capsys):
