@@ -504,6 +504,34 @@ def _map_tasks(fn, tasks, workers: int):
 # approx
 
 
+# a scoring block of K holds at most this many rows * n * p elements (p = 1
+# for a matrix source), so the kernel's differencing temporary and each
+# residual block stay within 32 MiB at any n
+_SCORE_BLOCK_ELEMENTS = 1 << 22
+
+
+def _residual_norms(source: GramSource, eigs) -> list:
+    """Frobenius errors ||K - U diag(lam) U'|| of several eigensystems, from
+    one pass over row blocks of K; no n x n array is formed."""
+    for eig in eigs:
+        if not (np.all(np.isfinite(eig.U)) and np.all(np.isfinite(eig.lam))):
+            raise InvalidInput("approximate eigensystem entries must be finite")
+    n = source.n
+    width = source.points.shape[1] if source.points is not None else 1
+    step = max(1, _SCORE_BLOCK_ELEMENTS // (n * width))
+    squares = np.zeros(len(eigs))
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        block = source.rows(start, stop)
+        if not np.all(np.isfinite(block)):
+            raise InvalidInput("matrix entries must be finite")
+        for i, eig in enumerate(eigs):
+            resid = (eig.U[start:stop] * eig.lam) @ eig.U.T
+            resid -= block
+            squares[i] += np.vdot(resid, resid)
+    return np.sqrt(squares).tolist()
+
+
 def run_approx_sweep(source: GramSource, samplers, schedule, reps: int, seed: int,
                      pinv_tol: float | None, workers: int = 1):
     """Error/time sweep; returns raw rows and per-configuration medians.
@@ -511,9 +539,9 @@ def run_approx_sweep(source: GramSource, samplers, schedule, reps: int, seed: in
     Every repetition draws its own generator from (seed, sampler, schedule
     slot, repetition), so rows are reproducible regardless of worker count.
     Each configuration runs one discarded warm-up repetition before the timed
-    ones.
+    ones.  The timed results are scored together afterwards, in one pass over
+    row blocks of the kernel matrix.
     """
-    full = source.full()
     tasks = []
     for si, sampler in enumerate(samplers):
         for ki, (k, l) in enumerate(schedule):
@@ -528,11 +556,11 @@ def run_approx_sweep(source: GramSource, samplers, schedule, reps: int, seed: in
         factor = fit(source.block(marks.indices), pinv_tol, marks)
         eig = truncate_eigen(one_shot_eigen(factor, source.cross_all(marks.indices)), k)
         seconds = time.perf_counter() - start
-        error = frobenius_error(full, reconstruct(eig))
-        return (sampler, k, l, rep, error, seconds)
+        return (sampler, k, l, rep, eig, seconds)
 
-    results = _map_tasks(one, tasks, workers)
-    raw = [row for row in results if row[3] >= 0]
+    timed = [row for row in _map_tasks(one, tasks, workers) if row[3] >= 0]
+    errors = _residual_norms(source, [row[4] for row in timed])
+    raw = [(*row[:4], error, row[5]) for row, error in zip(timed, errors)]
     medians = []
     for si, sampler in enumerate(samplers):
         for k, l in schedule:
@@ -577,7 +605,8 @@ def cmd_eigen(cfg: RunConfig) -> int:
     gram_residual = float(np.abs(eig.U.T @ eig.U - np.eye(eig.rank)).max())
     approx = approximate(factor, cross)
     recon_err = frobenius_error(approx, reconstruct(eig))
-    rel = recon_err / (1.0 + float(np.linalg.norm(approx.values, "fro")))
+    scale = float(np.linalg.norm(approx.values, "fro"))
+    rel = recon_err / scale if scale > 0.0 else 0.0
     negative_mass = float(np.abs(eig.lam[eig.lam < 0]).sum())
     total_mass = float(np.abs(eig.lam).sum())
     _ensure_outdir(cfg)
@@ -734,9 +763,15 @@ def _pick_hyper(learner, K, y, train, rank, budget, sampler, pinv_tol, cfg, key)
 
 def _fold_landmarks(sampler: str, K: SymMatrix, train, budget: int,
                     rng: np.random.Generator, pinv_tol):
-    """Landmarks restricted to a training fold, reported as global indices."""
-    sub = GramSource.from_matrix(SymMatrix(K.values[np.ix_(train, train)]))
-    local = select_landmarks(sampler, sub, budget, rng, pinv_tol)
+    """Landmarks restricted to a training fold, reported as global indices.
+
+    Only the sketch samplers read the fold's kernel block; the uniform one
+    needs its order alone, so no copy of the block is made for it."""
+    if sampler == "uniform":
+        local = uniform_landmarks(train.size, budget, rng)
+    else:
+        sub = GramSource.from_matrix(SymMatrix(K.values[np.ix_(train, train)]))
+        local = select_landmarks(sampler, sub, budget, rng, pinv_tol)
     return type(local)(indices=train[local.indices], multiplicity=local.multiplicity,
                        requested=local.requested)
 

@@ -293,15 +293,24 @@ def _as_points(X) -> np.ndarray:
     return x
 
 
+# exact value of k(x, x) for the kinds that guarantee one
+_SELF_VALUE = {"gaussdiff": 0.0, "gauss": 1.0}
+
+
+def _exact_self(spec: KernelSpec, k: np.ndarray, offset: int = 0) -> np.ndarray:
+    """Overwrite the entries (i, offset + i) of a block whose rows are the
+    points offset, offset + 1, ... of its columns with the exact k(x, x)."""
+    value = _SELF_VALUE.get(spec.kind)
+    if value is not None:
+        i = np.arange(min(k.shape[0], k.shape[1] - offset))
+        k[i, offset + i] = value
+    return k
+
+
 def gram(spec: KernelSpec, X) -> SymMatrix:
     """Full kernel matrix of a point set."""
     x = _as_points(X)
-    k = _evaluate(spec, x, x)
-    if spec.kind == "gaussdiff":
-        np.fill_diagonal(k, 0.0)
-    elif spec.kind == "gauss":
-        np.fill_diagonal(k, 1.0)
-    return SymMatrix(k)
+    return SymMatrix(_exact_self(spec, _evaluate(spec, x, x)))
 
 
 def gram_cross(spec: KernelSpec, X, Z) -> np.ndarray:
@@ -329,7 +338,8 @@ class GramSource:
     Backed either by a precomputed symmetric matrix or by (spec, points);
     downstream code asks for landmark blocks and cross blocks without caring
     which.  ``full()`` materializes the complete matrix and caches it, so it
-    should only be called at desk scale.
+    should only be called at desk scale; ``rows()`` hands it out one row
+    block at a time instead.
     """
 
     def __init__(self, *, matrix: SymMatrix | None = None,
@@ -372,6 +382,15 @@ class GramSource:
         if self.matrix is not None:
             return np.array(self.matrix.values[:, idx])
         return gram_cross(self.spec, self.points, self.points[idx])
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start:stop of the full matrix without forming it: bit for bit
+        ``full().values[start:stop]`` for a matrix source and the distance
+        kernels, equal up to round-off for the inner-product ones."""
+        if self.matrix is not None:
+            return self.matrix.values[start:stop]
+        block = gram_cross(self.spec, self.points[start:stop], self.points)
+        return _exact_self(self.spec, block, start)
 
     def full(self) -> SymMatrix:
         if self._full is None:

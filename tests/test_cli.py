@@ -5,7 +5,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from kreinkit import ConfigError, load_model, write_matrix
+from kreinkit import (
+    ConfigError,
+    GramSource,
+    frobenius_error,
+    gaussian_diff,
+    gram,
+    load_model,
+    reconstruct,
+    tanh_sigmoid,
+    truncate_eigen,
+    write_matrix,
+)
 from kreinkit.cli import _parse_ranks, main
 
 
@@ -116,6 +127,55 @@ def test_approx_logn_budget(tmp_path):
     assert rows[0][1] == "5" and rows[0][2] == "21"  # ceil(5 ln 60) = 21
 
 
+@pytest.mark.parametrize("from_matrix", [False, True])
+def test_approx_streamed_errors_match_dense(monkeypatch, from_matrix):
+    import kreinkit.cli
+
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(50, 3))
+    if from_matrix:
+        source = GramSource.from_matrix(gram(tanh_sigmoid(0.3, -0.5), x))
+    else:
+        source = GramSource.from_data(gaussian_diff(1.0, 3.0), x)
+    # 7-row scoring blocks, the last one ragged, instead of a single block
+    width = 1 if from_matrix else x.shape[1]
+    monkeypatch.setattr(kreinkit.cli, "_SCORE_BLOCK_ELEMENTS", 7 * 50 * width)
+    eigs = []
+
+    def keep(eig, rank):
+        eigs.append(truncate_eigen(eig, rank))
+        return eigs[-1]
+
+    monkeypatch.setattr(kreinkit.cli, "truncate_eigen", keep)
+    reps = 2
+    raw, _ = kreinkit.cli.run_approx_sweep(source, ["uniform", "leverage"],
+                                           [(4, 6), (9, 9)], reps, 3, None)
+    # each configuration's warm-up runs first and is not scored
+    timed = [eig for i, eig in enumerate(eigs) if i % (reps + 1)]
+    assert len(raw) == len(timed) == 2 * 2 * reps
+    full = source.full()
+    for row, eig in zip(raw, timed):
+        assert row[4] == pytest.approx(frobenius_error(full, reconstruct(eig)), rel=1e-12)
+
+
+def test_approx_forms_no_dense_matrix(tmp_path, monkeypatch):
+    import kreinkit.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("approx formed an n x n matrix")
+
+    monkeypatch.setattr(GramSource, "full", refuse)
+    monkeypatch.setattr(kreinkit.cli, "reconstruct", refuse)
+    monkeypatch.setattr(kreinkit.cli, "frobenius_error", refuse)
+    rc = main(["approx", *synthetic_args(), "--samplers", "uniform,leverage,kmeanspp",
+               "--ranks", "5,10", "--reps", "2", "--seed", "1",
+               "--out", str(tmp_path / "run")])
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "run" / "approx_raw.csv")
+    assert len(rows) == 3 * 2 * 2
+    assert all(np.isfinite(float(row[4])) for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # eigen / sample / train
 
@@ -131,6 +191,22 @@ def test_eigen_command(tmp_path):
     header, rows = read_csv(out / "eigenvalues.csv")
     assert header == ["index", "eigenvalue"]
     assert len(rows) == result["effective_rank"] or len(rows) <= 10
+
+
+def test_eigen_relative_error_scales_with_the_kernel(tmp_path):
+    rng = np.random.default_rng(22)
+    k = gram(gaussian_diff(1.0, 3.0), rng.normal(size=(40, 3))).values
+    ratios = []
+    for name, scale in (("unit", 1.0), ("tiny", 1e-10)):
+        write_matrix(tmp_path / f"{name}.csv", scale * k)
+        out = tmp_path / name
+        assert main(["eigen", "--matrix", str(tmp_path / f"{name}.csv"), "--m", "12",
+                     "--seed", "0", "--out", str(out)]) == 0
+        result = json.loads((out / "result.json").read_text())
+        ratios.append(result["reconstruction_relative_error"])
+    assert all(0.0 < ratio < 1e-8 for ratio in ratios)
+    # the same round-off relative to the kernel's size, whatever that size is
+    assert 1e-2 < ratios[1] / ratios[0] < 1e2
 
 
 def test_sample_command_deterministic(tmp_path):

@@ -244,6 +244,39 @@ def test_gram_source_from_matrix():
     assert_allclose(src.cross_all(np.array([2, 0])), [[0.0, 2.0], [0.0, 0.0], [1.0, 0.0]])
 
 
+def _row_blocks(n, step):
+    return [(start, min(n, start + step)) for start in range(0, n, step)]
+
+
+@pytest.mark.parametrize("spec", [gaussian(0.9), gaussian_diff(1.0, 3.0)])
+def test_gram_source_rows_match_full_exactly(spec):
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(300, 5))  # more than one 256-row distance chunk
+    x[41] = x[3]  # duplicate point: exact values off the diagonal too
+    src = GramSource.from_data(spec, x)
+    full = src.full().values
+    for start, stop in _row_blocks(300, 37):
+        assert_allclose(src.rows(start, stop), full[start:stop], rtol=0, atol=0)
+
+
+def test_gram_source_rows_tanh():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(70, 4))
+    src = GramSource.from_data(tanh_sigmoid(0.5, -0.2), x)
+    full = gram(tanh_sigmoid(0.5, -0.2), x).values
+    for start, stop in _row_blocks(70, 16):
+        assert_allclose(src.rows(start, stop), full[start:stop], rtol=0, atol=1e-13)
+
+
+def test_gram_source_rows_from_matrix():
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(9, 9))
+    k = SymMatrix(a + a.T)
+    src = GramSource.from_matrix(k)
+    for start, stop in _row_blocks(9, 4):
+        assert_allclose(src.rows(start, stop), k.values[start:stop], rtol=0, atol=0)
+
+
 def test_gram_source_precomputed_spec_rejected():
     with pytest.raises(UseLoadMatrixInstead):
         GramSource.from_data(precomputed(), np.zeros((3, 2)))
