@@ -505,8 +505,10 @@ def _map_tasks(fn, tasks, workers: int):
 
 
 # a scoring block of K holds at most this many rows * n * p elements (p = 1
-# for a matrix source), so the kernel's differencing temporary and each
-# residual block stay within 32 MiB at any n
+# for a matrix source), so each block of K and its residual stay within
+# 32 MiB / p at any n; the block size also fixes the order in which the
+# residual squares are summed, so changing it changes the reported errors
+# at round-off level
 _SCORE_BLOCK_ELEMENTS = 1 << 22
 
 
@@ -713,14 +715,20 @@ def _fold_features(K: SymMatrix, train, test, marks, rank: int, pinv_tol):
     return fmap, feature_rows(factor, K.values[np.ix_(test, marks.indices)])
 
 
+def _similarity_features(K: SymMatrix, train, test):
+    """The sf-lsm baseline's train x train block and test x train rows of one
+    split, shared by every lambda of its grid."""
+    return SymMatrix(K.values[np.ix_(train, train)]), K.values[np.ix_(test, train)]
+
+
 def _cv_fit_predict(learner: str, K: SymMatrix, y, train, test, features, hyper):
     """Train one learner on a training fold and predict the held-out fold;
-    ``features`` is the split's ``_fold_features`` for the low-rank learners."""
+    ``features`` is the split's ``_fold_features`` for the low-rank learners
+    and its ``_similarity_features`` for sf-lsm."""
     if learner == "sf-lsm":
         lam, _ = hyper
-        block = SymMatrix(K.values[np.ix_(train, train)])
-        model = sf_lsm_baseline(block, y[train], lam)
-        return model.predict(K.values[np.ix_(test, train)])
+        block, cross = features
+        return sf_lsm_baseline(block, y[train], lam).predict(cross)
     if learner == "constant":
         positive = float(np.sum(y[train] > 0))
         value = 1.0 if positive * 2 >= train.size else -1.0
@@ -751,6 +759,8 @@ def _pick_hyper(learner, K, y, train, rank, budget, sampler, pinv_tol, cfg, key)
             marks = _fold_landmarks(sampler, K, sub_train,
                                     min(budget, sub_train.size), rng, pinv_tol)
             features = _fold_features(K, sub_train, sub_test, marks, rank, pinv_tol)
+        elif learner == "sf-lsm":
+            features = _similarity_features(K, sub_train, sub_test)
         for gi, hyper in enumerate(grid):
             try:
                 preds = _cv_fit_predict(learner, K, y, sub_train, sub_test, features,
@@ -823,9 +833,10 @@ def run_cv(source: GramSource, y, cfg: RunConfig):
             if baseline == "sf-lsm":
                 hyper = _pick_hyper(baseline, raw_K, y, train, 0, 0, cfg.samplers[0],
                                     cfg.pinv_tol, cfg, (97, fi))
+                features = _similarity_features(raw_K, train, test)
             else:
-                hyper = (None, None)
-            preds = _cv_fit_predict(baseline, raw_K, y, train, test, None, hyper)
+                hyper, features = (None, None), None
+            preds = _cv_fit_predict(baseline, raw_K, y, train, test, features, hyper)
             rate = misclassification(np.sign(preds), y[test])
             rates.append(rate)
             fold_rows.append((baseline, "full", "full", fi, rate))

@@ -4,6 +4,7 @@ and synthetic problem generators."""
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +69,31 @@ def _split_line(line: str, fmt: str) -> list[str]:
     return line.split()
 
 
+def _parse_fast(path, fmt: str) -> np.ndarray | None:
+    """The table through NumPy's C parser, or None where that parser rejects
+    it or finds no rows."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "Empty input file"
+            a = np.loadtxt(path, delimiter="," if fmt == "csv" else None,
+                           comments=None, ndmin=2, dtype=float, encoding="utf-8")
+    except ValueError:
+        return None
+    return a if a.size else None
+
+
 def _parse_grid(path, fmt: str) -> np.ndarray:
+    """Numeric table of a text file.  The C parser reads well-formed files;
+    anything it rejects (a bad or ragged row, whitespace-only lines in a csv
+    file, or a token only Python's float() accepts, such as ``1_0``) is read
+    again line by line, which returns the same array or locates the error."""
     if fmt not in ("csv", "whitespace"):
         raise InvalidInput(f"unknown format {fmt!r}; use 'csv' or 'whitespace'")
+    a = _parse_fast(path, fmt)
+    return a if a is not None else _parse_lines(path, fmt)
+
+
+def _parse_lines(path, fmt: str) -> np.ndarray:
     rows = []
     width = None
     with open(path, "r", encoding="utf-8") as handle:

@@ -1,8 +1,12 @@
 """Kernel families (definite and indefinite), Gram construction, feature
 standardization, and kernel centering.
 
-Squared distances between identical rows are computed by direct differencing
-so that diagonals of distance-based kernels come out exactly right.
+Squared distances come from the norm identity |x|^2 + |z|^2 - 2 <x, z> on
+points centred at the mean of the column set, with inner products summed in
+a fixed order so that a block of rows equals the same rows of the full block
+bit for bit, and d(x, z) == d(z, x).  Entries the identity cancels are redone
+by direct differencing, so identical points are exactly at distance zero and
+the diagonals of the distance kernels come out exactly right.
 """
 
 from __future__ import annotations
@@ -258,25 +262,68 @@ def standardize(X) -> tuple[np.ndarray, Standardizer]:
     return scaler.apply(x), scaler
 
 
-def _sqdist(X: np.ndarray, Z: np.ndarray, chunk: int = 256) -> np.ndarray:
-    # direct differencing keeps d(x, x) exactly zero, which the diagonal
-    # guarantees of the distance kernels rely on
-    n = X.shape[0]
+# rows of a distance kernel block handled at a time, which bounds the
+# temporaries to _CHUNK x m
+_CHUNK = 256
+
+# an entry with d^2 <= _CANCEL * (p + 2) * (|x|^2 + |z|^2) may have lost all
+# its digits to cancellation and is redone by differencing
+_CANCEL = 4.0 * np.finfo(float).eps
+
+
+def _sqdist(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    # |x|^2 + |z|^2 - 2 <x, z> after a shift by the mean of Z, which leaves
+    # distances alone but keeps the identity's rounding error at the scale of
+    # the spread, not of the offset.  einsum over a transposed Z adds the
+    # products of each <x, z> one coordinate after the other, unlike BLAS
+    # GEMM/GEMV whose sums depend on the row blocking; the norms are added as
+    # one two-term sum, which commutes, so the result is exactly symmetric
+    # when X is Z.
+    n, p = X.shape
+    mu = Z.mean(axis=0) if Z.shape[0] else 0.0
+    xs = X - mu
+    zs = Z - mu
+    zt = np.ascontiguousarray(zs.T)
+    sx = np.einsum("ij,ij->i", xs, xs)
+    sz = np.einsum("ij,ij->i", zs, zs)
     out = np.empty((n, Z.shape[0]))
-    for start in range(0, n, chunk):
-        diff = X[start : start + chunk, None, :] - Z[None, :, :]
-        out[start : start + chunk] = np.einsum("ijk,ijk->ij", diff, diff)
+    for start in range(0, n, _CHUNK):
+        stop = min(n, start + _CHUNK)
+        d2 = out[start:stop]
+        np.einsum("ik,kj->ij", xs[start:stop], zt, out=d2)
+        d2 *= -2.0
+        norms = sx[start:stop, None] + sz[None, :]
+        d2 += norms
+        norms *= _CANCEL * (p + 2)
+        i, j = np.nonzero(d2 <= norms)
+        if i.size:
+            diff = X[start + i] - Z[j]
+            d2[i, j] = np.einsum("ij,ij->i", diff, diff)
     return out
 
 
-def _evaluate(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def _profile(spec: KernelSpec, d2: np.ndarray) -> None:
+    """Turn a block of squared distances into kernel values, in place."""
     if spec.kind == "gauss":
-        return np.exp(_sqdist(X, Z) / (-2.0 * spec.sigma**2))
-    if spec.kind == "gaussdiff":
-        d2 = _sqdist(X, Z)
-        return np.exp(d2 / (-2.0 * spec.sigma1**2)) - np.exp(d2 / (-2.0 * spec.sigma2**2))
-    if spec.kind == "epan":
-        return np.maximum(0.0, 1.0 - _sqdist(X, Z) / spec.sigma**2)
+        d2 /= -2.0 * spec.sigma**2
+        np.exp(d2, out=d2)
+    elif spec.kind == "gaussdiff":
+        wide = np.exp(d2 / (-2.0 * spec.sigma2**2))
+        d2 /= -2.0 * spec.sigma1**2
+        np.exp(d2, out=d2)
+        d2 -= wide
+    else:  # epan
+        d2 /= spec.sigma**2
+        np.subtract(1.0, d2, out=d2)
+        np.maximum(0.0, d2, out=d2)
+
+
+def _evaluate(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    if spec.kind in ("gauss", "gaussdiff", "epan"):
+        k = _sqdist(X, Z)
+        for start in range(0, k.shape[0], _CHUNK):
+            _profile(spec, k[start : start + _CHUNK])
+        return k
     if spec.kind == "tanh":
         return np.tanh(spec.a * (X @ Z.T) + spec.b)
     if spec.kind == "linear":
@@ -293,24 +340,10 @@ def _as_points(X) -> np.ndarray:
     return x
 
 
-# exact value of k(x, x) for the kinds that guarantee one
-_SELF_VALUE = {"gaussdiff": 0.0, "gauss": 1.0}
-
-
-def _exact_self(spec: KernelSpec, k: np.ndarray, offset: int = 0) -> np.ndarray:
-    """Overwrite the entries (i, offset + i) of a block whose rows are the
-    points offset, offset + 1, ... of its columns with the exact k(x, x)."""
-    value = _SELF_VALUE.get(spec.kind)
-    if value is not None:
-        i = np.arange(min(k.shape[0], k.shape[1] - offset))
-        k[i, offset + i] = value
-    return k
-
-
 def gram(spec: KernelSpec, X) -> SymMatrix:
     """Full kernel matrix of a point set."""
     x = _as_points(X)
-    return SymMatrix(_exact_self(spec, _evaluate(spec, x, x)))
+    return SymMatrix(_evaluate(spec, x, x))
 
 
 def gram_cross(spec: KernelSpec, X, Z) -> np.ndarray:
@@ -386,11 +419,11 @@ class GramSource:
     def rows(self, start: int, stop: int) -> np.ndarray:
         """Rows start:stop of the full matrix without forming it: bit for bit
         ``full().values[start:stop]`` for a matrix source and the distance
-        kernels, equal up to round-off for the inner-product ones."""
+        kernels (their distances do not depend on the row blocking), equal
+        up to round-off for the inner-product ones (BLAS products do)."""
         if self.matrix is not None:
             return self.matrix.values[start:stop]
-        block = gram_cross(self.spec, self.points[start:stop], self.points)
-        return _exact_self(self.spec, block, start)
+        return gram_cross(self.spec, self.points[start:stop], self.points)
 
     def full(self) -> SymMatrix:
         if self._full is None:

@@ -305,6 +305,39 @@ def test_cv_builds_each_split_factor_once(tmp_path, monkeypatch):
     assert calls["thin_svd"] == folds * (inner_folds + 1)
 
 
+def test_cv_builds_each_sf_lsm_block_once(tmp_path, monkeypatch):
+    import kreinkit.cli
+
+    made = []
+    solved = []
+    original_sym = kreinkit.cli.SymMatrix
+    original_sf = kreinkit.cli.sf_lsm_baseline
+
+    def counted_sym(values):
+        made.append(original_sym(values))
+        return made[-1]
+
+    def counted_sf(block, y, lam):
+        solved.append(id(block))
+        return original_sf(block, y, lam)
+
+    monkeypatch.setattr(kreinkit.cli, "SymMatrix", counted_sym)
+    monkeypatch.setattr(kreinkit.cli, "sf_lsm_baseline", counted_sf)
+    folds, inner_folds, lambdas = 3, 2, [0.01, 0.1, 1.0]
+    rc = main(["cv", *synthetic_args(n=48), "--learners", "lsm", "--ranks", "8",
+               "--sampler", "uniform", "--folds", str(folds),
+               "--lambdas", ",".join(map(str, lambdas)),
+               "--inner-folds", str(inner_folds), "--seed", "13",
+               "--out", str(tmp_path / "cv")])
+    assert rc == 0
+    splits = folds * (inner_folds + 1)  # inner splits plus the outer refits
+    assert len(solved) == folds * (inner_folds * len(lambdas) + 1)
+    assert len(set(solved)) == splits
+    # the lsm landmark blocks, one per split, and the sf-lsm blocks, one per
+    # split however many lambdas its grid holds
+    assert len(made) == 2 * splits
+
+
 def test_cv_separable_data_full_budget(tmp_path):
     out = tmp_path / "sep"
     rc = main(["cv", *synthetic_args(n=100), "--no-standardize", "--learners",

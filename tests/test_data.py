@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from kreinkit import data
 from kreinkit import (
     DissimilarityMatrix,
     EvalResult,
@@ -60,6 +61,66 @@ def test_load_table_rejects_empty(tmp_path):
     path.write_text("\n\n")
     with pytest.raises(ParseError):
         load_table(path)
+
+
+_DIGITS = "\n".join(",".join(f"{v:.17g}" for v in row)
+                    for row in np.random.default_rng(1).normal(size=(5, 3)) * 1e3)
+
+# (text, fmt): files NumPy's C parser reads, each of which must give the same
+# array as the line-by-line parser
+_FAST_TABLES = [
+    ("1,2\n3,4\n", "csv"),
+    ("1,2\n\n3,4\n\n", "csv"),  # blank lines
+    (" 1 , 2 \n3,\t4\n", "csv"),  # blanks around tokens
+    ("1,2\n3,4", "csv"),  # no final newline
+    ("1,2\r\n3,4\r\n", "csv"),
+    ("1.5,-2e-3,7\n", "csv"),  # one row
+    ("1\n2\n3\n", "csv"),  # one column
+    ("nan,inf\n-inf,NaN\n+infinity,1e400\n", "csv"),
+    ("+1,-0,.5,5.,123456789012345678901234567890\n", "csv"),
+    (_DIGITS + "\n", "csv"),
+    ("1 2\n  \n3\t4\n\n", "whitespace"),  # blank and whitespace-only lines
+    ("  1   2\n3 4", "whitespace"),  # no final newline
+    ("7\n", "whitespace"),  # one row, one column
+    ("nan inf -inf\n1 2 3\n", "whitespace"),
+    (_DIGITS.replace(",", " ") + "\n", "whitespace"),
+]
+
+
+@pytest.mark.parametrize("text,fmt", _FAST_TABLES)
+def test_fast_table_parser_matches_line_parser(tmp_path, text, fmt):
+    path = tmp_path / "t.txt"
+    path.write_text(text)
+    fast = data._parse_fast(path, fmt)
+    assert fast is not None
+    assert np.array_equal(fast, data._parse_lines(path, fmt), equal_nan=True)
+    assert np.array_equal(load_table(path, fmt), fast, equal_nan=True)
+
+
+@pytest.mark.parametrize("text,fmt,expected", [
+    ("1_0,2\n3,4\n", "csv", [[10.0, 2.0], [3.0, 4.0]]),  # Python-only syntax
+    ("1 2\n1_0 4\n", "whitespace", [[1.0, 2.0], [10.0, 4.0]]),
+    ("1,2\n   \n3,4\n", "csv", [[1.0, 2.0], [3.0, 4.0]]),  # whitespace-only line
+])
+def test_table_parser_falls_back_to_lines(tmp_path, text, fmt, expected):
+    path = tmp_path / "t.txt"
+    path.write_text(text)
+    assert data._parse_fast(path, fmt) is None
+    assert np.array_equal(load_table(path, fmt), expected)
+
+
+@pytest.mark.parametrize("text,fmt,line,col", [
+    ("1,2\n3,x\n", "csv", 2, 2),
+    ("1,2\n3,4,\n", "csv", 2, 3),  # trailing separator: an empty token
+    ("1 2\n3 4\n5\n", "whitespace", 3, None),
+    ("1 2\n3,4 5\n", "whitespace", 2, 1),
+])
+def test_table_parse_errors_keep_their_position(tmp_path, text, fmt, line, col):
+    path = tmp_path / "t.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError) as info:
+        load_table(path, fmt)
+    assert info.value.line == line and info.value.col == col
 
 
 def test_load_matrix_symmetrizes_within_tolerance(tmp_path):

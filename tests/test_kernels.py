@@ -26,6 +26,7 @@ from kreinkit import (
     sym_eigen,
     tanh_sigmoid,
 )
+from kreinkit.kernels import _evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +159,86 @@ def test_chunked_distances_match_direct():
     k = gram_cross(gaussian(1.0), x, z)
     direct = np.exp(-((x[:, None, :] - z[None, :, :]) ** 2).sum(-1) / 2.0)
     assert_allclose(k, direct, rtol=1e-14)
+
+
+def _distance_specs(p):
+    s = float(np.sqrt(p))
+    return (gaussian(s), gaussian_diff(s, 2.0 * s), epanechnikov(2.0 * s))
+
+
+def _direct_kernel(spec, x, z):
+    d2 = ((x[:, None, :] - z[None, :, :]) ** 2).sum(-1)
+    if spec.kind == "gauss":
+        return np.exp(-d2 / (2.0 * spec.sigma**2))
+    if spec.kind == "gaussdiff":
+        return np.exp(-d2 / (2.0 * spec.sigma1**2)) - np.exp(-d2 / (2.0 * spec.sigma2**2))
+    return np.maximum(0.0, 1.0 - d2 / spec.sigma**2)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+@pytest.mark.parametrize("p", [1, 16, 64])
+def test_distance_kernels_match_direct_differencing(p, offset):
+    # the norm identity loses digits to the data's offset unless the points
+    # are centred first
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(90, p)) + offset
+    z = rng.normal(size=(30, p)) + offset
+    for spec in _distance_specs(p):
+        assert_allclose(gram_cross(spec, x, z), _direct_kernel(spec, x, z),
+                        rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+@pytest.mark.parametrize("p", [1, 16, 64])
+def test_duplicated_points_exact(p, offset):
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(40, p)) + offset
+    x[[5, 17, 33]] = x[2]
+    exact = {"gauss": 1.0, "gaussdiff": 0.0, "epan": 1.0}
+    for spec in _distance_specs(p):
+        k = gram(spec, x).values
+        same = np.all(x[:, None, :] == x[None, :, :], axis=-1)
+        assert np.all(k[same] == exact[spec.kind])
+        cross = gram_cross(spec, x[[2, 9]], x)
+        assert np.all(cross[0, [2, 5, 17, 33]] == exact[spec.kind])
+        assert cross[1, 9] == exact[spec.kind]
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+def test_near_duplicates_keep_relative_accuracy(offset):
+    # at distance 1e-8 per coordinate the norm identity has no correct digit
+    # left; those pairs are redone by differencing, which the near-cancelling
+    # gaussdiff value shows
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(20, 16)) + offset
+    y = x + 1e-8 * rng.choice([-1.0, 1.0], size=x.shape)
+    spec = gaussian_diff(1.0, 3.0)
+    near = np.diag(gram_cross(spec, x, y))
+    assert np.all(near < 0.0)
+    assert_allclose(near, np.diag(_direct_kernel(spec, x, y)), rtol=1e-6)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 37])
+def test_gram_cross_row_blocks_match_full_block_exactly(rows):
+    # BLAS products round differently for different row counts; the distance
+    # kernels must not
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=(300, 16))
+    z = rng.normal(size=(300, 16))
+    for spec in _distance_specs(16):
+        full = gram_cross(spec, x, z)
+        for start, stop in _row_blocks(300, rows):
+            assert_allclose(gram_cross(spec, x[start:stop], z), full[start:stop],
+                            rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("p", [1, 16, 64])
+def test_self_evaluation_exactly_symmetric(p):
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(111, p)) + 10.0
+    for spec in _distance_specs(p):
+        k = _evaluate(spec, x, x)
+        assert np.array_equal(k, k.T)
 
 
 def test_gram_validation():
