@@ -79,9 +79,11 @@ from .landmarks import (
     build_sketch,
     default_sketch_size,
     kmeanspp_landmarks,
+    landmark_factor,
     leverage_scores,
     make_rng,
     sample_leverage,
+    select_landmarks,
     spawn_rng,
     uniform_landmarks,
 )
@@ -101,7 +103,6 @@ from .learners import (
     load_model,
     model_from_dict,
     model_to_dict,
-    predict,
     save_model,
     sf_lsm_baseline,
     sh_svm_lowrank,

@@ -28,7 +28,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from .errors import (
     InvalidBudget,
     InvalidClass,
     InvalidInput,
-    KreinKitError,
     ParseError,
     RankDeficient,
     ShapeError,
@@ -69,11 +68,9 @@ from .kernels import (
     standardize,
 )
 from .landmarks import (
-    build_sketch,
     default_sketch_size,
-    kmeanspp_landmarks,
-    leverage_scores,
-    sample_leverage,
+    landmark_factor,
+    select_landmarks,
     spawn_rng,
     uniform_landmarks,
 )
@@ -81,14 +78,13 @@ from .learners import (
     RegPair,
     build_feature_map,
     feature_rows,
-    flip_shsvm_baseline,
     krein_krr_lowrank,
     save_model,
     sf_lsm_baseline,
     sh_svm_lowrank,
     vc_lsm_lowrank,
 )
-from .linalg import SymMatrix, sym_eigen, indefiniteness
+from .linalg import SymMatrix
 from .nystroem import (
     approximate,
     fit,
@@ -104,6 +100,8 @@ from .nystroem import (
 SCHEMA_VERSION = 1
 SAMPLERS = ("uniform", "leverage", "kmeanspp")
 LEARNERS = ("lsm", "vclsm", "shsvm")
+# the kernel of --synthetic inputs and of bench when --kernel is not given
+DEFAULT_KERNEL = "kernel=gaussdiff sigma1=1.0 sigma2=3.0"
 
 # spawn-key domains for derived generators, so every task seed is distinct
 _DOMAIN_DATA = 0
@@ -373,11 +371,10 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError("provide exactly one of --data, --matrix, --synthetic")
         if inputs > 1:
             raise ConfigError("--data, --matrix, and --synthetic are mutually exclusive")
-        if (cfg.data or cfg.synthetic) and not cfg.kernel and cfg.command != "sample":
-            if cfg.synthetic and cfg.command in ("approx", "eigen", "train", "cv", "bench"):
-                cfg.kernel = "kernel=gaussdiff sigma1=1.0 sigma2=3.0"
-            elif cfg.data:
-                raise ConfigError("vector data needs --kernel")
+        if cfg.synthetic and not cfg.kernel:
+            cfg.kernel = DEFAULT_KERNEL
+        if cfg.data and not cfg.kernel:
+            raise ConfigError("vector data needs --kernel")
 
 
 def resolve_schedule(cfg: RunConfig, n: int) -> list:
@@ -445,20 +442,6 @@ def load_inputs(cfg: RunConfig, need_labels: bool = False):
     if need_labels and y is None:
         raise ConfigError("this command needs labels (--labels or --synthetic)")
     return source, y
-
-
-def select_landmarks(sampler: str, source: GramSource, budget: int,
-                     rng: np.random.Generator, pinv_tol: float | None):
-    """Dispatch one landmark selection; sketch-based samplers build their
-    sketch from the same generator so a task seed fixes everything."""
-    if sampler == "uniform":
-        return uniform_landmarks(source.n, budget, rng)
-    sketch = build_sketch(source, default_sketch_size(budget, source.n), rng, pinv_tol)
-    if sampler == "leverage":
-        return sample_leverage(leverage_scores(sketch.eig), budget, rng)
-    if sampler == "kmeanspp":
-        return kmeanspp_landmarks(sketch.features, budget, rng)
-    raise ConfigError(f"unknown sampler {sampler!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +537,8 @@ def run_approx_sweep(source: GramSource, samplers, schedule, reps: int, seed: in
         si, sampler, ki, k, l, rep = task
         rng = spawn_rng(seed, _DOMAIN_SWEEP, si, ki, max(rep, 0), int(rep < 0))
         start = time.perf_counter()
-        marks = select_landmarks(sampler, source, l, rng, pinv_tol)
-        factor = fit(source.block(marks.indices), pinv_tol, marks)
-        eig = truncate_eigen(one_shot_eigen(factor, source.cross_all(marks.indices)), k)
+        factor, cross = landmark_factor(source, sampler, l, rng, pinv_tol)
+        eig = truncate_eigen(one_shot_eigen(factor, cross), k)
         seconds = time.perf_counter() - start
         return (sampler, k, l, rep, eig, seconds)
 
@@ -598,10 +580,8 @@ def cmd_eigen(cfg: RunConfig) -> int:
     source, _ = load_inputs(cfg)
     if not 1 <= cfg.m <= source.n:
         raise ConfigError(f"--m must lie in [1, {source.n}]")
-    rng = spawn_rng(cfg.seed, _DOMAIN_SINGLE)
-    marks = select_landmarks(cfg.samplers[0], source, cfg.m, rng, cfg.pinv_tol)
-    factor = fit(source.block(marks.indices), cfg.pinv_tol, marks)
-    cross = source.cross_all(marks.indices)
+    factor, cross = landmark_factor(source, cfg.samplers[0], cfg.m,
+                                    spawn_rng(cfg.seed, _DOMAIN_SINGLE), cfg.pinv_tol)
     eig = one_shot_eigen(factor, cross) if cfg.method == "one_shot" else \
         sgt_one_shot(factor, cross)
     gram_residual = float(np.abs(eig.U.T @ eig.U - np.eye(eig.rank)).max())
@@ -666,10 +646,9 @@ def cmd_train(cfg: RunConfig) -> int:
         # the variance constraint is stated against a centered kernel
         source = GramSource.from_matrix(center_kernel(source.full()))
         cfg.centered = True
-    rng = spawn_rng(cfg.seed, _DOMAIN_SINGLE)
-    marks = select_landmarks(cfg.samplers[0], source, cfg.m, rng, cfg.pinv_tol)
-    factor = fit(source.block(marks.indices), cfg.pinv_tol, marks)
-    fmap = build_feature_map(factor, source.cross_all(marks.indices))
+    fmap = build_feature_map(*landmark_factor(source, cfg.samplers[0], cfg.m,
+                                              spawn_rng(cfg.seed, _DOMAIN_SINGLE),
+                                              cfg.pinv_tol))
     model = _train_one(learner, fmap, y, RegPair(cfg.lam_pos, cfg.lam_neg), cfg.radius)
     training_error = misclassification(np.sign(fmap.phi @ model.z), y) \
         if set(np.unique(y).tolist()) <= {-1.0, 1.0} else None
@@ -679,11 +658,11 @@ def cmd_train(cfg: RunConfig) -> int:
         save_model(f"{cfg.out}/model.json", model, spec)
         _write_result(cfg, {
             "learner": learner,
-            "effective_rank": factor.effective_rank,
+            "effective_rank": fmap.factor.effective_rank,
             "training_error": training_error,
             "diagnostics": model.diagnostics,
         })
-    print(f"learner={learner} m={cfg.m} effective_rank={factor.effective_rank} "
+    print(f"learner={learner} m={cfg.m} effective_rank={fmap.factor.effective_rank} "
           f"training_error={training_error}")
     return 0
 
@@ -693,56 +672,59 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def _hyper_grid(cfg: RunConfig, learner: str):
-    """Enumerate hyperparameter combinations for one learner."""
+    """Enumerate hyperparameter combinations for one learner: (penalties,
+    radius factor) pairs for the low-rank learners, lambdas for sf-lsm."""
+    if learner == "constant":
+        return [None]
+    if learner == "sf-lsm":
+        return list(cfg.lambdas)
     pairs = [RegPair(lp, ln) for lp, ln in itertools.product(cfg.lambdas, cfg.lambdas)]
     if learner == "vclsm":
         return [(reg, factor) for reg in pairs for factor in cfg.radius_factors]
-    if learner == "sf-lsm":
-        return [(lam, None) for lam in cfg.lambdas]
     return [(reg, None) for reg in pairs]
 
 
-def _fold_features(K: SymMatrix, train, test, marks, rank: int, pinv_tol):
-    """Signed features of one (train, test) split.
+def _split_predictor(learner: str, K: SymMatrix, y, train, test, rank, budget,
+                     cfg: RunConfig, rng: np.random.Generator):
+    """Held-out scores of one (train, test) split as a function of the
+    hyperparameters; what no grid point changes is built once, here.
 
-    The truncated landmark factor depends on neither the penalties nor the
-    radius, so it is fitted once per split and shared by every grid point.
+    Only the low-rank learners read ``rank`` and ``budget``.  Their landmarks
+    are drawn from the training fold and reported as global indices; only
+    the sketch samplers read the fold's kernel block, so none is copied for
+    the uniform one.
     """
-    factor = fit(SymMatrix(K.values[np.ix_(marks.indices, marks.indices)]),
-                 pinv_tol, marks)
+    y_train = y[train]
+    if learner == "constant":
+        value = 1.0 if float(np.sum(y_train > 0)) * 2 >= train.size else -1.0
+        return lambda hyper: np.full(test.size, value)
+    if learner == "sf-lsm":
+        block, cross = SymMatrix(K.values[np.ix_(train, train)]), K.values[np.ix_(test, train)]
+        return lambda lam: sf_lsm_baseline(block, y_train, lam).predict(cross)
+    budget = min(budget, train.size)
+    if cfg.samplers[0] == "uniform":
+        local = uniform_landmarks(train.size, budget, rng)
+    else:
+        sub = GramSource.from_matrix(SymMatrix(K.values[np.ix_(train, train)]))
+        local = select_landmarks(cfg.samplers[0], sub, budget, rng, cfg.pinv_tol)
+    marks = replace(local, indices=train[local.indices])
+    factor = fit(SymMatrix(K.values[np.ix_(marks.indices, marks.indices)]), cfg.pinv_tol,
+                 marks)
     factor = truncate_factor(factor, rank)
     fmap = build_feature_map(factor, K.values[np.ix_(train, marks.indices)])
-    return fmap, feature_rows(factor, K.values[np.ix_(test, marks.indices)])
+    phi_test = feature_rows(factor, K.values[np.ix_(test, marks.indices)])
+
+    def predict(hyper):
+        reg, radius_factor = hyper
+        radius = None
+        if learner == "vclsm":
+            radius = float(radius_factor * np.sqrt(train.size) * np.std(y_train))
+        return phi_test @ _train_one(learner, fmap, y_train, reg, radius).z
+
+    return predict
 
 
-def _similarity_features(K: SymMatrix, train, test):
-    """The sf-lsm baseline's train x train block and test x train rows of one
-    split, shared by every lambda of its grid."""
-    return SymMatrix(K.values[np.ix_(train, train)]), K.values[np.ix_(test, train)]
-
-
-def _cv_fit_predict(learner: str, K: SymMatrix, y, train, test, features, hyper):
-    """Train one learner on a training fold and predict the held-out fold;
-    ``features`` is the split's ``_fold_features`` for the low-rank learners
-    and its ``_similarity_features`` for sf-lsm."""
-    if learner == "sf-lsm":
-        lam, _ = hyper
-        block, cross = features
-        return sf_lsm_baseline(block, y[train], lam).predict(cross)
-    if learner == "constant":
-        positive = float(np.sum(y[train] > 0))
-        value = 1.0 if positive * 2 >= train.size else -1.0
-        return np.full(test.size, value)
-    reg, radius_factor = hyper
-    fmap, phi_test = features
-    radius = None
-    if learner == "vclsm":
-        radius = float(radius_factor * np.sqrt(train.size) * np.std(y[train]))
-    model = _train_one(learner, fmap, y[train], reg, radius)
-    return phi_test @ model.z
-
-
-def _pick_hyper(learner, K, y, train, rank, budget, sampler, pinv_tol, cfg, key):
+def _pick_hyper(learner, K, y, train, rank, budget, cfg, key):
     """Inner cross-validation over the hyperparameter grid; deterministic
     tie-break toward the earliest grid entry."""
     grid = _hyper_grid(cfg, learner)
@@ -751,39 +733,14 @@ def _pick_hyper(learner, K, y, train, rank, budget, sampler, pinv_tol, cfg, key)
     inner = stratified_kfold(y[train], cfg.inner_folds, spawn_rng(cfg.seed, _DOMAIN_CV, *key))
     scores = np.zeros(len(grid))
     for fi, (itr, ite) in enumerate(inner.splits()):
-        sub_train = train[itr]
-        sub_test = train[ite]
-        features = None
-        if learner in LEARNERS:
-            rng = spawn_rng(cfg.seed, _DOMAIN_CV, *key, fi)
-            marks = _fold_landmarks(sampler, K, sub_train,
-                                    min(budget, sub_train.size), rng, pinv_tol)
-            features = _fold_features(K, sub_train, sub_test, marks, rank, pinv_tol)
-        elif learner == "sf-lsm":
-            features = _similarity_features(K, sub_train, sub_test)
+        predict = _split_predictor(learner, K, y, train[itr], train[ite], rank, budget, cfg,
+                                   spawn_rng(cfg.seed, _DOMAIN_CV, *key, fi))
         for gi, hyper in enumerate(grid):
             try:
-                preds = _cv_fit_predict(learner, K, y, sub_train, sub_test, features,
-                                        hyper)
-                scores[gi] += misclassification(np.sign(preds), y[sub_test])
+                scores[gi] += misclassification(np.sign(predict(hyper)), y[train[ite]])
             except (SolverError, RankDeficient):
                 scores[gi] += 1.0  # a failing combination never wins
     return grid[int(np.argmin(scores))]
-
-
-def _fold_landmarks(sampler: str, K: SymMatrix, train, budget: int,
-                    rng: np.random.Generator, pinv_tol):
-    """Landmarks restricted to a training fold, reported as global indices.
-
-    Only the sketch samplers read the fold's kernel block; the uniform one
-    needs its order alone, so no copy of the block is made for it."""
-    if sampler == "uniform":
-        local = uniform_landmarks(train.size, budget, rng)
-    else:
-        sub = GramSource.from_matrix(SymMatrix(K.values[np.ix_(train, train)]))
-        local = select_landmarks(sampler, sub, budget, rng, pinv_tol)
-    return type(local)(indices=train[local.indices], multiplicity=local.multiplicity,
-                       requested=local.requested)
 
 
 def run_cv(source: GramSource, y, cfg: RunConfig):
@@ -795,52 +752,33 @@ def run_cv(source: GramSource, y, cfg: RunConfig):
     centered_K = center_kernel(raw_K) if needs_center else None
     if needs_center:
         cfg.centered = True
+    # (learner, k, l, seed key) per summary row; the baselines (similarities-
+    # as-features ridge, constant predictor) share a key: the constant draws nothing
+    runs = [(learner, k, l, (li, ki)) for li, learner in enumerate(cfg.learners)
+            for ki, (k, l) in enumerate(schedule)]
+    runs += [(baseline, "full", "full", (97,)) for baseline in ("sf-lsm", "constant")]
     fold_rows = []
     summaries = []
     splits = list(plan.splits())
-
-    for li, learner in enumerate(cfg.learners):
+    for learner, k, l, key in runs:
         K = centered_K if learner == "vclsm" else raw_K
-        for ki, (k, l) in enumerate(schedule):
-            rates = []
-            train_s = 0.0
-            predict_s = 0.0
-            for fi, (train, test) in enumerate(splits):
-                budget = min(l, train.size)
-                rng = spawn_rng(cfg.seed, _DOMAIN_CV, li, ki, fi)
-                marks = _fold_landmarks(cfg.samplers[0], K, train, budget, rng,
-                                        cfg.pinv_tol)
-                hyper = _pick_hyper(learner, K, y, train, k, budget, cfg.samplers[0],
-                                    cfg.pinv_tol, cfg, (li, ki, fi))
-                t0 = time.perf_counter()
-                features = _fold_features(K, train, test, marks, k, cfg.pinv_tol)
-                preds_fn = _cv_fit_predict(learner, K, y, train, test, features, hyper)
-                t1 = time.perf_counter()
-                rate = misclassification(np.sign(preds_fn), y[test])
-                t2 = time.perf_counter()
-                train_s += t1 - t0
-                predict_s += t2 - t1
-                rates.append(rate)
-                fold_rows.append((learner, k, l, fi, rate))
-            result = EvalResult.from_rates(
-                rates, {"train_seconds": train_s, "predict_seconds": predict_s})
-            summaries.append((learner, k, l, result))
-
-    # baselines: similarities-as-features ridge and the constant predictor
-    for baseline in ("sf-lsm", "constant"):
         rates = []
+        train_s = predict_s = 0.0
         for fi, (train, test) in enumerate(splits):
-            if baseline == "sf-lsm":
-                hyper = _pick_hyper(baseline, raw_K, y, train, 0, 0, cfg.samplers[0],
-                                    cfg.pinv_tol, cfg, (97, fi))
-                features = _similarity_features(raw_K, train, test)
-            else:
-                hyper, features = (None, None), None
-            preds = _cv_fit_predict(baseline, raw_K, y, train, test, features, hyper)
+            hyper = _pick_hyper(learner, K, y, train, k, l, cfg, (*key, fi))
+            t0 = time.perf_counter()
+            predict = _split_predictor(learner, K, y, train, test, k, l, cfg,
+                                       spawn_rng(cfg.seed, _DOMAIN_CV, *key, fi))
+            preds = predict(hyper)
+            t1 = time.perf_counter()
             rate = misclassification(np.sign(preds), y[test])
+            train_s += t1 - t0
+            predict_s += time.perf_counter() - t1
             rates.append(rate)
-            fold_rows.append((baseline, "full", "full", fi, rate))
-        summaries.append((baseline, "full", "full", EvalResult.from_rates(rates, {})))
+            fold_rows.append((learner, k, l, fi, rate))
+        timings = {"train_seconds": train_s, "predict_seconds": predict_s} \
+            if learner in LEARNERS else {}
+        summaries.append((learner, k, l, EvalResult.from_rates(rates, timings)))
     return fold_rows, summaries
 
 
@@ -922,7 +860,7 @@ def run_bench(cfg: RunConfig):
 
 def cmd_bench(cfg: RunConfig) -> int:
     if not cfg.kernel:
-        cfg.kernel = "kernel=gaussdiff sigma1=1.0 sigma2=3.0"
+        cfg.kernel = DEFAULT_KERNEL
     rows, summary, slopes = run_bench(cfg)
     _ensure_outdir(cfg)
     if cfg.out:

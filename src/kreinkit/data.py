@@ -16,7 +16,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .kernels import Dataset
+from .kernels import Dataset, center_kernel
 from .linalg import SymMatrix
 
 __all__ = [
@@ -187,13 +187,10 @@ def load_labels(path) -> np.ndarray:
 
 def double_center_neg(D: DissimilarityMatrix) -> SymMatrix:
     """Similarities from dissimilarities: -1/2 J D2 J with the centering
-    projector J = I - (1/n) 1 1'.  Entries are squared first unless the
-    matrix is tagged as already squared."""
+    projector J = I - (1/n) 1 1' of `center_kernel`.  Entries are squared
+    first unless the matrix is tagged as already squared."""
     d2 = D.values if D.squared else D.values**2
-    row_mean = d2.mean(axis=0)
-    total = row_mean.mean()
-    centered = d2 - row_mean[None, :] - row_mean[:, None] + total
-    return SymMatrix(-0.5 * centered)
+    return SymMatrix(-0.5 * center_kernel(SymMatrix(d2)).values)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ kernel k-means++ seeding in the sketch feature space.
 
 All samplers are pure functions of their inputs and the generator state, so a
 fixed seed reproduces the exact landmark sets on any platform.
+`landmark_factor` is the one Nystroem construction every caller shares: draw
+landmarks, factor their block with the signs kept, take the cross block.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateScores,
     DuplicateCollapseWarning,
     InvalidBudget,
@@ -32,6 +35,8 @@ __all__ = [
     "leverage_scores",
     "sample_leverage",
     "kmeanspp_landmarks",
+    "select_landmarks",
+    "landmark_factor",
 ]
 
 
@@ -87,12 +92,11 @@ def uniform_landmarks(n: int, m: int, rng: np.random.Generator) -> LandmarkSet:
 def build_sketch(source: GramSource, m0: int, rng: np.random.Generator,
                  pinv_tol: float | None = None) -> Sketch:
     """One-shot eigendecomposition from m0 uniform landmarks."""
-    landmarks = uniform_landmarks(source.n, m0, rng)
-    factor = fit(source.block(landmarks.indices), pinv_tol, landmarks=landmarks)
-    eig = one_shot_eigen(factor, source.cross_all(landmarks.indices))
+    factor, cross = landmark_factor(source, "uniform", m0, rng, pinv_tol)
+    eig = one_shot_eigen(factor, cross)
     features = eig.U * np.sqrt(np.abs(eig.lam))
     return Sketch(eig=eig, features=features, sketch_size=m0,
-                  landmarks=landmarks, factor=factor)
+                  landmarks=factor.landmarks, factor=factor)
 
 
 def leverage_scores(eig: OneShotEigen) -> np.ndarray:
@@ -157,3 +161,26 @@ def kmeanspp_landmarks(features, m: int, rng: np.random.Generator) -> LandmarkSe
         diff = x - x[nxt]
         weight = np.minimum(weight, np.einsum("ij,ij->i", diff, diff))
     return LandmarkSet(indices=np.array(chosen, dtype=int), requested=m)
+
+
+def select_landmarks(sampler: str, source: GramSource, budget: int,
+                     rng: np.random.Generator, pinv_tol: float | None):
+    """Dispatch one landmark selection; sketch-based samplers build their
+    sketch from the same generator so a task seed fixes everything."""
+    if sampler == "uniform":
+        return uniform_landmarks(source.n, budget, rng)
+    sketch = build_sketch(source, default_sketch_size(budget, source.n), rng, pinv_tol)
+    if sampler == "leverage":
+        return sample_leverage(leverage_scores(sketch.eig), budget, rng)
+    if sampler == "kmeanspp":
+        return kmeanspp_landmarks(sketch.features, budget, rng)
+    raise ConfigError(f"unknown sampler {sampler!r}")
+
+
+def landmark_factor(source: GramSource, sampler: str, budget: int,
+                    rng: np.random.Generator, pinv_tol: float | None
+                    ) -> tuple[NystroemFactor, np.ndarray]:
+    """Landmarks from ``select_landmarks``, the signed factor of their block
+    (which records them), and the n x m cross block against them."""
+    marks = select_landmarks(sampler, source, budget, rng, pinv_tol)
+    return fit(source.block(marks.indices), pinv_tol, marks), source.cross_all(marks.indices)

@@ -28,7 +28,6 @@ from .linalg import (
     SphereQP,
     SymMatrix,
     sphere_constrained_qp,
-    sym_eigen,
     thin_svd,
 )
 from .nystroem import LandmarkSet, NystroemFactor
@@ -46,7 +45,6 @@ __all__ = [
     "krein_krr_lowrank",
     "vc_lsm_lowrank",
     "sh_svm_lowrank",
-    "predict",
     "flip_krr_baseline",
     "flip_shsvm_baseline",
     "sf_lsm_baseline",
@@ -209,12 +207,6 @@ class LowRankModel:
 
     def predict(self, k_rows) -> np.ndarray | float:
         return feature_rows(self.map.factor, k_rows) @ self.z
-
-
-def predict(model, k_x):
-    """Evaluate a trained model on kernel rows against its landmarks (or, for
-    full-rank and similarity models, against the training set)."""
-    return model.predict(k_x)
 
 
 def _as_labels(y, n: int) -> np.ndarray:

@@ -222,6 +222,23 @@ def test_sample_command_deterministic(tmp_path):
     assert len(rows) == 7
 
 
+@pytest.mark.parametrize("sampler", ["uniform", "leverage"])
+def test_sample_synthetic_without_kernel(tmp_path, sampler):
+    out = tmp_path / "sample"
+    rc = main(["sample", "--synthetic", "two_gaussians", "--m", "5", "--sampler", sampler,
+               "--out", str(out)])
+    assert rc == 0
+    _, rows = read_csv(out / "landmarks.csv")
+    assert 1 <= len(rows) <= 5
+
+
+def test_sample_vector_data_needs_kernel(tmp_path, capsys):
+    points = tmp_path / "x.csv"
+    write_matrix(points, np.eye(4))
+    assert main(["sample", "--data", str(points), "--m", "2"]) == 2
+    assert "vector data needs --kernel" in capsys.readouterr().err
+
+
 def test_train_writes_loadable_model(tmp_path):
     out = tmp_path / "model"
     rc = main(["train", *synthetic_args(n=60), "--m", "12", "--learner", "shsvm",
@@ -265,10 +282,11 @@ def test_cv_constant_row_is_majority_class_error(tmp_path):
     assert float(constant[3]) == pytest.approx(0.5, abs=0.05)
 
 
-def test_cv_identical_seeds_identical_files(tmp_path):
+@pytest.mark.parametrize("sampler", ["uniform", "leverage", "kmeanspp"])
+def test_cv_identical_seeds_identical_files(tmp_path, sampler):
     args = ["cv", *synthetic_args(n=48), "--learners", "lsm,vclsm,shsvm", "--ranks", "8",
             "--folds", "3", "--lambdas", "0.01,0.1", "--inner-folds", "2",
-            "--seed", "13"]
+            "--sampler", sampler, "--seed", "13"]
     main([*args, "--out", str(tmp_path / "a")])
     main([*args, "--out", str(tmp_path / "b")])
     for name in ("cv_folds.csv", "cv_summary.csv"):

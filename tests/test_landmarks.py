@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from kreinkit import (
+    ConfigError,
     DegenerateScores,
     DuplicateCollapseWarning,
     GramSource,
@@ -15,10 +16,12 @@ from kreinkit import (
     gaussian_diff,
     gram,
     kmeanspp_landmarks,
+    landmark_factor,
     leverage_scores,
     make_rng,
     one_shot_eigen,
     sample_leverage,
+    select_landmarks,
     spawn_rng,
     uniform_landmarks,
 )
@@ -183,3 +186,25 @@ def test_kmeanspp_duplicate_collapse():
 def test_kmeanspp_budget_validation():
     with pytest.raises(InvalidBudget):
         kmeanspp_landmarks(np.zeros((4, 2)), 5, make_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# the shared select -> fit -> cross block construction
+
+
+@pytest.mark.parametrize("sampler", ["uniform", "leverage", "kmeanspp"])
+def test_landmark_factor_matches_its_steps(sampler):
+    src = fixture_source(n=45, seed=11)
+    marks = select_landmarks(sampler, src, 8, make_rng(12), None)
+    factor, cross = landmark_factor(src, sampler, 8, make_rng(12), None)
+    assert np.array_equal(factor.landmarks.indices, marks.indices)
+    assert factor.landmarks.requested == marks.requested == 8
+    if marks.multiplicity is not None:
+        assert np.array_equal(factor.landmarks.multiplicity, marks.multiplicity)
+    assert np.array_equal(cross, src.cross_all(marks.indices))
+    assert np.array_equal(factor.eig.d, fit(src.block(marks.indices)).eig.d)
+
+
+def test_landmark_factor_rejects_unknown_sampler():
+    with pytest.raises(ConfigError):
+        landmark_factor(fixture_source(), "nearest", 5, make_rng(0), None)
