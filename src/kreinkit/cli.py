@@ -27,8 +27,7 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -84,14 +83,10 @@ from .learners import (
     sh_svm_lowrank,
     vc_lsm_lowrank,
 )
-from .linalg import SymMatrix
 from .nystroem import (
-    approximate,
     fit,
     flop_count,
-    frobenius_error,
     one_shot_eigen,
-    reconstruct,
     sgt_one_shot,
     truncate_eigen,
     truncate_factor,
@@ -146,7 +141,6 @@ class RunConfig:
     folds: int = 10
     reps: int = 10
     seed: int = 0
-    workers: int = 1
     out: str | None = None
     n_schedule: list = field(default_factory=list)
     centered: bool = False
@@ -229,7 +223,6 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", help="output directory (default: print summary only)")
 
 
@@ -302,7 +295,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     for name in ("data", "data_format", "matrix", "matrix_format", "matrix_kind",
                  "labels", "target_class", "synthetic", "n", "p", "separation",
-                 "kernel", "pinv_tol", "seed", "workers", "out", "m", "method",
+                 "kernel", "pinv_tol", "seed", "out", "m", "method",
                  "folds", "reps", "inner_folds"):
         if hasattr(args, name) and getattr(args, name) is not None:
             setattr(cfg, name, getattr(args, name))
@@ -344,8 +337,6 @@ def validate_config(cfg: RunConfig) -> None:
     """Structural validation that needs no data; runs before any IO."""
     if cfg.reps < 1:
         raise ConfigError("--reps must be at least 1")
-    if cfg.workers < 1:
-        raise ConfigError("--workers must be at least 1")
     if cfg.pinv_tol is not None and not (math.isfinite(cfg.pinv_tol) and cfg.pinv_tol >= 0):
         raise ConfigError("--pinv-tol must be a finite non-negative number")
     if cfg.command == "flops":
@@ -476,13 +467,6 @@ def _ensure_outdir(cfg: RunConfig) -> None:
         os.makedirs(cfg.out, exist_ok=True)
 
 
-def _map_tasks(fn, tasks, workers: int):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(task) for task in tasks]
-
-
 # ---------------------------------------------------------------------------
 # approx
 
@@ -495,19 +479,19 @@ def _map_tasks(fn, tasks, workers: int):
 _SCORE_BLOCK_ELEMENTS = 1 << 22
 
 
-def _residual_norms(source: GramSource, eigs) -> list:
+def _residual_norms(rows, n: int, width: int, eigs) -> list:
     """Frobenius errors ||K - U diag(lam) U'|| of several eigensystems, from
-    one pass over row blocks of K; no n x n array is formed."""
+    one pass over the row blocks ``rows(start, stop)`` of the n x n matrix K,
+    each entry of which costs ``width`` elements to form; no n x n array is
+    formed."""
     for eig in eigs:
         if not (np.all(np.isfinite(eig.U)) and np.all(np.isfinite(eig.lam))):
             raise InvalidInput("approximate eigensystem entries must be finite")
-    n = source.n
-    width = source.points.shape[1] if source.points is not None else 1
     step = max(1, _SCORE_BLOCK_ELEMENTS // (n * width))
     squares = np.zeros(len(eigs))
     for start in range(0, n, step):
         stop = min(n, start + step)
-        block = source.rows(start, stop)
+        block = rows(start, stop)
         if not np.all(np.isfinite(block)):
             raise InvalidInput("matrix entries must be finite")
         for i, eig in enumerate(eigs):
@@ -518,14 +502,13 @@ def _residual_norms(source: GramSource, eigs) -> list:
 
 
 def run_approx_sweep(source: GramSource, samplers, schedule, reps: int, seed: int,
-                     pinv_tol: float | None, workers: int = 1):
+                     pinv_tol: float | None):
     """Error/time sweep; returns raw rows and per-configuration medians.
 
     Every repetition draws its own generator from (seed, sampler, schedule
-    slot, repetition), so rows are reproducible regardless of worker count.
-    Each configuration runs one discarded warm-up repetition before the timed
-    ones.  The timed results are scored together afterwards, in one pass over
-    row blocks of the kernel matrix.
+    slot, repetition).  Each configuration runs one discarded warm-up
+    repetition before the timed ones.  The timed results are scored together
+    afterwards, in one pass over row blocks of the kernel matrix.
     """
     tasks = []
     for si, sampler in enumerate(samplers):
@@ -542,8 +525,9 @@ def run_approx_sweep(source: GramSource, samplers, schedule, reps: int, seed: in
         seconds = time.perf_counter() - start
         return (sampler, k, l, rep, eig, seconds)
 
-    timed = [row for row in _map_tasks(one, tasks, workers) if row[3] >= 0]
-    errors = _residual_norms(source, [row[4] for row in timed])
+    timed = [row for row in map(one, tasks) if row[3] >= 0]
+    errors = _residual_norms(source.rows, source.n, source.points.size // source.n,
+                             [row[4] for row in timed])
     raw = [(*row[:4], error, row[5]) for row, error in zip(timed, errors)]
     medians = []
     for si, sampler in enumerate(samplers):
@@ -558,7 +542,7 @@ def cmd_approx(cfg: RunConfig) -> int:
     source, _ = load_inputs(cfg)
     schedule = resolve_schedule(cfg, source.n)
     raw, medians = run_approx_sweep(source, cfg.samplers, schedule, cfg.reps,
-                                    cfg.seed, cfg.pinv_tol, cfg.workers)
+                                    cfg.seed, cfg.pinv_tol)
     _ensure_outdir(cfg)
     if cfg.out:
         _write_csv(f"{cfg.out}/approx_raw.csv",
@@ -585,9 +569,13 @@ def cmd_eigen(cfg: RunConfig) -> int:
     eig = one_shot_eigen(factor, cross) if cfg.method == "one_shot" else \
         sgt_one_shot(factor, cross)
     gram_residual = float(np.abs(eig.U.T @ eig.U - np.eye(eig.rank)).max())
-    approx = approximate(factor, cross)
-    recon_err = frobenius_error(approx, reconstruct(eig))
-    scale = float(np.linalg.norm(approx.values, "fro"))
+    # the approximation is C diag(1/d) C' with C = cross U_r, scored by row
+    # blocks; with C = QR its norm is that of the r x r R diag(1/d) R'
+    C = cross @ factor.U_r
+    [recon_err] = _residual_norms(lambda a, b: (C[a:b] / factor.d_r) @ C.T, source.n, 1,
+                                  [eig])
+    R = np.linalg.qr(C, mode="r")
+    scale = float(np.linalg.norm((R / factor.d_r) @ R.T, "fro"))
     rel = recon_err / scale if scale > 0.0 else 0.0
     negative_mass = float(np.abs(eig.lam[eig.lam < 0]).sum())
     total_mass = float(np.abs(eig.lam).sum())
@@ -625,6 +613,13 @@ def cmd_sample(cfg: RunConfig) -> int:
     return 0
 
 
+def _centered_source(source: GramSource, cfg: RunConfig) -> GramSource:
+    """The double-centred kernel that vclsm's variance constraint is stated
+    against; the one whole-data n x n matrix the commands form."""
+    cfg.centered = True
+    return GramSource.from_matrix(center_kernel(source.full()))
+
+
 def _train_one(learner: str, fmap, y, reg: RegPair, radius: float | None):
     if learner == "lsm":
         return krein_krr_lowrank(fmap, y, reg)
@@ -643,9 +638,7 @@ def cmd_train(cfg: RunConfig) -> int:
         raise ConfigError(f"--m must lie in [1, {source.n}]")
     learner = cfg.learners[0]
     if learner == "vclsm":
-        # the variance constraint is stated against a centered kernel
-        source = GramSource.from_matrix(center_kernel(source.full()))
-        cfg.centered = True
+        source = _centered_source(source, cfg)
     fmap = build_feature_map(*landmark_factor(source, cfg.samplers[0], cfg.m,
                                               spawn_rng(cfg.seed, _DOMAIN_SINGLE),
                                               cfg.pinv_tol))
@@ -684,35 +677,26 @@ def _hyper_grid(cfg: RunConfig, learner: str):
     return [(reg, None) for reg in pairs]
 
 
-def _split_predictor(learner: str, K: SymMatrix, y, train, test, rank, budget,
+def _split_predictor(learner: str, source: GramSource, y, train, test, rank, budget,
                      cfg: RunConfig, rng: np.random.Generator):
     """Held-out scores of one (train, test) split as a function of the
     hyperparameters; what no grid point changes is built once, here.
 
-    Only the low-rank learners read ``rank`` and ``budget``.  Their landmarks
-    are drawn from the training fold and reported as global indices; only
-    the sketch samplers read the fold's kernel block, so none is copied for
-    the uniform one.
+    Only the low-rank learners read ``rank`` and ``budget``; they factor the
+    training fold through ``landmark_factor``.
     """
     y_train = y[train]
     if learner == "constant":
         value = 1.0 if float(np.sum(y_train > 0)) * 2 >= train.size else -1.0
         return lambda hyper: np.full(test.size, value)
     if learner == "sf-lsm":
-        block, cross = SymMatrix(K.values[np.ix_(train, train)]), K.values[np.ix_(test, train)]
+        block, cross = source.block(train), source.cross(test, train)
         return lambda lam: sf_lsm_baseline(block, y_train, lam).predict(cross)
-    budget = min(budget, train.size)
-    if cfg.samplers[0] == "uniform":
-        local = uniform_landmarks(train.size, budget, rng)
-    else:
-        sub = GramSource.from_matrix(SymMatrix(K.values[np.ix_(train, train)]))
-        local = select_landmarks(cfg.samplers[0], sub, budget, rng, cfg.pinv_tol)
-    marks = replace(local, indices=train[local.indices])
-    factor = fit(SymMatrix(K.values[np.ix_(marks.indices, marks.indices)]), cfg.pinv_tol,
-                 marks)
+    factor, cross = landmark_factor(source.subset(train), cfg.samplers[0],
+                                    min(budget, train.size), rng, cfg.pinv_tol)
     factor = truncate_factor(factor, rank)
-    fmap = build_feature_map(factor, K.values[np.ix_(train, marks.indices)])
-    phi_test = feature_rows(factor, K.values[np.ix_(test, marks.indices)])
+    fmap = build_feature_map(factor, cross)
+    phi_test = feature_rows(factor, source.cross(test, train[factor.landmarks.indices]))
 
     def predict(hyper):
         reg, radius_factor = hyper
@@ -724,7 +708,7 @@ def _split_predictor(learner: str, K: SymMatrix, y, train, test, rank, budget,
     return predict
 
 
-def _pick_hyper(learner, K, y, train, rank, budget, cfg, key):
+def _pick_hyper(learner, source, y, train, rank, budget, cfg, key):
     """Inner cross-validation over the hyperparameter grid; deterministic
     tie-break toward the earliest grid entry."""
     grid = _hyper_grid(cfg, learner)
@@ -733,8 +717,8 @@ def _pick_hyper(learner, K, y, train, rank, budget, cfg, key):
     inner = stratified_kfold(y[train], cfg.inner_folds, spawn_rng(cfg.seed, _DOMAIN_CV, *key))
     scores = np.zeros(len(grid))
     for fi, (itr, ite) in enumerate(inner.splits()):
-        predict = _split_predictor(learner, K, y, train[itr], train[ite], rank, budget, cfg,
-                                   spawn_rng(cfg.seed, _DOMAIN_CV, *key, fi))
+        predict = _split_predictor(learner, source, y, train[itr], train[ite], rank,
+                                   budget, cfg, spawn_rng(cfg.seed, _DOMAIN_CV, *key, fi))
         for gi, hyper in enumerate(grid):
             try:
                 scores[gi] += misclassification(np.sign(predict(hyper)), y[train[ite]])
@@ -747,11 +731,7 @@ def run_cv(source: GramSource, y, cfg: RunConfig):
     """Full cross-validation sweep; returns per-fold rows and summaries."""
     schedule = resolve_schedule(cfg, source.n)
     plan = stratified_kfold(y, cfg.folds, spawn_rng(cfg.seed, _DOMAIN_CV))
-    raw_K = source.full()
-    needs_center = any(l == "vclsm" for l in cfg.learners)
-    centered_K = center_kernel(raw_K) if needs_center else None
-    if needs_center:
-        cfg.centered = True
+    centered = _centered_source(source, cfg) if "vclsm" in cfg.learners else None
     # (learner, k, l, seed key) per summary row; the baselines (similarities-
     # as-features ridge, constant predictor) share a key: the constant draws nothing
     runs = [(learner, k, l, (li, ki)) for li, learner in enumerate(cfg.learners)
@@ -761,13 +741,13 @@ def run_cv(source: GramSource, y, cfg: RunConfig):
     summaries = []
     splits = list(plan.splits())
     for learner, k, l, key in runs:
-        K = centered_K if learner == "vclsm" else raw_K
+        kernel = centered if learner == "vclsm" else source
         rates = []
         train_s = predict_s = 0.0
         for fi, (train, test) in enumerate(splits):
-            hyper = _pick_hyper(learner, K, y, train, k, l, cfg, (*key, fi))
+            hyper = _pick_hyper(learner, kernel, y, train, k, l, cfg, (*key, fi))
             t0 = time.perf_counter()
-            predict = _split_predictor(learner, K, y, train, test, k, l, cfg,
+            predict = _split_predictor(learner, kernel, y, train, test, k, l, cfg,
                                        spawn_rng(cfg.seed, _DOMAIN_CV, *key, fi))
             preds = predict(hyper)
             t1 = time.perf_counter()

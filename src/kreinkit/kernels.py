@@ -366,11 +366,13 @@ def center_kernel(K: SymMatrix) -> SymMatrix:
 
 
 class GramSource:
-    """Uniform access to kernel evaluations against a fixed dataset.
+    """Uniform access to kernel evaluations on a fixed set of points.
 
-    Backed either by a precomputed symmetric matrix or by (spec, points);
-    downstream code asks for landmark blocks and cross blocks without caring
-    which.  ``full()`` materializes the complete matrix and caches it, so it
+    Backed either by a precomputed symmetric matrix, whose points are its row
+    positions, or by (spec, points); downstream code asks for landmark blocks
+    and cross blocks without caring which, and only ``_kernel`` looks.
+    ``subset`` gives the same kernel on some of the points without copying a
+    block.  ``full()`` materializes the complete matrix and caches it, so it
     should only be called at desk scale; ``rows()`` hands it out one row
     block at a time instead.
     """
@@ -389,8 +391,9 @@ class GramSource:
             points = _as_points(points)
         self.matrix = matrix
         self.spec = spec
-        self.points = points
-        self._full: SymMatrix | None = matrix
+        self.points = np.arange(matrix.order) if points is None else points
+        # a matrix source on all of its rows is its own full matrix
+        self._full: SymMatrix | None = matrix if points is None else None
 
     @classmethod
     def from_matrix(cls, K: SymMatrix) -> "GramSource":
@@ -402,30 +405,41 @@ class GramSource:
 
     @property
     def n(self) -> int:
-        return self.matrix.order if self.matrix is not None else self.points.shape[0]
+        return self.points.shape[0]
+
+    def _kernel(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """Kernel values between two point sets of this source."""
+        if self.matrix is not None:
+            # the matrix is exactly symmetric: gather whole rows Z, not
+            # scattered columns, and hand back their transpose
+            return self.matrix.values[np.ix_(Z, X)].T
+        return gram_cross(self.spec, X, Z)
+
+    def subset(self, indices) -> "GramSource":
+        """The same kernel on ``points[indices]``; a matrix source shares its
+        matrix."""
+        return GramSource(matrix=self.matrix, spec=self.spec,
+                          points=self.points[np.asarray(indices, dtype=int)])
 
     def block(self, indices) -> SymMatrix:
-        idx = np.asarray(indices, dtype=int)
-        if self.matrix is not None:
-            return SymMatrix(self.matrix.values[np.ix_(idx, idx)])
-        return gram(self.spec, self.points[idx])
+        return SymMatrix(self.cross(indices, indices))
+
+    def cross(self, rows, cols) -> np.ndarray:
+        """Kernel values between the points at positions ``rows`` and ``cols``."""
+        return self._kernel(self.points[np.asarray(rows, dtype=int)],
+                            self.points[np.asarray(cols, dtype=int)])
 
     def cross_all(self, indices) -> np.ndarray:
-        idx = np.asarray(indices, dtype=int)
-        if self.matrix is not None:
-            return np.array(self.matrix.values[:, idx])
-        return gram_cross(self.spec, self.points, self.points[idx])
+        return self._kernel(self.points, self.points[np.asarray(indices, dtype=int)])
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         """Rows start:stop of the full matrix without forming it: bit for bit
         ``full().values[start:stop]`` for a matrix source and the distance
         kernels (their distances do not depend on the row blocking), equal
         up to round-off for the inner-product ones (BLAS products do)."""
-        if self.matrix is not None:
-            return self.matrix.values[start:stop]
-        return gram_cross(self.spec, self.points[start:stop], self.points)
+        return self._kernel(self.points[start:stop], self.points)
 
     def full(self) -> SymMatrix:
         if self._full is None:
-            self._full = gram(self.spec, self.points)
+            self._full = SymMatrix(self._kernel(self.points, self.points))
         return self._full

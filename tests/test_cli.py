@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from kreinkit import (
     ConfigError,
     GramSource,
+    approximate,
     frobenius_error,
     gaussian_diff,
     gram,
@@ -29,6 +30,23 @@ def read_csv(path):
 def synthetic_args(n=80):
     return ["--synthetic", "two_gaussians", "--n", str(n), "--p", "3",
             "--kernel", "kernel=gaussdiff sigma1=1.0 sigma2=3.0"]
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("formed the whole-data kernel matrix")
+
+
+def refuse_order(monkeypatch, module, n):
+    """Make ``module.SymMatrix`` reject any matrix of order n."""
+    original = module.SymMatrix
+
+    def checked(values):
+        made = original(values)
+        if made.order == n:
+            raise AssertionError(f"formed a {n} x {n} matrix")
+        return made
+
+    monkeypatch.setattr(module, "SymMatrix", checked)
 
 
 # ---------------------------------------------------------------------------
@@ -107,16 +125,6 @@ def test_approx_deterministic_error_columns(tmp_path):
     assert [r[:5] for r in rows_a] == [r[:5] for r in rows_b]
 
 
-def test_approx_workers_do_not_change_results(tmp_path):
-    base = ["approx", *synthetic_args(), "--samplers", "uniform,kmeanspp",
-            "--ranks", "5,9", "--reps", "3", "--seed", "5"]
-    main([*base, "--out", str(tmp_path / "serial")])
-    main([*base, "--workers", "4", "--out", str(tmp_path / "parallel")])
-    _, rows_s = read_csv(tmp_path / "serial" / "approx_raw.csv")
-    _, rows_p = read_csv(tmp_path / "parallel" / "approx_raw.csv")
-    assert [r[:5] for r in rows_s] == [r[:5] for r in rows_p]
-
-
 def test_approx_logn_budget(tmp_path):
     out = tmp_path / "logn"
     rc = main(["approx", *synthetic_args(n=60), "--samplers", "uniform",
@@ -159,14 +167,11 @@ def test_approx_streamed_errors_match_dense(monkeypatch, from_matrix):
 
 
 def test_approx_forms_no_dense_matrix(tmp_path, monkeypatch):
-    import kreinkit.cli
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("approx formed an n x n matrix")
+    import kreinkit.nystroem
 
     monkeypatch.setattr(GramSource, "full", refuse)
-    monkeypatch.setattr(kreinkit.cli, "reconstruct", refuse)
-    monkeypatch.setattr(kreinkit.cli, "frobenius_error", refuse)
+    # reconstruct and approximate build their n x n results here
+    refuse_order(monkeypatch, kreinkit.nystroem, 80)
     rc = main(["approx", *synthetic_args(), "--samplers", "uniform,leverage,kmeanspp",
                "--ranks", "5,10", "--reps", "2", "--seed", "1",
                "--out", str(tmp_path / "run")])
@@ -191,6 +196,46 @@ def test_eigen_command(tmp_path):
     header, rows = read_csv(out / "eigenvalues.csv")
     assert header == ["index", "eigenvalue"]
     assert len(rows) == result["effective_rank"] or len(rows) <= 10
+
+
+@pytest.mark.parametrize("method", ["one_shot", "sgt"])
+def test_eigen_forms_no_dense_matrix(tmp_path, monkeypatch, method):
+    import kreinkit.nystroem
+
+    monkeypatch.setattr(GramSource, "full", refuse)
+    refuse_order(monkeypatch, kreinkit.nystroem, 80)
+    out = tmp_path / "eig"
+    assert main(["eigen", *synthetic_args(), "--m", "12", "--method", method,
+                 "--seed", "3", "--out", str(out)]) == 0
+    result = json.loads((out / "result.json").read_text())
+    assert 0.0 <= result["reconstruction_relative_error"] < 1e-8
+
+
+def test_eigen_streamed_residual_matches_dense(tmp_path, monkeypatch):
+    import kreinkit.cli
+    import kreinkit.nystroem
+
+    seen = []
+    original = kreinkit.cli.one_shot_eigen
+
+    def truncated(factor, cross):
+        seen.append((factor, cross, truncate_eigen(original(factor, cross), 4)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(kreinkit.cli, "one_shot_eigen", truncated)
+    # 7-row scoring blocks, the last one ragged, instead of a single block
+    monkeypatch.setattr(kreinkit.cli, "_SCORE_BLOCK_ELEMENTS", 7 * 80)
+    refuse_order(monkeypatch, kreinkit.nystroem, 80)
+    out = tmp_path / "eig"
+    assert main(["eigen", *synthetic_args(), "--m", "12", "--seed", "3",
+                 "--out", str(out)]) == 0
+    [(factor, cross, eig)] = seen
+    monkeypatch.undo()  # the dense reference below forms the n x n matrices
+    approx = approximate(factor, cross)
+    expected = frobenius_error(approx, reconstruct(eig)) / np.linalg.norm(approx.values)
+    assert expected > 1e-3  # a truncation error, not round-off
+    result = json.loads((out / "result.json").read_text())
+    assert result["reconstruction_relative_error"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_eigen_relative_error_scales_with_the_kernel(tmp_path):
@@ -293,8 +338,24 @@ def test_cv_identical_seeds_identical_files(tmp_path, sampler):
         assert (tmp_path / "a" / name).read_text() == (tmp_path / "b" / name).read_text()
 
 
+@pytest.mark.parametrize("sampler", ["uniform", "leverage", "kmeanspp"])
+def test_cv_forms_no_whole_data_matrix(tmp_path, monkeypatch, sampler):
+    import kreinkit.kernels
+    import kreinkit.nystroem
+
+    monkeypatch.setattr(GramSource, "full", refuse)
+    refuse_order(monkeypatch, kreinkit.kernels, 60)
+    refuse_order(monkeypatch, kreinkit.nystroem, 60)
+    rc = main(["cv", *synthetic_args(n=60), "--learners", "lsm,shsvm", "--ranks", "8",
+               "--folds", "3", "--lambdas", "0.01,0.1", "--inner-folds", "2",
+               "--sampler", sampler, "--seed", "4", "--out", str(tmp_path / "cv")])
+    assert rc == 0
+    _, summary = read_csv(tmp_path / "cv" / "cv_summary.csv")
+    assert [row[0] for row in summary] == ["lsm", "shsvm", "sf-lsm", "constant"]
+
+
 def test_cv_builds_each_split_factor_once(tmp_path, monkeypatch):
-    import kreinkit.cli
+    import kreinkit.landmarks
     import kreinkit.learners
 
     calls = {"fit": 0, "thin_svd": 0}
@@ -308,7 +369,7 @@ def test_cv_builds_each_split_factor_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(kreinkit.cli, "fit")
+    counted(kreinkit.landmarks, "fit")
     counted(kreinkit.learners, "thin_svd")
     learners, folds, inner_folds = ["lsm", "vclsm", "shsvm"], 3, 2
     rc = main(["cv", *synthetic_args(n=48), "--learners", ",".join(learners),
@@ -325,10 +386,11 @@ def test_cv_builds_each_split_factor_once(tmp_path, monkeypatch):
 
 def test_cv_builds_each_sf_lsm_block_once(tmp_path, monkeypatch):
     import kreinkit.cli
+    import kreinkit.kernels
 
     made = []
     solved = []
-    original_sym = kreinkit.cli.SymMatrix
+    original_sym = kreinkit.kernels.SymMatrix
     original_sf = kreinkit.cli.sf_lsm_baseline
 
     def counted_sym(values):
@@ -339,7 +401,7 @@ def test_cv_builds_each_sf_lsm_block_once(tmp_path, monkeypatch):
         solved.append(id(block))
         return original_sf(block, y, lam)
 
-    monkeypatch.setattr(kreinkit.cli, "SymMatrix", counted_sym)
+    monkeypatch.setattr(kreinkit.kernels, "SymMatrix", counted_sym)
     monkeypatch.setattr(kreinkit.cli, "sf_lsm_baseline", counted_sf)
     folds, inner_folds, lambdas = 3, 2, [0.01, 0.1, 1.0]
     rc = main(["cv", *synthetic_args(n=48), "--learners", "lsm", "--ranks", "8",
@@ -434,4 +496,5 @@ def test_exit_code_solver_errors(tmp_path, capsys):
 
 def test_unknown_flag_exits_two(capsys):
     assert main(["approx", "--does-not-exist"]) == 2
+    assert main(["approx", *synthetic_args(), "--ranks", "5", "--workers", "2"]) == 2
     capsys.readouterr()

@@ -358,6 +358,43 @@ def test_gram_source_rows_from_matrix():
         assert_allclose(src.rows(start, stop), k.values[start:stop], rtol=0, atol=0)
 
 
+def _source_parts(src, idx, rows):
+    return [src.block(idx).values, src.cross(rows, idx), src.cross_all(idx),
+            src.rows(1, 4), src.full().values]
+
+
+def test_gram_source_matrix_subset_slices_the_matrix():
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(12, 12))
+    src = GramSource.from_matrix(SymMatrix(a + a.T))
+    outer = np.array([11, 2, 7, 0, 5, 9, 3, 8])
+    inner = np.array([6, 1, 4, 0, 2])
+    idx, rows = np.array([2, 0, 3]), np.array([4, 1])
+    for sub, pos in ((src.subset(outer), outer),
+                     (src.subset(outer).subset(inner), outer[inner])):
+        v = src.full().values[np.ix_(pos, pos)]
+        expected = [v[np.ix_(idx, idx)], v[np.ix_(rows, idx)], v[:, idx], v[1:4], v]
+        assert sub.n == pos.size
+        assert sub.matrix is src.matrix  # shared, not copied
+        for got, want in zip(_source_parts(sub, idx, rows), expected):
+            assert_allclose(got, want, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("spec", [gaussian_diff(1.0, 3.0), tanh_sigmoid(0.5, -0.2)])
+def test_gram_source_data_subset_is_the_source_of_its_points(spec):
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(30, 3))
+    outer = rng.permutation(30)[:12]
+    inner = np.array([9, 0, 4, 7, 1])
+    idx, rows = np.array([2, 0, 3]), np.array([4, 1])
+    src = GramSource.from_data(spec, x)
+    for sub, pos in ((src.subset(outer), outer),
+                     (src.subset(outer).subset(inner), outer[inner])):
+        ref = GramSource.from_data(spec, x[pos])
+        for got, want in zip(_source_parts(sub, idx, rows), _source_parts(ref, idx, rows)):
+            assert_allclose(got, want, rtol=0, atol=0)
+
+
 def test_gram_source_precomputed_spec_rejected():
     with pytest.raises(UseLoadMatrixInstead):
         GramSource.from_data(precomputed(), np.zeros((3, 2)))
