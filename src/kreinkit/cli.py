@@ -79,9 +79,10 @@ from .learners import (
     feature_rows,
     krein_krr_lowrank,
     save_model,
-    sf_lsm_baseline,
+    sf_lsm_path,
     sh_svm_lowrank,
     vc_lsm_lowrank,
+    vc_lsm_path,
 )
 from .nystroem import (
     fit,
@@ -690,20 +691,24 @@ def _split_predictor(learner: str, source: GramSource, y, train, test, rank, bud
         value = 1.0 if float(np.sum(y_train > 0)) * 2 >= train.size else -1.0
         return lambda hyper: np.full(test.size, value)
     if learner == "sf-lsm":
-        block, cross = source.block(train), source.cross(test, train)
-        return lambda lam: sf_lsm_baseline(block, y_train, lam).predict(cross)
+        solve = sf_lsm_path(source.block(train), y_train)
+        cross = source.cross(test, train)
+        return lambda lam: solve(lam).predict(cross)
     factor, cross = landmark_factor(source.subset(train), cfg.samplers[0],
                                     min(budget, train.size), rng, cfg.pinv_tol)
     factor = truncate_factor(factor, rank)
     fmap = build_feature_map(factor, cross)
     phi_test = feature_rows(factor, source.cross(test, train[factor.landmarks.indices]))
+    if learner != "vclsm":
+        return lambda hyper: phi_test @ _train_one(learner, fmap, y_train, hyper[0], None).z
+    root_n, spread = np.sqrt(train.size), np.std(y_train)
+    paths = {}  # penalty pair -> vc_lsm_path; one that raised is not stored
 
     def predict(hyper):
         reg, radius_factor = hyper
-        radius = None
-        if learner == "vclsm":
-            radius = float(radius_factor * np.sqrt(train.size) * np.std(y_train))
-        return phi_test @ _train_one(learner, fmap, y_train, reg, radius).z
+        if reg not in paths:
+            paths[reg] = vc_lsm_path(fmap, y_train, reg)
+        return phi_test @ paths[reg](float(radius_factor * root_n * spread)).z
 
     return predict
 

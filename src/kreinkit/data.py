@@ -267,7 +267,7 @@ def misclassification(predictions, y) -> float:
     labels = np.asarray(y, dtype=float)
     if pred.shape != labels.shape or pred.ndim != 1:
         raise ShapeError(f"shape mismatch: {pred.shape} vs {labels.shape}")
-    if not set(np.unique(labels).tolist()) <= {-1.0, 1.0}:
+    if not np.all((labels == 1.0) | (labels == -1.0)):
         raise InvalidInput("labels must be -1/+1")
     return float(np.mean(labels * pred <= 0.0))
 

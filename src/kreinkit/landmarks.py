@@ -145,9 +145,23 @@ def kmeanspp_landmarks(features, m: int, rng: np.random.Generator) -> LandmarkSe
     n = x.shape[0]
     if not 1 <= m <= n:
         raise InvalidBudget(f"landmark budget must satisfy 1 <= m <= n, got m={m}, n={n}")
+    # squared distances by |a|^2 + |b|^2 - 2 a'b on centred rows: one GEMV a
+    # step.  The identity is off by at most about 2 d eps (|a|^2 + |b|^2), so
+    # entries within that of zero are recomputed by differencing; chosen and
+    # duplicate rows then weigh exactly 0, as the distinctness above needs.
+    xc = x - x.mean(axis=0)
+    sq = np.einsum("ij,ij->i", xc, xc)
+    slack = 2.0 * (x.shape[1] + 4) * np.finfo(float).eps
+
+    def sqdist(j: int) -> np.ndarray:
+        d2 = sq + sq[j] - 2.0 * (xc @ xc[j])
+        near = np.flatnonzero(d2 <= slack * (sq + sq[j]))
+        diff = x[near] - x[j]
+        d2[near] = np.einsum("ij,ij->i", diff, diff)
+        return d2
+
     chosen = [int(rng.integers(n))]
-    diff = x - x[chosen[0]]
-    weight = np.einsum("ij,ij->i", diff, diff)
+    weight = sqdist(chosen[0])
     while len(chosen) < m:
         total = weight.sum()
         if total <= 0.0:
@@ -158,8 +172,7 @@ def kmeanspp_landmarks(features, m: int, rng: np.random.Generator) -> LandmarkSe
             break
         nxt = int(rng.choice(n, p=weight / total))
         chosen.append(nxt)
-        diff = x - x[nxt]
-        weight = np.minimum(weight, np.einsum("ij,ij->i", diff, diff))
+        weight = np.minimum(weight, sqdist(nxt))
     return LandmarkSet(indices=np.array(chosen, dtype=int), requested=m)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,9 +26,9 @@ from .kernels import KernelSpec, format_kernel_spec, parse_kernel_spec
 from .linalg import (
     SVDFactors,
     SignedEigenSystem,
-    SphereQP,
     SymMatrix,
-    sphere_constrained_qp,
+    factor_sphere_qp,
+    solve_sphere_qp,
     thin_svd,
 )
 from .nystroem import LandmarkSet, NystroemFactor
@@ -43,10 +44,12 @@ __all__ = [
     "feature_rows",
     "krein_krr_full",
     "krein_krr_lowrank",
+    "vc_lsm_path",
     "vc_lsm_lowrank",
     "sh_svm_lowrank",
     "flip_krr_baseline",
     "flip_shsvm_baseline",
+    "sf_lsm_path",
     "sf_lsm_baseline",
     "squared_hinge_objective",
     "squared_hinge_gradient",
@@ -88,8 +91,8 @@ class FeatureMap:
     ``phi`` has one row per training point and one column per retained
     landmark eigendirection; ``signs`` are the matching eigenvalue signs, so
     phi diag(signs) phi' reproduces the low-rank kernel approximation.
-    ``svd`` is computed on first use and then shared by every learner trained
-    on this map.
+    ``svd`` and ``gram`` are computed on first use and then shared by every
+    learner and penalty trained on this map.
     """
 
     phi: np.ndarray
@@ -107,6 +110,10 @@ class FeatureMap:
     @functools.cached_property
     def svd(self) -> SVDFactors:
         return thin_svd(self.phi)
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        return self.phi.T @ self.phi
 
 
 def feature_rows(factor: NystroemFactor, K_rows) -> np.ndarray:
@@ -233,7 +240,7 @@ def krein_krr_lowrank(fmap: FeatureMap, y, reg: RegPair) -> LowRankModel:
     y = _as_labels(y, fmap.n)
     n = fmap.n
     lam = _lambda_diag(reg, fmap.signs)
-    system = fmap.phi.T @ fmap.phi + n * np.diag(lam)
+    system = fmap.gram + n * np.diag(lam)
     rhs = fmap.phi.T @ y
     try:
         z = np.linalg.solve(system, rhs)
@@ -247,18 +254,19 @@ def krein_krr_lowrank(fmap: FeatureMap, y, reg: RegPair) -> LowRankModel:
                         diagnostics={"residual": residual})
 
 
-def vc_lsm_lowrank(fmap: FeatureMap, y, reg: RegPair, r: float) -> LowRankModel:
-    """Least squares with the training-variance equality constraint.
+def vc_lsm_path(fmap: FeatureMap, y, reg: RegPair) -> Callable[[float], LowRankModel]:
+    """Variance-constrained least squares for one penalty pair, as a function
+    of the variance target r.
 
     Minimizes n lam_pos ||z_+||^2 + n lam_neg ||z_-||^2 - 2 z' Phi' y subject
     to ||Phi z|| = r.  The kernel is expected to be centered by the caller.
     Through the SVD Phi = A diag(delta) B' the problem becomes a sphere QP in
     gamma = diag(delta) B' z, which is solved globally; rank-deficient Phi is
-    rejected because the back-substitution needs delta > 0.
+    rejected because the back-substitution needs delta > 0.  Everything but
+    the secular solve, including the eigendecomposition of the QP matrix, is
+    built here once and shared by every r passed to the returned function.
     """
     y = _as_labels(y, fmap.n)
-    if not (math.isfinite(r) and r > 0.0):
-        raise InvalidInput("the variance target r must be positive")
     svd = fmap.svd
     if svd.sigma.size == 0 or svd.sigma.min() <= 1e-10 * svd.sigma.max():
         raise RankDeficient("feature matrix is rank deficient; reduce the landmark set")
@@ -266,15 +274,31 @@ def vc_lsm_lowrank(fmap: FeatureMap, y, reg: RegPair, r: float) -> LowRankModel:
     lam = _lambda_diag(reg, fmap.signs)
     scaled = svd.B / svd.sigma[None, :]  # columns map gamma -> z
     W = n * (scaled.T * lam[None, :]) @ scaled
-    b = svd.A.T @ y
-    gamma = sphere_constrained_qp(SphereQP(W=W, b=b, r=r), tol=1e-12)
-    z = scaled @ gamma
-    fitted_norm = float(np.linalg.norm(fmap.phi @ z))
-    objective = float(n * lam @ (z * z) - 2.0 * (z @ (fmap.phi.T @ y)))
-    return LowRankModel(
-        z=z, map=fmap, learner="vclsm", reg=reg, r_constraint=float(r),
-        diagnostics={"constraint_residual": abs(fitted_norm - r), "objective": objective},
-    )
+    qp = factor_sphere_qp(W, svd.A.T @ y)
+    phi_y = fmap.phi.T @ y
+
+    def solve(r: float) -> LowRankModel:
+        _check_radius(r)
+        z = scaled @ solve_sphere_qp(qp, r, tol=1e-12)
+        fitted_norm = float(np.linalg.norm(fmap.phi @ z))
+        objective = float(n * lam @ (z * z) - 2.0 * (z @ phi_y))
+        return LowRankModel(
+            z=z, map=fmap, learner="vclsm", reg=reg, r_constraint=float(r),
+            diagnostics={"constraint_residual": abs(fitted_norm - r), "objective": objective},
+        )
+
+    return solve
+
+
+def vc_lsm_lowrank(fmap: FeatureMap, y, reg: RegPair, r: float) -> LowRankModel:
+    """`vc_lsm_path` at the single variance target r."""
+    _check_radius(r)  # before the rank check, as a bad r is the caller's error
+    return vc_lsm_path(fmap, y, reg)(r)
+
+
+def _check_radius(r: float) -> None:
+    if not (math.isfinite(r) and r > 0.0):
+        raise InvalidInput("the variance target r must be positive")
 
 
 def squared_hinge_objective(features, y, lam_diag, n_scale, z) -> float:
@@ -390,18 +414,31 @@ class SimilarityLSModel:
         return np.asarray(feature_rows_, dtype=float) @ self.w
 
 
-def sf_lsm_baseline(K: SymMatrix, y, lam: float) -> SimilarityLSModel:
-    """Similarities-as-features least squares with a plain ridge penalty.
+def sf_lsm_path(K: SymMatrix, y) -> Callable[[float], SimilarityLSModel]:
+    """Similarities-as-features least squares with a plain ridge penalty, as a
+    function of the penalty lam.
 
     Note the penalty here is lam, not n lam: this baseline is standard ridge
-    on feature vectors k(x, .), so the common textbook scaling applies.
+    on feature vectors k(x, .), so the common textbook scaling applies.  The
+    normal-equation products K'K and K'y are formed once, here.
     """
-    y = _as_labels(y, K.order)
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise InvalidInput("lam must be positive")
+    n = K.order
+    y = _as_labels(y, n)
     f = K.values
-    w = np.linalg.solve(f.T @ f + lam * np.eye(K.order), f.T @ y)
-    return SimilarityLSModel(w=w, lam=float(lam))
+    gram, rhs = f.T @ f, f.T @ y
+
+    def solve(lam: float) -> SimilarityLSModel:
+        if not (math.isfinite(lam) and lam > 0.0):
+            raise InvalidInput("lam must be positive")
+        w = np.linalg.solve(gram + lam * np.eye(n), rhs)
+        return SimilarityLSModel(w=w, lam=float(lam))
+
+    return solve
+
+
+def sf_lsm_baseline(K: SymMatrix, y, lam: float) -> SimilarityLSModel:
+    """`sf_lsm_path` at the single penalty lam."""
+    return sf_lsm_path(K, y)(lam)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,9 @@ __all__ = [
     "flip_spectrum",
     "flip_projector",
     "indefiniteness",
+    "SphereQPFactor",
+    "factor_sphere_qp",
+    "solve_sphere_qp",
     "sphere_constrained_qp",
     "sphere_qp_objective",
 ]
@@ -201,18 +204,11 @@ class SphereQP:
     r: float
 
     def __post_init__(self):
-        w = SymMatrix(self.W).values
-        b = np.asarray(self.b, dtype=float)
-        if b.ndim != 1 or b.shape[0] != w.shape[0]:
-            raise ShapeError(
-                f"b must be a vector of length {w.shape[0]}, got shape {b.shape}"
-            )
-        if not np.all(np.isfinite(b)):
-            raise InvalidInput("b entries must be finite")
+        w, b = _qp_arrays(self.W, self.b)
         if not (math.isfinite(self.r) and self.r > 0.0):
             raise InvalidInput("radius r must be positive and finite")
         object.__setattr__(self, "W", w)
-        object.__setattr__(self, "b", _frozen(b))
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "r", float(self.r))
 
     @property
@@ -220,13 +216,56 @@ class SphereQP:
         return self.b.shape[0]
 
 
+def _qp_arrays(W, b) -> tuple[np.ndarray, np.ndarray]:
+    w = SymMatrix(W).values
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 1 or b.shape[0] != w.shape[0]:
+        raise ShapeError(
+            f"b must be a vector of length {w.shape[0]}, got shape {b.shape}"
+        )
+    if not np.all(np.isfinite(b)):
+        raise InvalidInput("b entries must be finite")
+    return w, _frozen(b)
+
+
 def sphere_qp_objective(q: SphereQP, gamma) -> float:
     g = np.asarray(gamma, dtype=float)
     return float(g @ q.W @ g - 2.0 * (q.b @ g))
 
 
+@dataclass(frozen=True)
+class SphereQPFactor:
+    """Eigensystem W = Q diag(lam) Q' (ascending lam, largest-entry-positive
+    columns) with beta = Q' b: all a secular solve needs, for any radius."""
+
+    lam: np.ndarray
+    Q: np.ndarray
+    beta: np.ndarray
+    bnorm: float
+
+
+def factor_sphere_qp(W, b) -> SphereQPFactor:
+    """The radius-free part of the sphere QP: one eigendecomposition of W."""
+    w, b = _qp_arrays(W, b)
+    lam, Q = np.linalg.eigh(w)
+    Q = np.array(Q)
+    _fix_column_signs(Q)
+    return SphereQPFactor(lam=lam, Q=Q, beta=Q.T @ b, bnorm=float(np.linalg.norm(b)))
+
+
 def sphere_constrained_qp(q: SphereQP, tol: float = 1e-12) -> np.ndarray:
     """Global minimizer of a quadratic over the sphere ||gamma|| = r.
+
+    Factors W once and runs the secular solve of `solve_sphere_qp`; callers
+    that need several radii for one (W, b) factor once with
+    `factor_sphere_qp` and solve per radius.
+    """
+    return solve_sphere_qp(factor_sphere_qp(q.W, q.b), q.r, tol)
+
+
+def solve_sphere_qp(f: SphereQPFactor, r: float, tol: float = 1e-12) -> np.ndarray:
+    """Global minimizer of gamma' W gamma - 2 b' gamma over ||gamma|| = r,
+    given the factorisation of (W, b).
 
     Stationary points satisfy (W + nu I) gamma = b; the global minimum is the
     one with nu >= -lambda_min(W), where phi(nu) = ||(W + nu I)^+ b|| is
@@ -238,12 +277,10 @@ def sphere_constrained_qp(q: SphereQP, tol: float = 1e-12) -> np.ndarray:
 
     Raises SolverError if the root finder fails within 200 iterations.
     """
-    lam, Q = np.linalg.eigh(q.W)
-    Q = np.array(Q)
-    _fix_column_signs(Q)
-    beta = Q.T @ q.b
-    r = q.r
-    bnorm = float(np.linalg.norm(q.b))
+    if not (math.isfinite(r) and r > 0.0):
+        raise InvalidInput("radius r must be positive and finite")
+    lam, Q, beta, bnorm = f.lam, f.Q, f.beta, f.bnorm
+    r = float(r)
     lam_min = float(lam[0])
     nu0 = -lam_min
 

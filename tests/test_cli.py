@@ -391,18 +391,23 @@ def test_cv_builds_each_sf_lsm_block_once(tmp_path, monkeypatch):
     made = []
     solved = []
     original_sym = kreinkit.kernels.SymMatrix
-    original_sf = kreinkit.cli.sf_lsm_baseline
+    original_sf = kreinkit.cli.sf_lsm_path
 
     def counted_sym(values):
         made.append(original_sym(values))
         return made[-1]
 
-    def counted_sf(block, y, lam):
-        solved.append(id(block))
-        return original_sf(block, y, lam)
+    def counted_sf(block, y):
+        solve = original_sf(block, y)
+
+        def counted_solve(lam):
+            solved.append(id(block))
+            return solve(lam)
+
+        return counted_solve
 
     monkeypatch.setattr(kreinkit.kernels, "SymMatrix", counted_sym)
-    monkeypatch.setattr(kreinkit.cli, "sf_lsm_baseline", counted_sf)
+    monkeypatch.setattr(kreinkit.cli, "sf_lsm_path", counted_sf)
     folds, inner_folds, lambdas = 3, 2, [0.01, 0.1, 1.0]
     rc = main(["cv", *synthetic_args(n=48), "--learners", "lsm", "--ranks", "8",
                "--sampler", "uniform", "--folds", str(folds),
@@ -416,6 +421,122 @@ def test_cv_builds_each_sf_lsm_block_once(tmp_path, monkeypatch):
     # the lsm landmark blocks, one per split, and the sf-lsm blocks, one per
     # split however many lambdas its grid holds
     assert len(made) == 2 * splits
+
+
+def test_cv_factors_each_vclsm_penalty_pair_once(tmp_path, monkeypatch):
+    import sys
+
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        caller = sys._getframe(1)
+        # the sphere-QP eigendecompositions: those linalg makes outside sym_eigen
+        if (caller.f_globals.get("__name__") == "kreinkit.linalg"
+                and caller.f_code.co_name != "sym_eigen"):
+            calls.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    folds, inner_folds, lambdas = 3, 2, [0.01, 0.1]
+    rc = main(["cv", *synthetic_args(n=48), "--learners", "vclsm", "--ranks", "8",
+               "--folds", str(folds), "--lambdas", ",".join(map(str, lambdas)),
+               "--radius-factors", "0.5,1,2", "--inner-folds", str(inner_folds),
+               "--seed", "13", "--out", str(tmp_path / "cv")])
+    assert rc == 0
+    # one factorisation per (inner split, penalty pair), however many radius
+    # factors the grid holds, plus one for each outer refit
+    assert len(calls) == folds * (inner_folds * len(lambdas) ** 2 + 1)
+
+
+def test_cv_failing_vclsm_factorisation_fails_every_radius(tmp_path, monkeypatch):
+    import kreinkit.cli
+    from kreinkit import RegPair, SolverError
+
+    bad = RegPair(0.01, 0.01)  # the first grid entry, so a tie would pick it
+    attempts = []
+    picked = []
+    original_path = kreinkit.cli.vc_lsm_path
+    original_pick = kreinkit.cli._pick_hyper
+
+    def failing_path(fmap, y, reg):
+        attempts.append(reg)
+        if reg == bad:
+            raise SolverError("injected factorisation failure")
+        return original_path(fmap, y, reg)
+
+    def recorded_pick(learner, *args, **kwargs):
+        hyper = original_pick(learner, *args, **kwargs)
+        if learner == "vclsm":
+            picked.append(hyper)
+        return hyper
+
+    monkeypatch.setattr(kreinkit.cli, "vc_lsm_path", failing_path)
+    monkeypatch.setattr(kreinkit.cli, "_pick_hyper", recorded_pick)
+    folds, inner_folds, radii = 3, 2, 3
+    rc = main(["cv", *synthetic_args(n=48), "--learners", "vclsm", "--ranks", "8",
+               "--folds", str(folds), "--lambdas", "0.01,0.1", "--inner-folds",
+               str(inner_folds), "--seed", "13", "--out", str(tmp_path / "cv")])
+    assert rc == 0
+    # a raise is not kept as a factorisation: every radius tries again and fails
+    assert attempts.count(bad) == folds * inner_folds * radii
+    assert len(picked) == folds and all(reg != bad for reg, _ in picked)
+
+
+_NEAR_CANCELLING = "kernel=gaussdiff sigma1=1.0 sigma2=1.0000001"
+
+# (points, kernel, cv flags, train flags); later flags override the defaults
+DEGENERATE_CASES = [
+    pytest.param({}, None, ["--lambdas", "0"], ["--lambda-pos", "0", "--lambda-neg", "0"],
+                 id="lambda-0"),
+    pytest.param({}, None, ["--lambdas", "1e-300"],
+                 ["--lambda-pos", "1e-300", "--lambda-neg", "1e-300"], id="lambda-1e-300"),
+    pytest.param({"duplicated": True}, None, [], [], id="duplicates"),
+    pytest.param({}, None, ["--ranks", "40"], ["--m", "40"], id="m-equals-n"),
+    pytest.param({}, None, ["--ranks", "1"], ["--m", "1"], id="m-1"),
+    pytest.param({}, _NEAR_CANCELLING, [], [], id="near-cancelling"),
+    pytest.param({"minority": 0.1}, None, [], [], id="90-10-classes"),
+]
+
+
+def _degenerate_inputs(tmp_path, duplicated=False, minority=0.5, n=40):
+    rng = np.random.default_rng(19)
+    y = np.where(np.arange(n) < round(n * minority), -1.0, 1.0)
+    x = rng.normal(size=(n, 3))
+    x[:, 0] += 1.5 * y
+    if duplicated:
+        x[1::2] = x[::2]  # every point twice, labels included
+        y[1::2] = y[::2]
+    np.savetxt(tmp_path / "x.csv", x, delimiter=",")
+    (tmp_path / "y.txt").write_text("".join(f"{int(v)}\n" for v in y))
+    return ["--data", str(tmp_path / "x.csv"), "--labels", str(tmp_path / "y.txt")]
+
+
+@pytest.mark.parametrize("points, kernel, cv_flags, train_flags", DEGENERATE_CASES)
+def test_cv_and_train_on_degenerate_inputs(tmp_path, capsys, points, kernel, cv_flags,
+                                           train_flags):
+    inputs = [*_degenerate_inputs(tmp_path, **points),
+              "--kernel", kernel or "kernel=gaussdiff sigma1=1.0 sigma2=3.0", "--seed", "5"]
+    runs = [("cv", ["cv", *inputs, "--learners", "lsm,vclsm,shsvm", "--ranks", "8",
+                    "--folds", "3", "--inner-folds", "2", "--lambdas", "0.01,1",
+                    *cv_flags])]
+    runs += [(learner, ["train", *inputs, "--learner", learner, "--m", "8", *train_flags])
+             for learner in ("lsm", "vclsm", "shsvm")]
+    for name, argv in runs:
+        out = tmp_path / name
+        rc = main([*argv, "--out", str(out)])  # an uncaught exception fails here
+        assert rc in (0, 2, 3, 4), (name, rc)
+        assert "Traceback" not in capsys.readouterr().err
+        if rc != 0:
+            continue
+        if name == "cv":
+            _, summary = read_csv(out / "cv_summary.csv")
+            assert np.all(np.isfinite([[float(v) for v in row[3:]] for row in summary]))
+        else:
+            model, _ = load_model(out / "model.json")
+            assert np.all(np.isfinite(model.z))
+            result = json.loads((out / "result.json").read_text())
+            assert np.isfinite(result["training_error"])
 
 
 def test_cv_separable_data_full_budget(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -276,6 +278,25 @@ def test_misclassification_validation():
         misclassification([1.0], [1.0, -1.0])
     with pytest.raises(InvalidInput):
         misclassification([1.0, 1.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("labels", [
+    [1.0, -1.0, 1.0], [1.0, np.nan], [np.nan, np.nan], [1.0, 0.0], [-0.0, 1.0],
+    [2.0, -1.0], [np.inf, -1.0], [-1.0, -1.0], [],
+])
+def test_misclassification_label_check_matches_the_set_rule(labels):
+    # the rule the vectorised check replaced: the distinct labels lie in {-1, 1}
+    accepted = set(np.unique(labels).tolist()) <= {-1.0, 1.0}
+    preds = np.ones(len(labels))
+    if not accepted:
+        with pytest.raises(InvalidInput):
+            misclassification(preds, labels)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the mean of no labels
+        rate = misclassification(preds, labels)
+        expected = np.mean(np.asarray(labels) != 1.0)
+    assert rate == pytest.approx(expected, nan_ok=True)
 
 
 def test_eval_result_statistics():

@@ -55,3 +55,12 @@ def test_modules_import_no_unused_names():
         keep = _used(tree) | _exported(tree)
         unused += [f"{path.name}: {name}" for name in _imported(tree) if name not in keep]
     assert unused == []
+
+
+def test_package_all_is_exactly_the_imported_public_names():
+    tree = ast.parse(Path(kreinkit.__file__).read_text(encoding="utf-8"))
+    imported = {name for name in _imported(tree) if not name.startswith("_")}
+    exported = _exported(tree)
+    assert sorted(imported - exported) == []
+    assert sorted(exported - imported) == []
+    assert len(kreinkit.__all__) == len(exported)

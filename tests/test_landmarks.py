@@ -183,6 +183,16 @@ def test_kmeanspp_duplicate_collapse():
     assert marks.requested == 4
 
 
+def test_kmeanspp_wide_offset_duplicates_weigh_zero():
+    # 3 distinct rows, each 4 times, far from the origin: the norm identity
+    # alone leaves round-off weight on the copies of a chosen row
+    rows = 1e3 + np.random.default_rng(11).normal(size=(3, 300))
+    feats = np.repeat(rows, 4, axis=0)
+    with pytest.warns(DuplicateCollapseWarning):
+        marks = kmeanspp_landmarks(feats, 5, make_rng(10))
+    assert sorted(marks.indices // 4) == [0, 1, 2]
+
+
 def test_kmeanspp_budget_validation():
     with pytest.raises(InvalidBudget):
         kmeanspp_landmarks(np.zeros((4, 2)), 5, make_rng(0))

@@ -21,12 +21,16 @@ from kreinkit import (
     model_from_dict,
     model_to_dict,
     save_model,
+    SphereQP,
     sf_lsm_baseline,
+    sf_lsm_path,
     sh_svm_lowrank,
+    sphere_constrained_qp,
     sym_eigen,
     vc_lsm_lowrank,
+    vc_lsm_path,
 )
-from kreinkit.learners import squared_hinge_gradient, squared_hinge_objective
+from kreinkit.learners import _lambda_diag, squared_hinge_gradient, squared_hinge_objective
 
 
 def random_indefinite(rng, n):
@@ -355,3 +359,58 @@ def test_model_file_round_trip(tmp_path):
     assert restored.learner == "vclsm"
     assert restored.r_constraint == 2.0
     assert np.array_equal(restored.predict(k.values), model.predict(k.values))
+
+
+# ---------------------------------------------------------------------------
+# work shared along the hyperparameter path: the same arithmetic, per call
+
+
+def test_vclsm_path_matches_a_fresh_solve_per_radius():
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        n = int(rng.integers(6, 20))
+        k = random_indefinite(rng, n)
+        idx = np.arange(n // 2 + 1)
+        fmap = build_feature_map(fit(SymMatrix(k.values[np.ix_(idx, idx)])),
+                                 k.values[:, idx])
+        y = binary_labels(rng, n)
+        reg = RegPair(float(rng.uniform(1e-3, 1.0)), float(rng.uniform(1e-3, 1.0)))
+        solve = vc_lsm_path(fmap, y, reg)
+        for r in (0.5, 1.0, 2.0):
+            # everything rebuilt for this radius alone
+            svd = fmap.svd
+            lam = _lambda_diag(reg, fmap.signs)
+            scaled = svd.B / svd.sigma[None, :]
+            W = n * (scaled.T * lam[None, :]) @ scaled
+            gamma = sphere_constrained_qp(SphereQP(W=W, b=svd.A.T @ y, r=r), tol=1e-12)
+            z = scaled @ gamma
+            model = solve(r)
+            assert np.array_equal(model.z, z)
+            assert np.array_equal(vc_lsm_lowrank(fmap, y, reg, r).z, z)
+            assert model.diagnostics["objective"] == float(
+                n * lam @ (z * z) - 2.0 * (z @ (fmap.phi.T @ y)))
+
+
+def test_lsm_cached_gram_matches_the_normal_equations_per_penalty():
+    rng = np.random.default_rng(37)
+    k = random_indefinite(rng, 14)
+    fmap = full_feature_map(k)
+    y = rng.normal(size=14)
+    for lp, ln in [(1e-3, 1e-2), (0.1, 0.1), (2.0, 1e-4)]:
+        lam = _lambda_diag(RegPair(lp, ln), fmap.signs)
+        z = np.linalg.solve(fmap.phi.T @ fmap.phi + 14 * np.diag(lam), fmap.phi.T @ y)
+        assert np.array_equal(krein_krr_lowrank(fmap, y, RegPair(lp, ln)).z, z)
+
+
+def test_sf_lsm_path_matches_the_normal_equations_per_penalty():
+    rng = np.random.default_rng(41)
+    k = random_indefinite(rng, 12)
+    y = rng.normal(size=12)
+    f = k.values
+    solve = sf_lsm_path(k, y)
+    for lam in (1e-4, 1e-2, 1.0, 100.0):
+        w = np.linalg.solve(f.T @ f + lam * np.eye(12), f.T @ y)
+        assert np.array_equal(solve(lam).w, w)
+        assert np.array_equal(sf_lsm_baseline(k, y, lam).w, w)
+    with pytest.raises(InvalidInput):
+        solve(0.0)

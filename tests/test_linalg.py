@@ -9,9 +9,11 @@ from kreinkit import (
     SolverError,
     SphereQP,
     SymMatrix,
+    factor_sphere_qp,
     flip_projector,
     flip_spectrum,
     indefiniteness,
+    solve_sphere_qp,
     sphere_constrained_qp,
     sphere_qp_objective,
     sym_eigen,
@@ -235,3 +237,19 @@ def test_sphere_qp_stationarity():
         nu = -(resid @ gamma) / (gamma @ gamma)
         lam_min = np.linalg.eigvalsh(w.values).min()
         assert nu >= lam_min * -1.0 - 1e-6 * max(1.0, abs(lam_min))
+
+
+def test_sphere_qp_one_factor_serves_every_radius():
+    rng = np.random.default_rng(29)
+    problems = [(SymMatrix(np.diag([1.0, 2.0, 5.0])), np.array([0.0, 1.0, 1.0])),  # hard case
+                (random_symmetric(rng, 4), np.zeros(4))]                           # b = 0
+    problems += [(random_symmetric(rng, n), rng.normal(size=n)) for n in (1, 3, 6, 6)]
+    for w, b in problems:
+        shared = factor_sphere_qp(w, b)
+        for r in (4.0, 2.0, 1.0, 0.5, 0.1):  # one factor, radii in turn
+            gamma = solve_sphere_qp(shared, r)
+            assert np.array_equal(gamma, sphere_constrained_qp(SphereQP(W=w, b=b, r=r)))
+    with pytest.raises(InvalidInput):
+        solve_sphere_qp(shared, 0.0)
+    with pytest.raises(ShapeError):
+        factor_sphere_qp(np.eye(2), np.zeros(3))
