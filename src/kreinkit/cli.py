@@ -60,7 +60,6 @@ from .errors import (
 )
 from .kernels import (
     GramSource,
-    center_kernel,
     gram,
     gram_cross,
     parse_kernel_spec,
@@ -76,7 +75,7 @@ from .landmarks import (
 from .learners import (
     RegPair,
     build_feature_map,
-    feature_rows,
+    center_features,
     krein_krr_lowrank,
     save_model,
     sf_lsm_path,
@@ -144,7 +143,6 @@ class RunConfig:
     seed: int = 0
     out: str | None = None
     n_schedule: list = field(default_factory=list)
-    centered: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -614,13 +612,6 @@ def cmd_sample(cfg: RunConfig) -> int:
     return 0
 
 
-def _centered_source(source: GramSource, cfg: RunConfig) -> GramSource:
-    """The double-centred kernel that vclsm's variance constraint is stated
-    against; the one whole-data n x n matrix the commands form."""
-    cfg.centered = True
-    return GramSource.from_matrix(center_kernel(source.full()))
-
-
 def _train_one(learner: str, fmap, y, reg: RegPair, radius: float | None):
     if learner == "lsm":
         return krein_krr_lowrank(fmap, y, reg)
@@ -638,11 +629,11 @@ def cmd_train(cfg: RunConfig) -> int:
     if not 1 <= cfg.m <= source.n:
         raise ConfigError(f"--m must lie in [1, {source.n}]")
     learner = cfg.learners[0]
-    if learner == "vclsm":
-        source = _centered_source(source, cfg)
     fmap = build_feature_map(*landmark_factor(source, cfg.samplers[0], cfg.m,
                                               spawn_rng(cfg.seed, _DOMAIN_SINGLE),
                                               cfg.pinv_tol))
+    if learner == "vclsm":
+        fmap = center_features(fmap)
     model = _train_one(learner, fmap, y, RegPair(cfg.lam_pos, cfg.lam_neg), cfg.radius)
     training_error = misclassification(np.sign(fmap.phi @ model.z), y) \
         if set(np.unique(y).tolist()) <= {-1.0, 1.0} else None
@@ -698,7 +689,9 @@ def _split_predictor(learner: str, source: GramSource, y, train, test, rank, bud
                                     min(budget, train.size), rng, cfg.pinv_tol)
     factor = truncate_factor(factor, rank)
     fmap = build_feature_map(factor, cross)
-    phi_test = feature_rows(factor, source.cross(test, train[factor.landmarks.indices]))
+    if learner == "vclsm":
+        fmap = center_features(fmap)
+    phi_test = fmap.rows(source.cross(test, train[factor.landmarks.indices]))
     if learner != "vclsm":
         return lambda hyper: phi_test @ _train_one(learner, fmap, y_train, hyper[0], None).z
     root_n, spread = np.sqrt(train.size), np.std(y_train)
@@ -736,7 +729,6 @@ def run_cv(source: GramSource, y, cfg: RunConfig):
     """Full cross-validation sweep; returns per-fold rows and summaries."""
     schedule = resolve_schedule(cfg, source.n)
     plan = stratified_kfold(y, cfg.folds, spawn_rng(cfg.seed, _DOMAIN_CV))
-    centered = _centered_source(source, cfg) if "vclsm" in cfg.learners else None
     # (learner, k, l, seed key) per summary row; the baselines (similarities-
     # as-features ridge, constant predictor) share a key: the constant draws nothing
     runs = [(learner, k, l, (li, ki)) for li, learner in enumerate(cfg.learners)
@@ -746,13 +738,12 @@ def run_cv(source: GramSource, y, cfg: RunConfig):
     summaries = []
     splits = list(plan.splits())
     for learner, k, l, key in runs:
-        kernel = centered if learner == "vclsm" else source
         rates = []
         train_s = predict_s = 0.0
         for fi, (train, test) in enumerate(splits):
-            hyper = _pick_hyper(learner, kernel, y, train, k, l, cfg, (*key, fi))
+            hyper = _pick_hyper(learner, source, y, train, k, l, cfg, (*key, fi))
             t0 = time.perf_counter()
-            predict = _split_predictor(learner, kernel, y, train, test, k, l, cfg,
+            predict = _split_predictor(learner, source, y, train, test, k, l, cfg,
                                        spawn_rng(cfg.seed, _DOMAIN_CV, *key, fi))
             preds = predict(hyper)
             t1 = time.perf_counter()

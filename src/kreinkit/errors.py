@@ -76,9 +76,5 @@ class ConstantFeatureWarning(UserWarning):
     """A feature column has zero variance and was mapped to zeros."""
 
 
-class RankDeficiencyWarning(UserWarning):
-    """An eigendecomposition retained fewer directions than requested."""
-
-
 class DuplicateCollapseWarning(UserWarning):
     """Fewer distinct rows than requested landmarks; the set was truncated."""

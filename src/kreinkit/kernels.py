@@ -372,9 +372,8 @@ class GramSource:
     positions, or by (spec, points); downstream code asks for landmark blocks
     and cross blocks without caring which, and only ``_kernel`` looks.
     ``subset`` gives the same kernel on some of the points without copying a
-    block.  ``full()`` materializes the complete matrix and caches it, so it
-    should only be called at desk scale; ``rows()`` hands it out one row
-    block at a time instead.
+    block.  ``full()`` materializes the complete matrix, as a reference for
+    tests; ``rows()`` hands it out one row block at a time instead.
     """
 
     def __init__(self, *, matrix: SymMatrix | None = None,
@@ -392,8 +391,6 @@ class GramSource:
         self.matrix = matrix
         self.spec = spec
         self.points = np.arange(matrix.order) if points is None else points
-        # a matrix source on all of its rows is its own full matrix
-        self._full: SymMatrix | None = matrix if points is None else None
 
     @classmethod
     def from_matrix(cls, K: SymMatrix) -> "GramSource":
@@ -440,6 +437,4 @@ class GramSource:
         return self._kernel(self.points[start:stop], self.points)
 
     def full(self) -> SymMatrix:
-        if self._full is None:
-            self._full = SymMatrix(self._kernel(self.points, self.points))
-        return self._full
+        return SymMatrix(self._kernel(self.points, self.points))

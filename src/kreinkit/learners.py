@@ -41,6 +41,7 @@ __all__ = [
     "LowRankModel",
     "SimilarityLSModel",
     "build_feature_map",
+    "center_features",
     "feature_rows",
     "krein_krr_full",
     "krein_krr_lowrank",
@@ -92,12 +93,14 @@ class FeatureMap:
     landmark eigendirection; ``signs`` are the matching eigenvalue signs, so
     phi diag(signs) phi' reproduces the low-rank kernel approximation.
     ``svd`` and ``gram`` are computed on first use and then shared by every
-    learner and penalty trained on this map.
+    learner and penalty trained on this map.  ``mean`` is the training mean
+    subtracted from every row by `center_features`, None for raw features.
     """
 
     phi: np.ndarray
     signs: np.ndarray
     factor: NystroemFactor
+    mean: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -114,6 +117,11 @@ class FeatureMap:
     @functools.cached_property
     def gram(self) -> np.ndarray:
         return self.phi.T @ self.phi
+
+    def rows(self, K_rows) -> np.ndarray:
+        """Feature rows of arbitrary points, centred as the training rows are."""
+        rows = feature_rows(self.factor, K_rows)
+        return rows if self.mean is None else rows - self.mean
 
 
 def feature_rows(factor: NystroemFactor, K_rows) -> np.ndarray:
@@ -133,6 +141,17 @@ def feature_rows(factor: NystroemFactor, K_rows) -> np.ndarray:
 def build_feature_map(factor: NystroemFactor, K_XZ) -> FeatureMap:
     phi = feature_rows(factor, K_XZ)
     return FeatureMap(phi=phi, signs=np.array(factor.s_r), factor=factor)
+
+
+def center_features(fmap: FeatureMap) -> FeatureMap:
+    """The map with Phi - 1 mu', mu the column mean of the training rows.
+
+    (H Phi) diag(s) (H Phi)' = H (Phi diag(s) Phi') H with H = I - 11'/n, so
+    this centres the low-rank kernel in O(nr).  At full landmarks that is the
+    centred kernel, and 1 lies in the span of Phi, so the map loses one rank.
+    """
+    mean = fmap.phi.mean(axis=0)
+    return FeatureMap(phi=fmap.phi - mean, signs=fmap.signs, factor=fmap.factor, mean=mean)
 
 
 @dataclass(frozen=True)
@@ -213,7 +232,7 @@ class LowRankModel:
     diagnostics: dict = field(default_factory=dict)
 
     def predict(self, k_rows) -> np.ndarray | float:
-        return feature_rows(self.map.factor, k_rows) @ self.z
+        return self.map.rows(k_rows) @ self.z
 
 
 def _as_labels(y, n: int) -> np.ndarray:
@@ -259,7 +278,7 @@ def vc_lsm_path(fmap: FeatureMap, y, reg: RegPair) -> Callable[[float], LowRankM
     of the variance target r.
 
     Minimizes n lam_pos ||z_+||^2 + n lam_neg ||z_-||^2 - 2 z' Phi' y subject
-    to ||Phi z|| = r.  The kernel is expected to be centered by the caller.
+    to ||Phi z|| = r.  The caller centres the features (`center_features`).
     Through the SVD Phi = A diag(delta) B' the problem becomes a sphere QP in
     gamma = diag(delta) B' z, which is solved globally; rank-deficient Phi is
     rejected because the back-substitution needs delta > 0.  Everything but
@@ -454,9 +473,10 @@ def model_to_dict(model: LowRankModel, kernel: KernelSpec | None = None) -> dict
     factor = model.map.factor
     landmarks = factor.landmarks
     payload = {
-        "schema_version": 1,
+        "schema_version": 2,
         "learner": model.learner,
         "z": _array(model.z),
+        "feature_mean": None if model.map.mean is None else _array(model.map.mean),
         "reg": {"lam_pos": model.reg.lam_pos, "lam_neg": model.reg.lam_neg},
         "r_constraint": model.r_constraint,
         "diagnostics": model.diagnostics,
@@ -482,8 +502,12 @@ def model_to_dict(model: LowRankModel, kernel: KernelSpec | None = None) -> dict
 
 
 def model_from_dict(payload: dict) -> tuple[LowRankModel, KernelSpec | None]:
-    if payload.get("schema_version") != 1:
-        raise InvalidInput(f"unsupported model schema {payload.get('schema_version')!r}")
+    version = payload.get("schema_version")
+    if version not in (1, 2):
+        raise InvalidInput(f"unsupported model schema {version!r}")
+    if version == 1 and payload["learner"] == "vclsm":
+        raise InvalidInput("a schema-1 vclsm model lacks the centring it was trained "
+                           "with; train it again")
     raw = payload["factor"]
     eig = SignedEigenSystem(
         U=np.asarray(raw["U"], dtype=float),
@@ -508,11 +532,13 @@ def model_from_dict(payload: dict) -> tuple[LowRankModel, KernelSpec | None]:
         landmarks=landmarks,
         warning=raw.get("warning"),
     )
-    # training features are not stored; predictions only need the factor
+    # training features are not stored; predictions need the factor and mean
+    mean = payload.get("feature_mean")
     fmap = FeatureMap(
         phi=np.zeros((0, factor.effective_rank)),
         signs=np.array(factor.s_r),
         factor=factor,
+        mean=None if mean is None else np.asarray(mean, dtype=float),
     )
     reg = RegPair(payload["reg"]["lam_pos"], payload["reg"]["lam_neg"])
     model = LowRankModel(

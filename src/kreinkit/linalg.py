@@ -270,10 +270,13 @@ def solve_sphere_qp(f: SphereQPFactor, r: float, tol: float = 1e-12) -> np.ndarr
     Stationary points satisfy (W + nu I) gamma = b; the global minimum is the
     one with nu >= -lambda_min(W), where phi(nu) = ||(W + nu I)^+ b|| is
     monotone decreasing.  The secular root phi(nu) = r is bracketed by
-    bisection and polished with safeguarded Newton steps on 1/phi.  When b is
-    orthogonal to the bottom eigenspace and the limit norm falls short of r
-    (the hard case), the solution sits at nu = -lambda_min with a bottom
-    eigenvector component added to reach the sphere.
+    bisection and polished with safeguarded Newton steps on 1/phi.  The
+    iterate is t = nu + lambda_min over the gaps lambda - lambda_min, formed
+    once, so lambda + nu keeps its digits however large lambda_min is against
+    the bracket width ||b|| / r.  When b is orthogonal to the bottom
+    eigenspace and the limit norm falls short of r (the hard case), the
+    solution sits at nu = -lambda_min with a bottom eigenvector component
+    added to reach the sphere.
 
     Raises SolverError if the root finder fails within 200 iterations.
     """
@@ -281,8 +284,7 @@ def solve_sphere_qp(f: SphereQPFactor, r: float, tol: float = 1e-12) -> np.ndarr
         raise InvalidInput("radius r must be positive and finite")
     lam, Q, beta, bnorm = f.lam, f.Q, f.beta, f.bnorm
     r = float(r)
-    lam_min = float(lam[0])
-    nu0 = -lam_min
+    gaps = lam - lam[0]
 
     # pure Rayleigh minimization: any +/- bottom eigenvector is optimal;
     # the sign convention above pins the + direction
@@ -290,37 +292,36 @@ def solve_sphere_qp(f: SphereQPFactor, r: float, tol: float = 1e-12) -> np.ndarr
         return _frozen(r * Q[:, 0])
 
     span = float(np.abs(lam).max()) if lam.size else 0.0
-    min_mask = lam <= lam_min + 1e-10 * max(1.0, span)
+    min_mask = gaps <= 1e-10 * max(1.0, span)
     bottom_small = bool(np.all(np.abs(beta[min_mask]) <= 1e-12 * max(1.0, bnorm)))
 
     if bottom_small:
-        gap = np.where(min_mask, 1.0, lam - lam_min)
-        coef = np.where(min_mask, 0.0, beta / gap)
+        coef = np.where(min_mask, 0.0, beta / np.where(min_mask, 1.0, gaps))
         phi0_sq = float(coef @ coef)
         if phi0_sq <= r * r:
-            # hard case (or exact boundary root at nu0)
-            t = math.sqrt(max(r * r - phi0_sq, 0.0))
-            return _frozen(Q @ coef + t * Q[:, 0])
+            # hard case (or exact boundary root at t = 0)
+            tail = math.sqrt(max(r * r - phi0_sq, 0.0))
+            return _frozen(Q @ coef + tail * Q[:, 0])
 
-    # secular root in (nu0, nu0 + ||b|| / r]: phi decreases from >= r to <= r
-    lo = nu0
-    hi = nu0 + bnorm / r
-    nu = 0.5 * (lo + hi)
+    # secular root t in (0, ||b|| / r]: phi decreases from >= r to <= r
+    lo = 0.0
+    hi = bnorm / r
+    t = 0.5 * hi
     for iteration in range(200):
-        dn = lam + nu
+        dn = gaps + t
         coef = beta / dn
         phi = float(np.linalg.norm(coef))
         if abs(phi - r) <= tol * r:
             return _frozen(Q @ coef)
         if phi > r:
-            lo = nu
+            lo = t
         else:
-            hi = nu
-        # Newton on g(nu) = 1/phi - 1/r, monotone increasing and nearly linear
+            hi = t
+        # Newton on g(t) = 1/phi - 1/r, monotone increasing and nearly linear
         slope = float(np.sum(beta * beta / dn**3)) / phi**3
-        step = nu - (1.0 / phi - 1.0 / r) / slope if slope > 0 else lo - 1.0
-        nu = step if lo < step < hi else 0.5 * (lo + hi)
-    dn = lam + nu
+        step = t - (1.0 / phi - 1.0 / r) / slope if slope > 0 else lo - 1.0
+        t = step if lo < step < hi else 0.5 * (lo + hi)
+    dn = gaps + t
     phi = float(np.linalg.norm(beta / dn))
     raise SolverError(
         "sphere-constrained QP root finder did not converge",

@@ -9,6 +9,8 @@ from kreinkit import (
     RegPair,
     SymMatrix,
     build_feature_map,
+    center_features,
+    center_kernel,
     feature_rows,
     fit,
     flip_krr_baseline,
@@ -42,6 +44,11 @@ def full_feature_map(K: SymMatrix) -> FeatureMap:
     """Features of the exact factorization (landmarks = all points)."""
     factor = fit(K)
     return build_feature_map(factor, K.values)
+
+
+def landmark_feature_map(K: SymMatrix, m: int) -> FeatureMap:
+    """Features from the first m points as landmarks."""
+    return build_feature_map(fit(SymMatrix(K.values[:m, :m])), K.values[:, :m])
 
 
 def binary_labels(rng, n):
@@ -339,7 +346,7 @@ def test_model_round_trip_bitwise():
     y = binary_labels(rng, 20)
     model = sh_svm_lowrank(fmap, y, RegPair(0.2, 0.1))
     payload = model_to_dict(model, gaussian_diff(1.0, 3.0))
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     restored, spec = model_from_dict(payload)
     assert spec == gaussian_diff(1.0, 3.0)
     rows = k.values[[3, 11, 19]][:, idx]
@@ -349,16 +356,51 @@ def test_model_round_trip_bitwise():
 def test_model_file_round_trip(tmp_path):
     rng = np.random.default_rng(14)
     k = random_indefinite(rng, 12)
-    fmap = full_feature_map(k)
     y = rng.normal(size=12)
-    model = vc_lsm_lowrank(fmap, y, RegPair(0.3, 0.2), 2.0)
-    path = tmp_path / "model.json"
-    save_model(path, model)
-    restored, spec = load_model(path)
-    assert spec is None
-    assert restored.learner == "vclsm"
-    assert restored.r_constraint == 2.0
-    assert np.array_equal(restored.predict(k.values), model.predict(k.values))
+    for fmap in (full_feature_map(k), center_features(landmark_feature_map(k, 8))):
+        model = vc_lsm_lowrank(fmap, y, RegPair(0.3, 0.2), 2.0)
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        restored, spec = load_model(path)
+        assert spec is None
+        assert restored.learner == "vclsm"
+        assert restored.r_constraint == 2.0
+        rows = k.values[:, :fmap.factor.m]
+        assert np.array_equal(restored.predict(rows), model.predict(rows))
+        assert np.array_equal(restored.predict(rows), fmap.phi @ model.z)
+
+
+def test_schema_1_model_files():
+    # schema 1 stored no feature mean: its lsm and shsvm models load and
+    # predict as before, and its vclsm models, trained on a centred kernel
+    # that the file does not hold, are refused
+    rng = np.random.default_rng(15)
+    k = random_indefinite(rng, 12)
+    fmap = landmark_feature_map(k, 8)
+    y = binary_labels(rng, 12)
+    reg = RegPair(0.3, 0.2)
+    for model in (krein_krr_lowrank(fmap, y, reg), sh_svm_lowrank(fmap, y, reg),
+                  vc_lsm_lowrank(center_features(fmap), y, reg, 2.0)):
+        payload = model_to_dict(model)
+        payload["schema_version"] = 1
+        del payload["feature_mean"]
+        if model.learner == "vclsm":
+            with pytest.raises(InvalidInput):
+                model_from_dict(payload)
+        else:
+            restored, _ = model_from_dict(payload)
+            rows = k.values[:, :8]
+            assert np.array_equal(restored.predict(rows), model.predict(rows))
+
+
+def test_centred_features_centre_the_kernel_at_full_landmarks():
+    rng = np.random.default_rng(16)
+    k = random_indefinite(rng, 16)
+    fmap = center_features(full_feature_map(k))
+    assert_allclose((fmap.phi * fmap.signs) @ fmap.phi.T, center_kernel(k).values,
+                    rtol=0, atol=1e-12)
+    # other rows are shifted by the training mean, so the training rows return
+    assert np.array_equal(fmap.rows(k.values), fmap.phi)
 
 
 # ---------------------------------------------------------------------------

@@ -253,3 +253,17 @@ def test_sphere_qp_one_factor_serves_every_radius():
         solve_sphere_qp(shared, 0.0)
     with pytest.raises(ShapeError):
         factor_sphere_qp(np.eye(2), np.zeros(3))
+
+
+def test_sphere_qp_is_shift_invariant():
+    # on the sphere W and W + c I share their minimiser; the secular solve
+    # must resolve it when lambda_min is far larger than the bracket ||b|| / r
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        n = int(rng.integers(2, 9))
+        w = random_symmetric(rng, n).values
+        b = rng.normal(size=n)
+        r = float(10.0 ** rng.uniform(-1, 1))
+        plain = solve_sphere_qp(factor_sphere_qp(w, b), r)
+        shifted = solve_sphere_qp(factor_sphere_qp(w + 1e5 * np.eye(n), b), r)
+        assert np.abs(shifted - plain).max() <= 1e-8 * r
