@@ -121,20 +121,26 @@ class FeatureMap:
     def rows(self, K_rows) -> np.ndarray:
         """Feature rows of arbitrary points, centred as the training rows are."""
         rows = feature_rows(self.factor, K_rows)
-        return rows if self.mean is None else rows - self.mean
+        if self.mean is not None:
+            rows -= self.mean  # rows is a fresh array
+        return rows
 
 
 def feature_rows(factor: NystroemFactor, K_rows) -> np.ndarray:
     """Signed feature rows for arbitrary points given their kernel values
     against the landmarks.  Training and prediction share this path so that
-    in-sample predictions agree with the training-time features exactly."""
+    in-sample predictions agree with the training-time features exactly.
+
+    The signs are folded into the m x r projection rather than applied to the
+    n x r product: scaling by +-1 is exact, so the rows are the same bits
+    without a second n x r array."""
     k = np.asarray(K_rows, dtype=float)
     single = k.ndim == 1
     if single:
         k = k[None, :]
     if k.shape[1] != factor.m:
         raise ShapeError(f"expected kernel rows of length {factor.m}, got {k.shape}")
-    rows = k @ (factor.U_r / np.sqrt(np.abs(factor.d_r))) * factor.s_r
+    rows = k @ (factor.U_r / np.sqrt(np.abs(factor.d_r)) * factor.s_r)
     return rows[0] if single else rows
 
 
@@ -329,8 +335,36 @@ def squared_hinge_objective(features, y, lam_diag, n_scale, z) -> float:
 def squared_hinge_gradient(features, y, lam_diag, n_scale, z) -> np.ndarray:
     margin = 1.0 - y * (features @ z)
     active = margin > 0.0
-    grad = -2.0 * features.T @ (y * np.where(active, margin, 0.0))
+    grad = -2.0 * (features.T @ (y * np.where(active, margin, 0.0)))
     return grad + 2.0 * n_scale * lam_diag * z
+
+
+# Rows per block of the Newton Hessian's sum are this many elements over the
+# feature width: 4 MiB of scratch at any n.  The block size also fixes the
+# order in which the Hessian is summed, so changing it moves the Newton
+# iterates at round-off level
+_HESSIAN_BLOCK_ELEMENTS = 1 << 19
+
+
+def _active_gram(features, active) -> np.ndarray:
+    """F_A' F_A over the rows where ``active`` holds, summed over row blocks.
+
+    A block whose rows are all active enters as a view, any other as a copy
+    of its active rows; either way ``rows.T @ rows`` reads one buffer twice,
+    which NumPy hands to SYRK.
+    """
+    n, m = features.shape
+    step = max(1, _HESSIAN_BLOCK_ELEMENTS // m)
+    gram = np.zeros((m, m))
+    for start in range(0, n, step):
+        rows = features[start:start + step]
+        keep = active[start:start + step]
+        if not keep.all():
+            if not keep.any():
+                continue
+            rows = rows[keep]
+        gram += rows.T @ rows
+    return gram
 
 
 def _newton_squared_hinge(features, y, lam_diag, n_scale, *, max_iter=100,
@@ -352,8 +386,9 @@ def _newton_squared_hinge(features, y, lam_diag, n_scale, *, max_iter=100,
         if gnorm <= gtol:
             return z, {"iterations": iteration, "objective": obj, "grad_norm": gnorm}
         margin = 1.0 - y * (features @ z)
-        rows = features[margin > 0.0]
-        hess = 2.0 * rows.T @ rows + 2.0 * n_scale * np.diag(lam_diag)
+        hess = _active_gram(features, margin > 0.0)
+        hess *= 2.0
+        hess.flat[::m + 1] += 2.0 * n_scale * lam_diag
         try:
             direction = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError as exc:
@@ -449,7 +484,9 @@ def sf_lsm_path(K: SymMatrix, y) -> Callable[[float], SimilarityLSModel]:
     def solve(lam: float) -> SimilarityLSModel:
         if not (math.isfinite(lam) and lam > 0.0):
             raise InvalidInput("lam must be positive")
-        w = np.linalg.solve(gram + lam * np.eye(n), rhs)
+        system = gram.copy()
+        system.flat[::n + 1] += lam
+        w = np.linalg.solve(system, rhs)
         return SimilarityLSModel(w=w, lam=float(lam))
 
     return solve

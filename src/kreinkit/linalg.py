@@ -64,7 +64,9 @@ class SymMatrix:
     Input is symmetrized to ``(M + M.T) / 2`` at construction so downstream
     code can rely on exact symmetry.  Asymmetry beyond ``ASYM_TOL`` relative
     to ``max(1, |M|_max)`` is rejected rather than silently averaged away.
-    The stored array is read-only.
+    Exactly symmetric input is stored as a copy, which is what the average
+    would give, without its temporaries or its overflow near the largest
+    float.  The stored array is read-only.
     """
 
     __slots__ = ("values",)
@@ -75,7 +77,9 @@ class SymMatrix:
             raise ShapeError(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise InvalidInput("matrix entries must be finite")
-        if a.size:
+        if np.array_equal(a, a.T):  # empty input included
+            a = a.copy()
+        else:
             scale = max(1.0, float(np.abs(a).max()))
             asym = float(np.abs(a - a.T).max())
             if asym > ASYM_TOL * scale:
@@ -83,7 +87,8 @@ class SymMatrix:
                     "matrix is asymmetric beyond tolerance: "
                     f"max |M - M.T| = {asym:.3e} with scale {scale:.3e}"
                 )
-        self.values = _frozen((a + a.T) / 2.0)
+            a = (a + a.T) / 2.0
+        self.values = _frozen(a)
 
     @property
     def order(self) -> int:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 _REPORT_LINES = []
@@ -14,6 +16,26 @@ def acceptance_report():
         assert ok, line
 
     return record
+
+
+def _peak_bytes(fn) -> int:
+    """Peak bytes allocated while ``fn()`` runs.
+
+    NumPy reports its array buffers to tracemalloc, so the peak counts every
+    temporary array, the returned one included.
+    """
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def peak_bytes():
+    """``peak_bytes(fn)``: the extra memory ``fn()`` needs at its peak."""
+    return _peak_bytes
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -32,6 +32,7 @@ from kreinkit import (
     vc_lsm_lowrank,
     vc_lsm_path,
 )
+from kreinkit import learners
 from kreinkit.learners import _lambda_diag, squared_hinge_gradient, squared_hinge_objective
 
 
@@ -135,6 +136,35 @@ def test_feature_rows_shared_between_train_and_predict():
     row = feature_rows(factor, k.values[3, idx])
     assert row.shape == (factor.effective_rank,)
     assert_allclose(row, fmap.phi[3], atol=0)
+
+
+def test_feature_rows_fold_the_signs_exactly():
+    # the signs may scale the projection or the product: +-1 is exact
+    rng = np.random.default_rng(14)
+    k = random_indefinite(rng, 40)
+    idx = np.arange(12)
+    factor = fit(SymMatrix(k.values[np.ix_(idx, idx)]))
+    assert set(factor.s_r.tolist()) == {-1.0, 1.0}
+    cross = k.values[:, idx]
+
+    def product_then_signs(rows):
+        return (rows @ (factor.U_r / np.sqrt(np.abs(factor.d_r)))) * factor.s_r
+
+    assert np.array_equal(feature_rows(factor, cross), product_then_signs(cross))
+    assert np.array_equal(feature_rows(factor, cross[7]), product_then_signs(cross[7]))
+    fmap = center_features(build_feature_map(factor, cross))
+    assert np.array_equal(fmap.phi, product_then_signs(cross) - fmap.mean)
+    assert np.array_equal(fmap.rows(cross), fmap.phi)
+    assert np.array_equal(fmap.rows(cross[7]), product_then_signs(cross[7]) - fmap.mean)
+
+
+def test_feature_rows_allocate_only_their_output(peak_bytes):
+    rng = np.random.default_rng(15)
+    k = random_indefinite(rng, 50)
+    factor = fit(k)
+    cross = rng.normal(size=(20000, 50))
+    out = 20000 * factor.effective_rank * 8
+    assert peak_bytes(lambda: feature_rows(factor, cross)) <= 1.1 * out
 
 
 def test_low_rank_predictions_reproduce_training_scores():
@@ -275,6 +305,68 @@ def test_shsvm_gradient_matches_finite_differences():
         num = (squared_hinge_objective(phi, y, lam, 15.0, z + e)
                - squared_hinge_objective(phi, y, lam, 15.0, z - e)) / (2 * h)
         assert g[j] == pytest.approx(num, rel=1e-5, abs=1e-8)
+
+
+def test_shsvm_gradient_scales_the_r_vector_exactly():
+    rng = np.random.default_rng(16)
+    for n, m in [(300, 7), (20000, 50)]:
+        phi = rng.normal(size=(n, m))
+        y = binary_labels(rng, n)
+        lam = rng.uniform(0.1, 1.0, size=m)
+        z = rng.normal(size=m) / np.sqrt(m)
+        margin = 1.0 - y * (phi @ z)
+        v = y * np.where(margin > 0.0, margin, 0.0)
+        old = -2.0 * phi.T @ v + 2.0 * float(n) * lam * z
+        assert np.array_equal(squared_hinge_gradient(phi, y, lam, float(n), z), old)
+
+
+def test_active_gram_sums_full_partial_and_empty_blocks(monkeypatch):
+    rng = np.random.default_rng(17)
+    phi = rng.normal(size=(95, 7))
+    monkeypatch.setattr(learners, "_HESSIAN_BLOCK_ELEMENTS", 70)  # 10 rows
+    active = rng.random(95) < 0.5
+    active[:10] = True
+    active[10:20] = False
+    rows = phi[active]
+    assert_allclose(learners._active_gram(phi, active), rows.T @ rows, rtol=1e-12, atol=0)
+    empty = learners._active_gram(phi, np.zeros(95, dtype=bool))
+    assert np.array_equal(empty, np.zeros((7, 7)))
+
+
+def test_shsvm_newton_sums_the_hessian_over_row_blocks(monkeypatch):
+    rng = np.random.default_rng(18)
+    m = 32
+    step = learners._HESSIAN_BLOCK_ELEMENTS // m
+    n = 3 * step + step // 3
+    phi = rng.normal(size=(n, m))
+    y = np.sign(phi @ rng.normal(size=m))
+    y[rng.random(n) < 0.1] *= -1.0
+    phi[:step] *= 1e-3  # every margin of the first block stays positive
+    fmap = FeatureMap(phi=phi, signs=np.where(np.arange(m) % 3 == 0, -1.0, 1.0), factor=None)
+    reg = RegPair(1e-3, 2e-3)
+    model = sh_svm_lowrank(fmap, y, reg)
+    active = 1.0 - y * (phi @ model.z) > 0.0
+    blocks = [active[start:start + step] for start in range(0, n, step)]
+    assert len(blocks) >= 4 and blocks[0].all()
+    assert sum(not b.all() and b.any() for b in blocks) >= 3
+
+    def dense(features, keep):
+        rows = features[keep]
+        return rows.T @ rows
+
+    monkeypatch.setattr(learners, "_active_gram", dense)
+    reference = sh_svm_lowrank(fmap, y, reg)
+    assert model.diagnostics["iterations"] == reference.diagnostics["iterations"]
+    assert_allclose(model.z, reference.z, rtol=1e-12, atol=0)
+
+
+def test_shsvm_scratch_is_bounded(peak_bytes):
+    rng = np.random.default_rng(19)
+    phi = rng.normal(size=(40000, 50))
+    y = np.sign(phi @ rng.normal(size=50))
+    y[rng.random(40000) < 0.1] *= -1.0
+    fmap = FeatureMap(phi=phi, signs=np.ones(50), factor=None)
+    assert peak_bytes(lambda: sh_svm_lowrank(fmap, y, RegPair(1e-3, 1e-3))) <= 0.5 * phi.nbytes
 
 
 def test_shsvm_label_validation():

@@ -52,6 +52,25 @@ def test_sym_matrix_values_read_only():
         m.values[0, 0] = 5.0
 
 
+def test_sym_matrix_stores_exactly_symmetric_input_as_it_is():
+    # (a + a.T) / 2 overflows to inf here
+    a = np.full((2, 2), 1e308)
+    assert np.array_equal(SymMatrix(a).values, a)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(30, 30))
+    x = x + x.T
+    m = SymMatrix(x)
+    assert np.array_equal(m.values, (x + x.T) / 2.0)
+    assert not np.shares_memory(m.values, x) and x.flags.writeable
+
+
+def test_sym_matrix_copies_symmetric_input_once(peak_bytes):
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(600, 600))
+    x = x + x.T
+    assert peak_bytes(lambda: SymMatrix(x)) <= 1.1 * x.nbytes
+
+
 # ---------------------------------------------------------------------------
 # signed eigendecomposition
 
