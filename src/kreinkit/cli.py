@@ -13,7 +13,7 @@ One executable with subcommands:
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 solver failure.
 
 Outputs are CSV tables plus a ``result.json`` that embeds the schema version,
-the package version, and the fully resolved configuration, so every file can
+the package version, and the command's own resolved flags, so every file can
 be traced back to the exact run that produced it.  With a fixed ``--seed``
 the numeric outputs are reproducible; wall-clock columns of course vary.
 """
@@ -25,9 +25,9 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -73,15 +73,13 @@ from .landmarks import (
     uniform_landmarks,
 )
 from .learners import (
+    LEARNERS,
     RegPair,
     build_feature_map,
-    center_features,
-    krein_krr_lowrank,
+    learner_path,
     save_model,
     sf_lsm_path,
-    sh_svm_lowrank,
-    vc_lsm_lowrank,
-    vc_lsm_path,
+    variance_target,
 )
 from .nystroem import (
     fit,
@@ -92,9 +90,8 @@ from .nystroem import (
     truncate_factor,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 SAMPLERS = ("uniform", "leverage", "kmeanspp")
-LEARNERS = ("lsm", "vclsm", "shsvm")
 # the kernel of --synthetic inputs and of bench when --kernel is not given
 DEFAULT_KERNEL = "kernel=gaussdiff sigma1=1.0 sigma2=3.0"
 
@@ -104,45 +101,6 @@ _DOMAIN_SWEEP = 1
 _DOMAIN_CV = 2
 _DOMAIN_BENCH = 3
 _DOMAIN_SINGLE = 4
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved run configuration; embedded in every result file."""
-
-    command: str
-    data: str | None = None
-    data_format: str = "csv"
-    matrix: str | None = None
-    matrix_format: str = "csv"
-    matrix_kind: str = "similarity"
-    square: bool = True
-    labels: str | None = None
-    target_class: str | None = None
-    synthetic: str | None = None
-    n: int = 500
-    p: int = 4
-    separation: float = 6.0
-    kernel: str | None = None
-    standardize: bool = True
-    pinv_tol: float | None = None
-    samplers: list = field(default_factory=lambda: ["uniform"])
-    ranks: list = field(default_factory=list)
-    landmark_factor: str = "1"
-    m: int | None = None
-    method: str = "one_shot"
-    learners: list = field(default_factory=lambda: ["lsm", "vclsm", "shsvm"])
-    lambdas: list = field(default_factory=lambda: [10.0**e for e in range(-4, 3)])
-    radius_factors: list = field(default_factory=lambda: [0.5, 1.0, 2.0])
-    inner_folds: int = 3
-    lam_pos: float = 1e-2
-    lam_neg: float = 1e-2
-    radius: float | None = None
-    folds: int = 10
-    reps: int = 10
-    seed: int = 0
-    out: str | None = None
-    n_schedule: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +144,13 @@ def _parse_float_list(text: str, flag: str) -> list:
     if not values:
         raise ConfigError(f"{flag} must not be empty")
     return values
+
+
+def _parse_int_list(text: str, flag: str) -> list:
+    values = _parse_float_list(text, flag)
+    if not all(v.is_integer() for v in values):
+        raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}")
+    return [int(v) for v in values]
 
 
 def _parse_name_list(text: str, allowed, flag: str) -> list:
@@ -233,8 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx", help="approximation error/time sweep")
     _add_input_flags(p)
     _add_run_flags(p)
-    p.add_argument("--samplers", default="uniform")
-    p.add_argument("--ranks", default="10:160:x2")
+    p.add_argument("--samplers", default="uniform",
+                   type=lambda text: _parse_name_list(text, SAMPLERS, "--samplers"))
+    p.add_argument("--ranks", default="10:160:x2", type=_parse_ranks)
     p.add_argument("--landmark-factor", default="1", choices=["1", "logn"])
     p.add_argument("--reps", type=int, default=10)
 
@@ -265,113 +231,87 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cv", help="stratified k-fold evaluation")
     _add_input_flags(p)
     _add_run_flags(p)
-    p.add_argument("--learners", default="lsm,vclsm,shsvm")
+    p.add_argument("--learners", default=",".join(LEARNERS),
+                   type=lambda text: _parse_name_list(text, LEARNERS, "--learners"))
     p.add_argument("--sampler", default="uniform", choices=SAMPLERS)
-    p.add_argument("--ranks", default="50")
+    p.add_argument("--ranks", default="50", type=_parse_ranks)
     p.add_argument("--landmark-factor", default="1", choices=["1", "logn"])
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--lambdas", default=None,
+    p.add_argument("--lambdas", default=[10.0**e for e in range(-4, 3)],
+                   type=lambda text: _parse_float_list(text, "--lambdas"),
                    help="comma-separated grid (default 1e-4..1e2 log-spaced)")
-    p.add_argument("--radius-factors", default="0.5,1,2")
+    p.add_argument("--radius-factors", default="0.5,1,2",
+                   type=lambda text: _parse_float_list(text, "--radius-factors"))
     p.add_argument("--inner-folds", type=int, default=3)
 
     p = sub.add_parser("bench", help="wall-clock scaling of both routes")
     _add_input_flags(p)
     _add_run_flags(p)
-    p.add_argument("--n-schedule", default="2000,4000,8000")
+    p.add_argument("--n-schedule", default="2000,4000,8000",
+                   type=lambda text: _parse_int_list(text, "--n-schedule"))
     p.add_argument("--m", type=int, default=200)
     p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--methods", default="one_shot,sgt")
+    p.add_argument("--methods", default="one_shot,sgt",
+                   type=lambda text: _parse_name_list(text, ("one_shot", "sgt"), "--methods"))
 
     p = sub.add_parser("flops", help="closed-form multiplication counts")
-    p.add_argument("--n", dest="n_list", default="1000000")
-    p.add_argument("--m", dest="m_list", default="1000")
+    p.add_argument("--n", default="1000000", type=lambda text: _parse_int_list(text, "--n"))
+    p.add_argument("--m", default="1000", type=lambda text: _parse_int_list(text, "--m"))
     p.add_argument("--out")
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("data", "data_format", "matrix", "matrix_format", "matrix_kind",
-                 "labels", "target_class", "synthetic", "n", "p", "separation",
-                 "kernel", "pinv_tol", "seed", "out", "m", "method",
-                 "folds", "reps", "inner_folds"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "no_square", False):
-        cfg.square = False
-    if getattr(args, "no_standardize", False):
-        cfg.standardize = False
-    if hasattr(args, "samplers"):
-        cfg.samplers = _parse_name_list(args.samplers, SAMPLERS, "--samplers")
-    if hasattr(args, "sampler"):
-        cfg.samplers = [args.sampler]
-    if hasattr(args, "ranks"):
-        cfg.ranks = _parse_ranks(args.ranks)
-    if hasattr(args, "landmark_factor"):
-        cfg.landmark_factor = args.landmark_factor
-    if hasattr(args, "learners"):
-        cfg.learners = _parse_name_list(args.learners, LEARNERS, "--learners")
-    if hasattr(args, "learner"):
-        cfg.learners = [args.learner]
-    if getattr(args, "lambdas", None):
-        cfg.lambdas = _parse_float_list(args.lambdas, "--lambdas")
-    if getattr(args, "radius_factors", None):
-        cfg.radius_factors = _parse_float_list(args.radius_factors, "--radius-factors")
-    if hasattr(args, "lambda_pos"):
-        cfg.lam_pos = args.lambda_pos
-        cfg.lam_neg = args.lambda_neg
-        cfg.radius = args.radius
-    if hasattr(args, "methods"):
-        cfg.method = args.methods
-    if hasattr(args, "n_schedule"):
-        cfg.n_schedule = [int(v) for v in _parse_float_list(args.n_schedule, "--n-schedule")]
-    if args.command == "flops":
-        cfg.n_schedule = [int(v) for v in _parse_float_list(args.n_list, "--n")]
-        cfg.ranks = [int(v) for v in _parse_float_list(args.m_list, "--m")]
-    return cfg
+def _check_finite(flag: str, values, zero_ok: bool = False) -> None:
+    """Every value that is not None must be finite and positive (or zero)."""
+    for v in values:
+        if v is not None and not (math.isfinite(v) and (v > 0.0 or zero_ok and v == 0.0)):
+            raise ConfigError(f"{flag} must be finite and "
+                              f"{'non-negative' if zero_ok else 'positive'}, got {v}")
 
 
-def validate_config(cfg: RunConfig) -> None:
+def validate_config(args: argparse.Namespace) -> None:
     """Structural validation that needs no data; runs before any IO."""
-    if cfg.reps < 1:
-        raise ConfigError("--reps must be at least 1")
-    if cfg.pinv_tol is not None and not (math.isfinite(cfg.pinv_tol) and cfg.pinv_tol >= 0):
-        raise ConfigError("--pinv-tol must be a finite non-negative number")
-    if cfg.command == "flops":
-        for n in cfg.n_schedule:
-            for m in cfg.ranks:
+    if args.command == "flops":
+        for n in args.n:
+            for m in args.m:
                 if not n >= m >= 1:
                     raise ConfigError(f"flops needs n >= m >= 1, got n={n}, m={m}")
-    if cfg.command == "cv":
-        if cfg.folds < 2:
+        return
+    if args.command in ("approx", "bench") and args.reps < 1:
+        raise ConfigError("--reps must be at least 1")
+    _check_finite("--pinv-tol", [args.pinv_tol], zero_ok=True)
+    if args.command == "cv":
+        if args.folds < 2:
             raise ConfigError("--folds must be at least 2")
-        if cfg.inner_folds < 2:
+        if args.inner_folds < 2:
             raise ConfigError("--inner-folds must be at least 2")
-        if any(lam <= 0 for lam in cfg.lambdas):
-            raise ConfigError("--lambdas must be positive")
-    inputs = sum(1 for v in (cfg.data, cfg.matrix, cfg.synthetic) if v)
-    if cfg.command == "bench":
+        _check_finite("--lambdas", args.lambdas)
+        _check_finite("--radius-factors", args.radius_factors)
+    if args.command == "train":
+        # zero penalties are allowed; shsvm itself rejects them
+        _check_finite("--lambda-pos/--lambda-neg", [args.lambda_pos, args.lambda_neg],
+                      zero_ok=True)
+        _check_finite("--radius", [args.radius])
+    inputs = sum(1 for v in (args.data, args.matrix, args.synthetic) if v)
+    if args.command == "bench":
         # bench draws its own standard-normal points per schedule entry
         if inputs:
             raise ConfigError("bench generates its own data; drop the input flags")
-        return
-    if cfg.command != "flops":
-        if inputs == 0:
-            raise ConfigError("provide exactly one of --data, --matrix, --synthetic")
-        if inputs > 1:
-            raise ConfigError("--data, --matrix, and --synthetic are mutually exclusive")
-        if cfg.synthetic and not cfg.kernel:
-            cfg.kernel = DEFAULT_KERNEL
-        if cfg.data and not cfg.kernel:
-            raise ConfigError("vector data needs --kernel")
+    elif inputs == 0:
+        raise ConfigError("provide exactly one of --data, --matrix, --synthetic")
+    elif inputs > 1:
+        raise ConfigError("--data, --matrix, and --synthetic are mutually exclusive")
+    if (args.synthetic or args.command == "bench") and not args.kernel:
+        args.kernel = DEFAULT_KERNEL
+    if args.data and not args.kernel:
+        raise ConfigError("vector data needs --kernel")
 
 
-def resolve_schedule(cfg: RunConfig, n: int) -> list:
+def resolve_schedule(args: argparse.Namespace, n: int) -> list:
     """Expand ranks into (rank, landmark budget) pairs and validate them."""
     schedule = []
-    for k in cfg.ranks:
-        if cfg.landmark_factor == "logn":
+    for k in args.ranks:
+        if args.landmark_factor == "logn":
             l = min(n, default_sketch_size(min(k, n), n))
         else:
             l = k
@@ -387,41 +327,34 @@ def resolve_schedule(cfg: RunConfig, n: int) -> list:
 # input loading
 
 
-def load_inputs(cfg: RunConfig, need_labels: bool = False):
+def load_inputs(args: argparse.Namespace, need_labels: bool = False):
     """Build the Gram source (and labels) described by the configuration."""
     y = None
-    if cfg.synthetic:
-        ds = make_synthetic(cfg.synthetic, cfg.n, cfg.p,
-                            spawn_rng(cfg.seed, _DOMAIN_DATA), cfg.separation)
-        x = ds.X
-        y = ds.y
-        if cfg.standardize:
-            x, _ = standardize(x)
-        source = GramSource.from_data(parse_kernel_spec(cfg.kernel), x)
-    elif cfg.data:
-        x = load_table(cfg.data, cfg.data_format)
-        if cfg.standardize:
-            x, _ = standardize(x)
-        if not cfg.kernel:
-            raise ConfigError("vector data needs --kernel")
-        source = GramSource.from_data(parse_kernel_spec(cfg.kernel), x)
-    elif cfg.matrix:
-        loaded = load_matrix(cfg.matrix, cfg.matrix_format, kind=cfg.matrix_kind,
-                             squared=not cfg.square)
-        if cfg.matrix_kind == "dissimilarity":
+    if args.matrix:
+        loaded = load_matrix(args.matrix, args.matrix_format, kind=args.matrix_kind,
+                             squared=args.no_square)
+        if args.matrix_kind == "dissimilarity":
             loaded = double_center_neg(loaded)
         source = GramSource.from_matrix(loaded)
     else:
-        raise ConfigError("no input given")
+        if args.synthetic:
+            ds = make_synthetic(args.synthetic, args.n, args.p,
+                                spawn_rng(args.seed, _DOMAIN_DATA), args.separation)
+            x, y = ds.X, ds.y
+        else:
+            x = load_table(args.data, args.data_format)
+        if not args.no_standardize:
+            x, _ = standardize(x)
+        source = GramSource.from_data(parse_kernel_spec(args.kernel), x)
 
-    if cfg.labels:
-        raw = load_labels(cfg.labels)
+    if args.labels:
+        raw = load_labels(args.labels)
         if raw.shape[0] != source.n:
             raise ShapeError(
-                f"{cfg.labels}: {raw.shape[0]} labels for {source.n} data points"
+                f"{args.labels}: {raw.shape[0]} labels for {source.n} data points"
             )
-        if cfg.target_class is not None:
-            y = one_vs_all(raw, cfg.target_class)
+        if args.target_class is not None:
+            y = one_vs_all(raw, args.target_class)
         else:
             try:
                 y = raw.astype(float)
@@ -445,25 +378,23 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_result(cfg: RunConfig, payload: dict) -> None:
-    if not cfg.out:
-        return
+def _write_result(args: argparse.Namespace, payload: dict) -> None:
     body = {
         "schema_version": SCHEMA_VERSION,
         "artifact": {"name": "kreinkit", "version": __version__},
-        "command": cfg.command,
-        "config": asdict(cfg),
+        "command": args.command,
+        "config": vars(args),
     }
     body.update(payload)
-    with open(f"{cfg.out}/result.json", "w", encoding="utf-8") as handle:
+    with open(f"{args.out}/result.json", "w", encoding="utf-8") as handle:
         json.dump(body, handle, indent=1, default=str)
 
 
-def _ensure_outdir(cfg: RunConfig) -> None:
-    if cfg.out:
-        import os
-
-        os.makedirs(cfg.out, exist_ok=True)
+def _outdir(args: argparse.Namespace) -> bool:
+    """Whether the command writes files; if so, makes the --out directory."""
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+    return bool(args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -537,18 +468,17 @@ def run_approx_sweep(source: GramSource, samplers, schedule, reps: int, seed: in
     return raw, medians
 
 
-def cmd_approx(cfg: RunConfig) -> int:
-    source, _ = load_inputs(cfg)
-    schedule = resolve_schedule(cfg, source.n)
-    raw, medians = run_approx_sweep(source, cfg.samplers, schedule, cfg.reps,
-                                    cfg.seed, cfg.pinv_tol)
-    _ensure_outdir(cfg)
-    if cfg.out:
-        _write_csv(f"{cfg.out}/approx_raw.csv",
+def cmd_approx(args: argparse.Namespace) -> int:
+    source, _ = load_inputs(args)
+    schedule = resolve_schedule(args, source.n)
+    raw, medians = run_approx_sweep(source, args.samplers, schedule, args.reps,
+                                    args.seed, args.pinv_tol)
+    if _outdir(args):
+        _write_csv(f"{args.out}/approx_raw.csv",
                    ["sampler", "k", "l", "repetition", "frobenius_error", "seconds"], raw)
-        _write_csv(f"{cfg.out}/approx_median.csv",
+        _write_csv(f"{args.out}/approx_median.csv",
                    ["sampler", "k", "l", "median_error", "median_seconds"], medians)
-        _write_result(cfg, {"medians": [list(row) for row in medians]})
+        _write_result(args, {"medians": [list(row) for row in medians]})
     for row in medians:
         print(f"{row[0]:>9}  k={row[1]:<5d} l={row[2]:<5d} "
               f"median_error={row[3]:.6e}  median_seconds={row[4]:.4f}")
@@ -559,13 +489,13 @@ def cmd_approx(cfg: RunConfig) -> int:
 # eigen / sample / train
 
 
-def cmd_eigen(cfg: RunConfig) -> int:
-    source, _ = load_inputs(cfg)
-    if not 1 <= cfg.m <= source.n:
+def cmd_eigen(args: argparse.Namespace) -> int:
+    source, _ = load_inputs(args)
+    if not 1 <= args.m <= source.n:
         raise ConfigError(f"--m must lie in [1, {source.n}]")
-    factor, cross = landmark_factor(source, cfg.samplers[0], cfg.m,
-                                    spawn_rng(cfg.seed, _DOMAIN_SINGLE), cfg.pinv_tol)
-    eig = one_shot_eigen(factor, cross) if cfg.method == "one_shot" else \
+    factor, cross = landmark_factor(source, args.sampler, args.m,
+                                    spawn_rng(args.seed, _DOMAIN_SINGLE), args.pinv_tol)
+    eig = one_shot_eigen(factor, cross) if args.method == "one_shot" else \
         sgt_one_shot(factor, cross)
     gram_residual = float(np.abs(eig.U.T @ eig.U - np.eye(eig.rank)).max())
     # the approximation is C diag(1/d) C' with C = cross U_r, scored by row
@@ -578,12 +508,11 @@ def cmd_eigen(cfg: RunConfig) -> int:
     rel = recon_err / scale if scale > 0.0 else 0.0
     negative_mass = float(np.abs(eig.lam[eig.lam < 0]).sum())
     total_mass = float(np.abs(eig.lam).sum())
-    _ensure_outdir(cfg)
-    if cfg.out:
-        _write_csv(f"{cfg.out}/eigenvalues.csv", ["index", "eigenvalue"],
+    if _outdir(args):
+        _write_csv(f"{args.out}/eigenvalues.csv", ["index", "eigenvalue"],
                    list(enumerate(eig.lam.tolist())))
-        _write_result(cfg, {
-            "method": cfg.method,
+        _write_result(args, {
+            "method": args.method,
             "effective_rank": factor.effective_rank,
             "orthonormality_residual": gram_residual,
             "reconstruction_relative_error": rel,
@@ -595,59 +524,42 @@ def cmd_eigen(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sample(cfg: RunConfig) -> int:
-    source, _ = load_inputs(cfg)
-    if not 1 <= cfg.m <= source.n:
+def cmd_sample(args: argparse.Namespace) -> int:
+    source, _ = load_inputs(args)
+    if not 1 <= args.m <= source.n:
         raise ConfigError(f"--m must lie in [1, {source.n}]")
-    rng = spawn_rng(cfg.seed, _DOMAIN_SINGLE)
-    marks = select_landmarks(cfg.samplers[0], source, cfg.m, rng, cfg.pinv_tol)
+    rng = spawn_rng(args.seed, _DOMAIN_SINGLE)
+    marks = select_landmarks(args.sampler, source, args.m, rng, args.pinv_tol)
     mult = marks.multiplicity if marks.multiplicity is not None else \
         np.ones(marks.m, dtype=int)
     rows = [(i, int(idx), int(c)) for i, (idx, c) in enumerate(zip(marks.indices, mult))]
-    _ensure_outdir(cfg)
-    if cfg.out:
-        _write_csv(f"{cfg.out}/landmarks.csv", ["position", "index", "multiplicity"], rows)
-        _write_result(cfg, {"requested": marks.requested, "effective": marks.m})
-    print(f"sampler={cfg.samplers[0]} requested={marks.requested} effective={marks.m}")
+    if _outdir(args):
+        _write_csv(f"{args.out}/landmarks.csv", ["position", "index", "multiplicity"], rows)
+        _write_result(args, {"requested": marks.requested, "effective": marks.m})
+    print(f"sampler={args.sampler} requested={marks.requested} effective={marks.m}")
     return 0
 
 
-def _train_one(learner: str, fmap, y, reg: RegPair, radius: float | None):
-    if learner == "lsm":
-        return krein_krr_lowrank(fmap, y, reg)
-    if learner == "vclsm":
-        if radius is None:
-            radius = float(np.sqrt(fmap.n) * np.std(y))
-        return vc_lsm_lowrank(fmap, y, reg, radius)
-    if learner == "shsvm":
-        return sh_svm_lowrank(fmap, y, reg)
-    raise ConfigError(f"unknown learner {learner!r}")
-
-
-def cmd_train(cfg: RunConfig) -> int:
-    source, y = load_inputs(cfg, need_labels=True)
-    if not 1 <= cfg.m <= source.n:
+def cmd_train(args: argparse.Namespace) -> int:
+    source, y = load_inputs(args, need_labels=True)
+    if not 1 <= args.m <= source.n:
         raise ConfigError(f"--m must lie in [1, {source.n}]")
-    learner = cfg.learners[0]
-    fmap = build_feature_map(*landmark_factor(source, cfg.samplers[0], cfg.m,
-                                              spawn_rng(cfg.seed, _DOMAIN_SINGLE),
-                                              cfg.pinv_tol))
-    if learner == "vclsm":
-        fmap = center_features(fmap)
-    model = _train_one(learner, fmap, y, RegPair(cfg.lam_pos, cfg.lam_neg), cfg.radius)
+    factor, cross = landmark_factor(source, args.sampler, args.m,
+                                    spawn_rng(args.seed, _DOMAIN_SINGLE), args.pinv_tol)
+    fmap, solve = learner_path(args.learner, build_feature_map(factor, cross), y)
+    model = solve(RegPair(args.lambda_pos, args.lambda_neg), args.radius)
     training_error = misclassification(np.sign(fmap.phi @ model.z), y) \
         if set(np.unique(y).tolist()) <= {-1.0, 1.0} else None
-    _ensure_outdir(cfg)
-    if cfg.out:
-        spec = parse_kernel_spec(cfg.kernel) if cfg.kernel else None
-        save_model(f"{cfg.out}/model.json", model, spec)
-        _write_result(cfg, {
-            "learner": learner,
+    if _outdir(args):
+        spec = parse_kernel_spec(args.kernel) if args.kernel else None
+        save_model(f"{args.out}/model.json", model, spec)
+        _write_result(args, {
+            "learner": args.learner,
             "effective_rank": fmap.factor.effective_rank,
             "training_error": training_error,
             "diagnostics": model.diagnostics,
         })
-    print(f"learner={learner} m={cfg.m} effective_rank={fmap.factor.effective_rank} "
+    print(f"learner={args.learner} m={args.m} effective_rank={fmap.factor.effective_rank} "
           f"training_error={training_error}")
     return 0
 
@@ -656,26 +568,26 @@ def cmd_train(cfg: RunConfig) -> int:
 # cross-validation
 
 
-def _hyper_grid(cfg: RunConfig, learner: str):
+def _hyper_grid(args: argparse.Namespace, learner: str):
     """Enumerate hyperparameter combinations for one learner: (penalties,
     radius factor) pairs for the low-rank learners, lambdas for sf-lsm."""
     if learner == "constant":
         return [None]
     if learner == "sf-lsm":
-        return list(cfg.lambdas)
-    pairs = [RegPair(lp, ln) for lp, ln in itertools.product(cfg.lambdas, cfg.lambdas)]
+        return list(args.lambdas)
+    pairs = [RegPair(lp, ln) for lp, ln in itertools.product(args.lambdas, args.lambdas)]
     if learner == "vclsm":
-        return [(reg, factor) for reg in pairs for factor in cfg.radius_factors]
+        return [(reg, factor) for reg in pairs for factor in args.radius_factors]
     return [(reg, None) for reg in pairs]
 
 
 def _split_predictor(learner: str, source: GramSource, y, train, test, rank, budget,
-                     cfg: RunConfig, rng: np.random.Generator):
+                     args: argparse.Namespace, rng: np.random.Generator):
     """Held-out scores of one (train, test) split as a function of the
     hyperparameters; what no grid point changes is built once, here.
 
     Only the low-rank learners read ``rank`` and ``budget``; they factor the
-    training fold through ``landmark_factor``.
+    training fold through ``landmark_factor`` and train through `learner_path`.
     """
     y_train = y[train]
     if learner == "constant":
@@ -685,38 +597,31 @@ def _split_predictor(learner: str, source: GramSource, y, train, test, rank, bud
         solve = sf_lsm_path(source.block(train), y_train)
         cross = source.cross(test, train)
         return lambda lam: solve(lam).predict(cross)
-    factor, cross = landmark_factor(source.subset(train), cfg.samplers[0],
-                                    min(budget, train.size), rng, cfg.pinv_tol)
+    factor, cross = landmark_factor(source.subset(train), args.sampler,
+                                    min(budget, train.size), rng, args.pinv_tol)
     factor = truncate_factor(factor, rank)
-    fmap = build_feature_map(factor, cross)
-    if learner == "vclsm":
-        fmap = center_features(fmap)
+    fmap, solve = learner_path(learner, build_feature_map(factor, cross), y_train)
     phi_test = fmap.rows(source.cross(test, train[factor.landmarks.indices]))
-    if learner != "vclsm":
-        return lambda hyper: phi_test @ _train_one(learner, fmap, y_train, hyper[0], None).z
-    root_n, spread = np.sqrt(train.size), np.std(y_train)
-    paths = {}  # penalty pair -> vc_lsm_path; one that raised is not stored
 
     def predict(hyper):
         reg, radius_factor = hyper
-        if reg not in paths:
-            paths[reg] = vc_lsm_path(fmap, y_train, reg)
-        return phi_test @ paths[reg](float(radius_factor * root_n * spread)).z
+        r = None if radius_factor is None else variance_target(y_train, radius_factor)
+        return phi_test @ solve(reg, r).z
 
     return predict
 
 
-def _pick_hyper(learner, source, y, train, rank, budget, cfg, key):
+def _pick_hyper(learner, source, y, train, rank, budget, args, key):
     """Inner cross-validation over the hyperparameter grid; deterministic
     tie-break toward the earliest grid entry."""
-    grid = _hyper_grid(cfg, learner)
+    grid = _hyper_grid(args, learner)
     if len(grid) == 1:
         return grid[0]
-    inner = stratified_kfold(y[train], cfg.inner_folds, spawn_rng(cfg.seed, _DOMAIN_CV, *key))
+    inner = stratified_kfold(y[train], args.inner_folds, spawn_rng(args.seed, _DOMAIN_CV, *key))
     scores = np.zeros(len(grid))
     for fi, (itr, ite) in enumerate(inner.splits()):
         predict = _split_predictor(learner, source, y, train[itr], train[ite], rank,
-                                   budget, cfg, spawn_rng(cfg.seed, _DOMAIN_CV, *key, fi))
+                                   budget, args, spawn_rng(args.seed, _DOMAIN_CV, *key, fi))
         for gi, hyper in enumerate(grid):
             try:
                 scores[gi] += misclassification(np.sign(predict(hyper)), y[train[ite]])
@@ -725,13 +630,13 @@ def _pick_hyper(learner, source, y, train, rank, budget, cfg, key):
     return grid[int(np.argmin(scores))]
 
 
-def run_cv(source: GramSource, y, cfg: RunConfig):
+def run_cv(source: GramSource, y, args: argparse.Namespace):
     """Full cross-validation sweep; returns per-fold rows and summaries."""
-    schedule = resolve_schedule(cfg, source.n)
-    plan = stratified_kfold(y, cfg.folds, spawn_rng(cfg.seed, _DOMAIN_CV))
+    schedule = resolve_schedule(args, source.n)
+    plan = stratified_kfold(y, args.folds, spawn_rng(args.seed, _DOMAIN_CV))
     # (learner, k, l, seed key) per summary row; the baselines (similarities-
     # as-features ridge, constant predictor) share a key: the constant draws nothing
-    runs = [(learner, k, l, (li, ki)) for li, learner in enumerate(cfg.learners)
+    runs = [(learner, k, l, (li, ki)) for li, learner in enumerate(args.learners)
             for ki, (k, l) in enumerate(schedule)]
     runs += [(baseline, "full", "full", (97,)) for baseline in ("sf-lsm", "constant")]
     fold_rows = []
@@ -739,46 +644,50 @@ def run_cv(source: GramSource, y, cfg: RunConfig):
     splits = list(plan.splits())
     for learner, k, l, key in runs:
         rates = []
+        failed = 0
         train_s = predict_s = 0.0
         for fi, (train, test) in enumerate(splits):
-            hyper = _pick_hyper(learner, source, y, train, k, l, cfg, (*key, fi))
+            hyper = _pick_hyper(learner, source, y, train, k, l, args, (*key, fi))
             t0 = time.perf_counter()
-            predict = _split_predictor(learner, source, y, train, test, k, l, cfg,
-                                       spawn_rng(cfg.seed, _DOMAIN_CV, *key, fi))
-            preds = predict(hyper)
+            predict = _split_predictor(learner, source, y, train, test, k, l, args,
+                                       spawn_rng(args.seed, _DOMAIN_CV, *key, fi))
+            try:
+                preds = predict(hyper)
+            except (SolverError, RankDeficient):
+                preds = None  # scored as a failing inner grid point is
             t1 = time.perf_counter()
-            rate = misclassification(np.sign(preds), y[test])
+            failed += preds is None
+            rate = 1.0 if preds is None else misclassification(np.sign(preds), y[test])
             train_s += t1 - t0
             predict_s += time.perf_counter() - t1
             rates.append(rate)
             fold_rows.append((learner, k, l, fi, rate))
         timings = {"train_seconds": train_s, "predict_seconds": predict_s} \
             if learner in LEARNERS else {}
-        summaries.append((learner, k, l, EvalResult.from_rates(rates, timings)))
+        summaries.append((learner, k, l, EvalResult.from_rates(rates, timings), failed))
     return fold_rows, summaries
 
 
-def cmd_cv(cfg: RunConfig) -> int:
-    source, y = load_inputs(cfg, need_labels=True)
-    fold_rows, summaries = run_cv(source, y, cfg)
-    _ensure_outdir(cfg)
+def cmd_cv(args: argparse.Namespace) -> int:
+    source, y = load_inputs(args, need_labels=True)
+    fold_rows, summaries = run_cv(source, y, args)
     summary_rows = [
-        (learner, k, l, res.mean, res.std, res.median) for learner, k, l, res in summaries
+        (learner, k, l, res.mean, res.std, res.median) for learner, k, l, res, _ in summaries
     ]
-    if cfg.out:
-        _write_csv(f"{cfg.out}/cv_folds.csv",
+    if _outdir(args):
+        _write_csv(f"{args.out}/cv_folds.csv",
                    ["learner", "k", "l", "fold", "error"], fold_rows)
-        _write_csv(f"{cfg.out}/cv_summary.csv",
+        _write_csv(f"{args.out}/cv_summary.csv",
                    ["learner", "k", "l", "mean_error", "std_error", "median_error"],
                    summary_rows)
-        _write_result(cfg, {
+        _write_result(args, {
             "summaries": [
                 {"learner": learner, "k": k, "l": l, "mean": res.mean, "std": res.std,
-                 "median": res.median, "timings": res.timings}
-                for learner, k, l, res in summaries
+                 "median": res.median, "timings": res.timings, "failed_refits": failed}
+                for learner, k, l, res, failed in summaries
             ],
         })
-    for learner, k, l, res in summaries:
+    for learner, k, l, res, _ in summaries:
         print(f"{learner:>9}  k={k!s:<5} l={l!s:<5} mean={res.mean:.4f} "
               f"(std {res.std:.4f})  median={res.median:.4f}")
     return 0
@@ -788,7 +697,7 @@ def cmd_cv(cfg: RunConfig) -> int:
 # bench / flops
 
 
-def run_bench(cfg: RunConfig):
+def run_bench(args: argparse.Namespace):
     """Time both eigendecomposition routes on synthetic problems.
 
     The kernel blocks are built outside the timed region; each timed run
@@ -796,37 +705,36 @@ def run_bench(cfg: RunConfig):
     is exactly what the closed-form counts cover.  One warm-up run per
     configuration is discarded.
     """
-    methods = _parse_name_list(cfg.method, ("one_shot", "sgt"), "--methods")
-    spec = parse_kernel_spec(cfg.kernel)
+    spec = parse_kernel_spec(args.kernel)
     rows = []
-    for ni, n in enumerate(cfg.n_schedule):
-        if n < cfg.m:
-            raise ConfigError(f"--n-schedule entry {n} is below the landmark budget {cfg.m}")
-        rng = spawn_rng(cfg.seed, _DOMAIN_BENCH, ni)
-        x = rng.normal(size=(n, cfg.p))
-        marks = uniform_landmarks(n, cfg.m, rng)
+    for ni, n in enumerate(args.n_schedule):
+        if n < args.m:
+            raise ConfigError(f"--n-schedule entry {n} is below the landmark budget {args.m}")
+        rng = spawn_rng(args.seed, _DOMAIN_BENCH, ni)
+        x = rng.normal(size=(n, args.p))
+        marks = uniform_landmarks(n, args.m, rng)
         K_ZZ = gram(spec, x[marks.indices])
         K_XZ = gram_cross(spec, x, x[marks.indices])
-        for method in methods:
+        for method in args.methods:
             route = one_shot_eigen if method == "one_shot" else sgt_one_shot
-            for rep in range(-1, cfg.reps):
+            for rep in range(-1, args.reps):
                 start = time.perf_counter()
-                factor = fit(K_ZZ, cfg.pinv_tol, marks)
+                factor = fit(K_ZZ, args.pinv_tol, marks)
                 route(factor, K_XZ)
                 seconds = time.perf_counter() - start
                 if rep >= 0:
-                    rows.append((n, cfg.m, method, rep, seconds,
-                                 flop_count(method, n, cfg.m)))
+                    rows.append((n, args.m, method, rep, seconds,
+                                 flop_count(method, n, args.m)))
     summary = []
-    for n in cfg.n_schedule:
-        for method in methods:
+    for n in args.n_schedule:
+        for method in args.methods:
             secs = [r[4] for r in rows if r[0] == n and r[2] == method]
-            summary.append((n, cfg.m, method, float(np.mean(secs)), float(np.std(secs)),
-                            float(np.median(secs)), flop_count(method, n, cfg.m)))
+            summary.append((n, args.m, method, float(np.mean(secs)), float(np.std(secs)),
+                            float(np.median(secs)), flop_count(method, n, args.m)))
     slopes = {}
-    if len(cfg.n_schedule) >= 2:
-        for method in methods:
-            ns = np.array(cfg.n_schedule, dtype=float)
+    if len(args.n_schedule) >= 2:
+        for method in args.methods:
+            ns = np.array(args.n_schedule, dtype=float)
             means = np.array([s[3] for s in summary if s[2] == method])
             slope, intercept = np.polyfit(ns, means, 1)
             slopes[method] = {"seconds_per_point": float(slope),
@@ -834,36 +742,32 @@ def run_bench(cfg: RunConfig):
     return rows, summary, slopes
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    if not cfg.kernel:
-        cfg.kernel = DEFAULT_KERNEL
-    rows, summary, slopes = run_bench(cfg)
-    _ensure_outdir(cfg)
-    if cfg.out:
-        _write_csv(f"{cfg.out}/bench_raw.csv",
+def cmd_bench(args: argparse.Namespace) -> int:
+    rows, summary, slopes = run_bench(args)
+    if _outdir(args):
+        _write_csv(f"{args.out}/bench_raw.csv",
                    ["n", "m", "method", "repetition", "seconds", "flops"], rows)
-        _write_csv(f"{cfg.out}/bench_summary.csv",
+        _write_csv(f"{args.out}/bench_summary.csv",
                    ["n", "m", "method", "mean_seconds", "std_seconds",
                     "median_seconds", "flops"], summary)
-        _write_result(cfg, {"summary": [list(s) for s in summary], "slopes": slopes})
+        _write_result(args, {"summary": [list(s) for s in summary], "slopes": slopes})
     for n, m, method, mean_s, std_s, median_s, flops in summary:
         print(f"n={n:<8d} m={m:<5d} {method:>9}  mean={mean_s:.4f}s "
               f"(std {std_s:.4f})  median={median_s:.4f}s  flops={flops:.3e}")
     return 0
 
 
-def cmd_flops(cfg: RunConfig) -> int:
+def cmd_flops(args: argparse.Namespace) -> int:
     rows = []
-    for n in cfg.n_schedule:
-        for m in cfg.ranks:
+    for n in args.n:
+        for m in args.m:
             one = flop_count("one_shot", n, m)
             sgt = flop_count("sgt", n, m)
             rows.append((n, m, one, sgt, sgt - one))
-    if cfg.out:
-        _ensure_outdir(cfg)
-        _write_csv(f"{cfg.out}/flops.csv",
+    if _outdir(args):
+        _write_csv(f"{args.out}/flops.csv",
                    ["n", "m", "one_shot", "sgt", "savings"], rows)
-        _write_result(cfg, {"rows": [list(r) for r in rows]})
+        _write_result(args, {"rows": [list(r) for r in rows]})
     print(f"{'n':>10} {'m':>8} {'one_shot':>16} {'sgt':>16} {'savings':>16}")
     for n, m, one, sgt, savings in rows:
         print(f"{n:>10d} {m:>8d} {one:>16d} {sgt:>16d} {savings:>16d}")
@@ -889,15 +793,12 @@ _SOLVER_ERRORS = (SolverError, SingularLandmarkBlock, RankDeficient)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)  # the list flags raise ConfigError
+        validate_config(args)
+        return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # argparse: --help, or a malformed flag
         return int(exc.code or 0)
-    try:
-        cfg = config_from_args(args)
-        validate_config(cfg)
-        return _COMMANDS[cfg.command](cfg)
     except (ConfigError, InvalidBudget) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

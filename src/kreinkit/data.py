@@ -89,8 +89,11 @@ def _parse_grid(path, fmt: str) -> np.ndarray:
     again line by line, which returns the same array or locates the error."""
     if fmt not in ("csv", "whitespace"):
         raise InvalidInput(f"unknown format {fmt!r}; use 'csv' or 'whitespace'")
-    a = _parse_fast(path, fmt)
-    return a if a is not None else _parse_lines(path, fmt)
+    try:
+        a = _parse_fast(path, fmt)
+        return a if a is not None else _parse_lines(path, fmt)
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read the file: {exc.strerror or exc}") from None
 
 
 def _parse_lines(path, fmt: str) -> np.ndarray:
@@ -175,11 +178,14 @@ def write_matrix(path, values, fmt: str = "csv") -> None:
 def load_labels(path) -> np.ndarray:
     """One label per line, UTF-8; returned as strings."""
     labels = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            token = line.strip()
-            if token:
-                labels.append(token)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for line in handle:
+                token = line.strip()
+                if token:
+                    labels.append(token)
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read the file: {exc.strerror or exc}") from None
     if not labels:
         raise ParseError(f"{path}: no labels found", line=1)
     return np.asarray(labels)

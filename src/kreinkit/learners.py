@@ -35,6 +35,7 @@ from .nystroem import LandmarkSet, NystroemFactor
 
 __all__ = [
     "RegPair",
+    "LEARNERS",
     "FeatureMap",
     "FullRankModel",
     "FlipKRRModel",
@@ -48,6 +49,8 @@ __all__ = [
     "vc_lsm_path",
     "vc_lsm_lowrank",
     "sh_svm_lowrank",
+    "learner_path",
+    "variance_target",
     "flip_krr_baseline",
     "flip_shsvm_baseline",
     "sf_lsm_path",
@@ -327,13 +330,20 @@ def _check_radius(r: float) -> None:
 
 
 def squared_hinge_objective(features, y, lam_diag, n_scale, z) -> float:
-    margin = 1.0 - y * (features @ z)
+    return _hinge_objective(1.0 - y * (features @ z), lam_diag, n_scale, z)
+
+
+def squared_hinge_gradient(features, y, lam_diag, n_scale, z) -> np.ndarray:
+    return _hinge_gradient(features, y, 1.0 - y * (features @ z), lam_diag, n_scale, z)
+
+
+# the two above at z, given its margins 1 - y o (F z)
+def _hinge_objective(margin, lam_diag, n_scale, z) -> float:
     active = np.maximum(margin, 0.0)
     return float(active @ active + n_scale * lam_diag @ (z * z))
 
 
-def squared_hinge_gradient(features, y, lam_diag, n_scale, z) -> np.ndarray:
-    margin = 1.0 - y * (features @ z)
+def _hinge_gradient(features, y, margin, lam_diag, n_scale, z) -> np.ndarray:
     active = margin > 0.0
     grad = -2.0 * (features.T @ (y * np.where(active, margin, 0.0)))
     return grad + 2.0 * n_scale * lam_diag * z
@@ -374,18 +384,20 @@ def _newton_squared_hinge(features, y, lam_diag, n_scale, *, max_iter=100,
     The active-set Hessian 2 F_A' F_A + 2 n diag(lam) is positive definite
     whenever the penalties are positive, so the Newton direction always
     descends; an Armijo backtracking line search makes the damping explicit.
-    Converges when the gradient norm drops below 1e-8 * max(1, n).
+    Converges when the gradient norm drops below 1e-8 * max(1, n).  Each
+    candidate's margins 1 - y o (F z) are formed once, by the line search,
+    and serve the accepted iterate's gradient and active set.
     """
     n, m = features.shape
     z = np.zeros(m)
     gtol = 1e-8 * max(1.0, float(n))
-    obj = squared_hinge_objective(features, y, lam_diag, n_scale, z)
+    margin = 1.0 - y * (features @ z)
+    obj = _hinge_objective(margin, lam_diag, n_scale, z)
     for iteration in range(max_iter):
-        grad = squared_hinge_gradient(features, y, lam_diag, n_scale, z)
+        grad = _hinge_gradient(features, y, margin, lam_diag, n_scale, z)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= gtol:
             return z, {"iterations": iteration, "objective": obj, "grad_norm": gnorm}
-        margin = 1.0 - y * (features @ z)
         hess = _active_gram(features, margin > 0.0)
         hess *= 2.0
         hess.flat[::m + 1] += 2.0 * n_scale * lam_diag
@@ -401,7 +413,8 @@ def _newton_squared_hinge(features, y, lam_diag, n_scale, *, max_iter=100,
         step = 1.0
         for _ in range(60):
             candidate = z + step * direction
-            value = squared_hinge_objective(features, y, lam_diag, n_scale, candidate)
+            trial = 1.0 - y * (features @ candidate)
+            value = _hinge_objective(trial, lam_diag, n_scale, candidate)
             if value <= obj + armijo_c * step * slope:
                 break
             step *= backtrack
@@ -411,9 +424,8 @@ def _newton_squared_hinge(features, y, lam_diag, n_scale, *, max_iter=100,
                 iterations=iteration,
                 diagnostics={"grad_norm": gnorm, "objective": obj},
             )
-        z = candidate
-        obj = value
-    grad = squared_hinge_gradient(features, y, lam_diag, n_scale, z)
+        z, margin, obj = candidate, trial, value
+    grad = _hinge_gradient(features, y, margin, lam_diag, n_scale, z)
     gnorm = float(np.linalg.norm(grad))
     if gnorm <= gtol:
         return z, {"iterations": max_iter, "objective": obj, "grad_norm": gnorm}
@@ -437,6 +449,44 @@ def sh_svm_lowrank(fmap: FeatureMap, y, reg: RegPair) -> LowRankModel:
     lam = _lambda_diag(reg, fmap.signs)
     z, info = _newton_squared_hinge(fmap.phi, y, lam, float(fmap.n))
     return LowRankModel(z=z, map=fmap, learner="shsvm", reg=reg, diagnostics=info)
+
+
+LEARNERS = ("lsm", "vclsm", "shsvm")
+
+
+def variance_target(y, factor: float = 1.0) -> float:
+    """The vclsm variance target factor * sqrt(n) * std(y) of n targets y."""
+    return float(factor * np.sqrt(len(y)) * np.std(y))
+
+
+def learner_path(learner: str, fmap: FeatureMap, y) -> tuple[FeatureMap, Callable]:
+    """How ``learner`` trains on the signed features ``fmap`` of targets y.
+
+    Returns ``(map, solve)``: the map the learner trains on, whose ``rows``
+    also score new points, and ``solve(reg, r=None)``, the `LowRankModel` for
+    the penalty pair ``reg``.  lsm and shsvm train on ``fmap`` itself and
+    ignore r.  vclsm trains on the centred map (`center_features`) at the
+    variance target r, by default `variance_target(y)`; it keeps one
+    `vc_lsm_path` per penalty pair, shared by every r, and tries a pair whose
+    factorisation raised again on its next use.
+    """
+    if learner == "lsm":
+        return fmap, lambda reg, r=None: krein_krr_lowrank(fmap, y, reg)
+    if learner == "shsvm":
+        return fmap, lambda reg, r=None: sh_svm_lowrank(fmap, y, reg)
+    if learner != "vclsm":
+        raise InvalidInput(f"unknown learner {learner!r}; use one of {', '.join(LEARNERS)}")
+    fmap = center_features(fmap)
+    paths = {}
+
+    def solve(reg: RegPair, r: float | None = None) -> LowRankModel:
+        r = variance_target(y) if r is None else r
+        _check_radius(r)  # before the rank check, as a bad r is the caller's error
+        if reg not in paths:
+            paths[reg] = vc_lsm_path(fmap, y, reg)
+        return paths[reg](r)
+
+    return fmap, solve
 
 
 def flip_shsvm_baseline(fmap: FeatureMap, y, lam: float) -> LowRankModel:

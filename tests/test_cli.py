@@ -100,7 +100,7 @@ def test_approx_outputs_and_row_counts(tmp_path):
     header, medians = read_csv(out / "approx_median.csv")
     assert len(medians) == 4
     result = json.loads((out / "result.json").read_text())
-    assert result["schema_version"] == 1
+    assert result["schema_version"] == 2
     assert result["artifact"]["name"] == "kreinkit"
     assert result["config"]["seed"] == 3
 
@@ -305,13 +305,18 @@ def test_saved_model_reproduces_training_decisions(tmp_path, monkeypatch, learne
     import kreinkit.cli
 
     trained = []
-    original = kreinkit.cli._train_one
+    original = kreinkit.cli.learner_path
 
-    def kept(name, fmap, *args):
-        trained.append((fmap, original(name, fmap, *args)))
-        return trained[-1][1]
+    def kept(name, fmap, y):
+        fmap, solve = original(name, fmap, y)
 
-    monkeypatch.setattr(kreinkit.cli, "_train_one", kept)
+        def solved(*args):
+            trained.append((fmap, solve(*args)))
+            return trained[-1][1]
+
+        return fmap, solved
+
+    monkeypatch.setattr(kreinkit.cli, "learner_path", kept)
     out = tmp_path / "model"
     assert main(["train", *_degenerate_inputs(tmp_path), "--no-standardize",
                  "--kernel", "kernel=tanh a=1.0 b=-1.0", "--learner", learner,
@@ -355,6 +360,29 @@ def test_cv_outputs(tmp_path):
     assert sum(1 for r in rows if r[0] == "lsm") == 3
     header, summary = read_csv(out / "cv_summary.csv")
     assert header == ["learner", "k", "l", "mean_error", "std_error", "median_error"]
+    # the subcommand and every cv flag under its own name, resolved, and nothing else
+    config = json.loads((out / "result.json").read_text())["config"]
+    assert set(config) == {
+        "command", "data", "data_format", "matrix", "matrix_format", "matrix_kind",
+        "no_square", "labels", "target_class", "synthetic", "n", "p", "separation",
+        "kernel", "no_standardize", "pinv_tol", "seed", "out", "learners", "sampler",
+        "ranks", "landmark_factor", "folds", "lambdas", "radius_factors", "inner_folds"}
+    assert config["learners"] == ["lsm"] and config["ranks"] == [12]
+    assert config["radius_factors"] == [0.5, 1.0, 2.0]
+
+
+def test_cv_scores_a_failed_refit_as_an_error(tmp_path):
+    # at full landmarks the centred vclsm features lose a rank, so every
+    # vclsm refit raises RankDeficient
+    out = tmp_path / "cv"
+    assert main(["cv", "--synthetic", "two_gaussians", "--n", "40", "--learners",
+                 "lsm,vclsm,shsvm", "--ranks", "40", "--folds", "3", "--lambdas", "0.1,1",
+                 "--out", str(out)]) == 0
+    result = json.loads((out / "result.json").read_text())
+    failed = {row["learner"]: row["failed_refits"] for row in result["summaries"]}
+    assert failed == {"lsm": 0, "vclsm": 3, "shsvm": 0, "sf-lsm": 0, "constant": 0}
+    _, rows = read_csv(out / "cv_folds.csv")
+    assert [float(r[4]) for r in rows if r[0] == "vclsm"] == [1.0, 1.0, 1.0]
 
 
 def test_cv_constant_row_is_majority_class_error(tmp_path):
@@ -492,12 +520,13 @@ def test_cv_factors_each_vclsm_penalty_pair_once(tmp_path, monkeypatch):
 
 def test_cv_failing_vclsm_factorisation_fails_every_radius(tmp_path, monkeypatch):
     import kreinkit.cli
+    import kreinkit.learners
     from kreinkit import RegPair, SolverError
 
     bad = RegPair(0.01, 0.01)  # the first grid entry, so a tie would pick it
     attempts = []
     picked = []
-    original_path = kreinkit.cli.vc_lsm_path
+    original_path = kreinkit.learners.vc_lsm_path
     original_pick = kreinkit.cli._pick_hyper
 
     def failing_path(fmap, y, reg):
@@ -512,7 +541,7 @@ def test_cv_failing_vclsm_factorisation_fails_every_radius(tmp_path, monkeypatch
             picked.append(hyper)
         return hyper
 
-    monkeypatch.setattr(kreinkit.cli, "vc_lsm_path", failing_path)
+    monkeypatch.setattr(kreinkit.learners, "vc_lsm_path", failing_path)
     monkeypatch.setattr(kreinkit.cli, "_pick_hyper", recorded_pick)
     folds, inner_folds, radii = 3, 2, 3
     rc = main(["cv", *synthetic_args(n=48), "--learners", "vclsm", "--ranks", "8",
@@ -690,11 +719,51 @@ def test_exit_code_solver_errors(tmp_path, capsys):
     write_matrix(zeros, np.zeros((4, 4)))
     assert main(["eigen", "--matrix", str(zeros), "--m", "2", "--seed", "0"]) == 4
     capsys.readouterr()
-    # a vanishing penalty makes the linear-kernel systems exactly singular
-    assert main(["cv", "--synthetic", "two_gaussians", "--n", "40", "--folds", "3",
-                 "--ranks", "10", "--lambdas", "1e-300", "--learners", "lsm,shsvm",
+    # a vanishing penalty makes the linear-kernel Newton Hessian exactly singular
+    assert main(["train", "--synthetic", "two_gaussians", "--n", "40", "--m", "10",
+                 "--lambda-pos", "1e-300", "--lambda-neg", "1e-300", "--learner", "shsvm",
                  "--kernel", "kernel=linear"]) == 4
     assert capsys.readouterr().err.startswith("solver error: ")
+
+
+@pytest.mark.parametrize("command, flags, code", [
+    ("cv", ["--lambdas", "nan"], 2),
+    ("cv", ["--lambdas", "0.1,inf"], 2),
+    ("cv", ["--lambdas", "0"], 2),
+    ("cv", ["--radius-factors", "-1"], 2),
+    ("cv", ["--radius-factors", "0"], 2),
+    ("cv", ["--radius-factors", "1,nan"], 2),
+    ("train", ["--lambda-pos", "-1"], 2),
+    ("train", ["--lambda-pos", "nan"], 2),
+    ("train", ["--lambda-neg", "inf"], 2),
+    ("train", ["--radius", "-1"], 2),
+    ("train", ["--radius", "0"], 2),
+    ("train", ["--radius", "nan"], 2),
+    # zero penalties pass the check and reach the (missing) data
+    ("train", ["--lambda-pos", "0", "--lambda-neg", "0"], 3),
+])
+def test_hyperparameters_are_checked_before_any_io(tmp_path, capsys, command, flags, code):
+    # the input files do not exist, so reading them exits 3
+    inputs = ["--data", str(tmp_path / "x.csv"), "--labels", str(tmp_path / "y.txt"),
+              "--kernel", "kernel=linear", *(["--m", "5"] if command == "train" else [])]
+    assert main([command, *inputs, *flags]) == code
+    assert capsys.readouterr().err.startswith(
+        "configuration error: " if code == 2 else "data error: ")
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("flag", ["--data", "--matrix", "--labels"])
+def test_unreadable_input_files_exit_three(tmp_path, capsys, flag, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    write_matrix(tmp_path / "k.csv", np.eye(4))
+    inputs = {"--data": ["--data", str(path), "--kernel", "kernel=linear"],
+              "--matrix": ["--matrix", str(path)],
+              "--labels": ["--matrix", str(tmp_path / "k.csv"), "--labels", str(path)]}
+    assert main(["sample", *inputs[flag], "--m", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(path) in err
 
 
 def test_unknown_flag_exits_two(capsys):

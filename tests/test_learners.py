@@ -19,6 +19,7 @@ from kreinkit import (
     gram,
     krein_krr_full,
     krein_krr_lowrank,
+    learner_path,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -369,6 +370,32 @@ def test_shsvm_scratch_is_bounded(peak_bytes):
     assert peak_bytes(lambda: sh_svm_lowrank(fmap, y, RegPair(1e-3, 1e-3))) <= 0.5 * phi.nbytes
 
 
+def test_shsvm_newton_forms_each_candidates_margins_once():
+    rng = np.random.default_rng(47)
+    n, m = 300, 12
+    phi = rng.normal(size=(n, m))
+    y = np.sign(phi @ rng.normal(size=m))
+    y[rng.random(n) < 0.1] *= -1.0
+    lam = np.full(m, 1e-3)
+    products = []
+
+    class Counted(np.ndarray):
+        # records the vector of every n x m product F z
+        def __matmul__(self, other):
+            if self.shape == (n, m) and np.ndim(other) == 1:
+                products.append(np.array(other))
+            return np.asarray(self) @ other
+
+    z, info = learners._newton_squared_hinge(phi.view(Counted), y, lam, float(n))
+    reference, reference_info = learners._newton_squared_hinge(phi, y, lam, float(n))
+    assert np.array_equal(z, reference) and info == reference_info
+    assert info["iterations"] >= 3
+    # the start point, then one product per line-search candidate and none for
+    # the accepted iterate's gradient or active set
+    assert len(products) == 1 + info["iterations"]
+    assert len({v.tobytes() for v in products}) == len(products)
+
+
 def test_shsvm_label_validation():
     fmap = FeatureMap(phi=np.eye(3), signs=np.ones(3), factor=None)
     with pytest.raises(InvalidInput):
@@ -493,6 +520,29 @@ def test_centred_features_centre_the_kernel_at_full_landmarks():
                     rtol=0, atol=1e-12)
     # other rows are shifted by the training mean, so the training rows return
     assert np.array_equal(fmap.rows(k.values), fmap.phi)
+
+
+def test_learner_path_trains_as_the_solvers_do():
+    rng = np.random.default_rng(43)
+    n = 24
+    fmap = landmark_feature_map(random_indefinite(rng, n), 10)
+    y = binary_labels(rng, n)
+    reg = RegPair(0.05, 0.2)
+    for learner, solver in (("lsm", krein_krr_lowrank), ("shsvm", sh_svm_lowrank)):
+        trained_on, solve = learner_path(learner, fmap, y)
+        assert trained_on is fmap
+        for r in (None, 2.5):  # ignored
+            assert np.array_equal(solve(reg, r).z, solver(fmap, y, reg).z)
+    centred, solve = learner_path("vclsm", fmap, y)
+    assert np.array_equal(centred.phi, center_features(fmap).phi)
+    assert np.array_equal(centred.mean, center_features(fmap).mean)
+    for r in (2.5, None):
+        model = solve(reg, r)
+        target = float(np.sqrt(n) * np.std(y)) if r is None else r
+        assert model.r_constraint == target
+        assert np.array_equal(model.z, vc_lsm_lowrank(centred, y, reg, target).z)
+    with pytest.raises(InvalidInput):
+        learner_path("svm", fmap, y)
 
 
 # ---------------------------------------------------------------------------
