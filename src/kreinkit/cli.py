@@ -450,7 +450,8 @@ def run_approx_sweep(source: GramSource, samplers, schedule, reps: int, seed: in
         si, sampler, ki, k, l, rep = task
         rng = spawn_rng(seed, _DOMAIN_SWEEP, si, ki, max(rep, 0), int(rep < 0))
         start = time.perf_counter()
-        factor, cross = landmark_factor(source, sampler, l, rng, pinv_tol)
+        factor = landmark_factor(source, sampler, l, rng, pinv_tol)
+        cross = source.cross_all(factor.landmarks.indices)
         eig = truncate_eigen(one_shot_eigen(factor, cross), k)
         seconds = time.perf_counter() - start
         return (sampler, k, l, rep, eig, seconds)
@@ -493,8 +494,9 @@ def cmd_eigen(args: argparse.Namespace) -> int:
     source, _ = load_inputs(args)
     if not 1 <= args.m <= source.n:
         raise ConfigError(f"--m must lie in [1, {source.n}]")
-    factor, cross = landmark_factor(source, args.sampler, args.m,
-                                    spawn_rng(args.seed, _DOMAIN_SINGLE), args.pinv_tol)
+    factor = landmark_factor(source, args.sampler, args.m,
+                             spawn_rng(args.seed, _DOMAIN_SINGLE), args.pinv_tol)
+    cross = source.cross_all(factor.landmarks.indices)
     eig = one_shot_eigen(factor, cross) if args.method == "one_shot" else \
         sgt_one_shot(factor, cross)
     gram_residual = float(np.abs(eig.U.T @ eig.U - np.eye(eig.rank)).max())
@@ -540,13 +542,21 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
+def _feature_map(source: GramSource, factor):
+    """Signed features of every point of ``source`` against the landmarks of
+    ``factor``, filled from one row block of the cross block at a time."""
+    marks = factor.landmarks.indices
+    return build_feature_map(
+        factor, lambda start, stop: source.cross(np.arange(start, stop), marks), source.n)
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     source, y = load_inputs(args, need_labels=True)
     if not 1 <= args.m <= source.n:
         raise ConfigError(f"--m must lie in [1, {source.n}]")
-    factor, cross = landmark_factor(source, args.sampler, args.m,
-                                    spawn_rng(args.seed, _DOMAIN_SINGLE), args.pinv_tol)
-    fmap, solve = learner_path(args.learner, build_feature_map(factor, cross), y)
+    factor = landmark_factor(source, args.sampler, args.m,
+                             spawn_rng(args.seed, _DOMAIN_SINGLE), args.pinv_tol)
+    fmap, solve = learner_path(args.learner, _feature_map(source, factor), y)
     model = solve(RegPair(args.lambda_pos, args.lambda_neg), args.radius)
     training_error = misclassification(np.sign(fmap.phi @ model.z), y) \
         if set(np.unique(y).tolist()) <= {-1.0, 1.0} else None
@@ -597,10 +607,10 @@ def _split_predictor(learner: str, source: GramSource, y, train, test, rank, bud
         solve = sf_lsm_path(source.block(train), y_train)
         cross = source.cross(test, train)
         return lambda lam: solve(lam).predict(cross)
-    factor, cross = landmark_factor(source.subset(train), args.sampler,
-                                    min(budget, train.size), rng, args.pinv_tol)
+    fold = source.subset(train)
+    factor = landmark_factor(fold, args.sampler, min(budget, train.size), rng, args.pinv_tol)
     factor = truncate_factor(factor, rank)
-    fmap, solve = learner_path(learner, build_feature_map(factor, cross), y_train)
+    fmap, solve = learner_path(learner, _feature_map(fold, factor), y_train)
     phi_test = fmap.rows(source.cross(test, train[factor.landmarks.indices]))
 
     def predict(hyper):

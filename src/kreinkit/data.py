@@ -94,6 +94,8 @@ def _parse_grid(path, fmt: str) -> np.ndarray:
         return a if a is not None else _parse_lines(path, fmt)
     except OSError as exc:
         raise ParseError(f"{path}: cannot read the file: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
 def _parse_lines(path, fmt: str) -> np.ndarray:
@@ -186,6 +188,8 @@ def load_labels(path) -> np.ndarray:
                     labels.append(token)
     except OSError as exc:
         raise ParseError(f"{path}: cannot read the file: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if not labels:
         raise ParseError(f"{path}: no labels found", line=1)
     return np.asarray(labels)

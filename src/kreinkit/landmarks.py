@@ -4,7 +4,7 @@ kernel k-means++ seeding in the sketch feature space.
 All samplers are pure functions of their inputs and the generator state, so a
 fixed seed reproduces the exact landmark sets on any platform.
 `landmark_factor` is the one Nystroem construction every caller shares: draw
-landmarks, factor their block with the signs kept, take the cross block.
+landmarks and factor their block with the signs kept.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ def uniform_landmarks(n: int, m: int, rng: np.random.Generator) -> LandmarkSet:
 def build_sketch(source: GramSource, m0: int, rng: np.random.Generator,
                  pinv_tol: float | None = None) -> Sketch:
     """One-shot eigendecomposition from m0 uniform landmarks."""
-    factor, cross = landmark_factor(source, "uniform", m0, rng, pinv_tol)
-    eig = one_shot_eigen(factor, cross)
+    factor = landmark_factor(source, "uniform", m0, rng, pinv_tol)
+    eig = one_shot_eigen(factor, source.cross_all(factor.landmarks.indices))
     features = eig.U * np.sqrt(np.abs(eig.lam))
     return Sketch(eig=eig, features=features, sketch_size=m0,
                   landmarks=factor.landmarks, factor=factor)
@@ -191,9 +191,14 @@ def select_landmarks(sampler: str, source: GramSource, budget: int,
 
 
 def landmark_factor(source: GramSource, sampler: str, budget: int,
-                    rng: np.random.Generator, pinv_tol: float | None
-                    ) -> tuple[NystroemFactor, np.ndarray]:
-    """Landmarks from ``select_landmarks``, the signed factor of their block
-    (which records them), and the n x m cross block against them."""
+                    rng: np.random.Generator, pinv_tol: float | None) -> NystroemFactor:
+    """Landmarks from ``select_landmarks`` and the signed factor of their
+    block, which records them.
+
+    No n x m cross block is formed here.  The feature map takes it one row
+    block at a time (`build_feature_map` over ``source.cross``); only the
+    eigendecomposition routes, which need it whole, take
+    ``source.cross_all(factor.landmarks.indices)``.
+    """
     marks = select_landmarks(sampler, source, budget, rng, pinv_tol)
-    return fit(source.block(marks.indices), pinv_tol, marks), source.cross_all(marks.indices)
+    return fit(source.block(marks.indices), pinv_tol, marks)

@@ -129,26 +129,64 @@ class FeatureMap:
         return rows
 
 
-def feature_rows(factor: NystroemFactor, K_rows) -> np.ndarray:
+# Rows per block of a feature fill or a prediction are this many elements over
+# the landmark count, rounded down to a multiple of 64 rows: 8 MiB of kernel
+# rows at any n.  Every product is taken on this grid of blocks, so a row's
+# features are the same bits whichever array it arrives in; a row-blocked
+# matrix product need not match one product of the whole array.  With
+# OpenBLAS, blocks of a multiple of 64 rows also sum a matrix-vector product
+# as the whole array does, so blocked predictions match phi @ z exactly.
+# Changing the budget moves the features at round-off level.
+_ROW_BLOCK_ELEMENTS = 1 << 20
+
+
+def _row_blocks(n: int, width: int):
+    """(start, stop) of the blocks of n rows of ``width`` elements each."""
+    step = max(64, _ROW_BLOCK_ELEMENTS // max(1, width) // 64 * 64)
+    for start in range(0, n, step):
+        yield start, min(n, start + step)
+
+
+def feature_rows(factor: NystroemFactor, K_rows, out: np.ndarray | None = None) -> np.ndarray:
     """Signed feature rows for arbitrary points given their kernel values
     against the landmarks.  Training and prediction share this path so that
     in-sample predictions agree with the training-time features exactly.
 
     The signs are folded into the m x r projection rather than applied to the
     n x r product: scaling by +-1 is exact, so the rows are the same bits
-    without a second n x r array."""
+    without a second n x r array.  The product is taken one `_row_blocks`
+    block at a time, so a row's features do not depend on how many rows are
+    passed with it.  ``out``, if given, receives the rows of a 2-d K_rows."""
     k = np.asarray(K_rows, dtype=float)
     single = k.ndim == 1
     if single:
         k = k[None, :]
     if k.shape[1] != factor.m:
         raise ShapeError(f"expected kernel rows of length {factor.m}, got {k.shape}")
-    rows = k @ (factor.U_r / np.sqrt(np.abs(factor.d_r)) * factor.s_r)
+    proj = factor.U_r / np.sqrt(np.abs(factor.d_r)) * factor.s_r
+    rows = np.empty((k.shape[0], proj.shape[1])) if out is None else out
+    for start, stop in _row_blocks(k.shape[0], factor.m):
+        np.matmul(k[start:stop], proj, out=rows[start:stop])
     return rows[0] if single else rows
 
 
-def build_feature_map(factor: NystroemFactor, K_XZ) -> FeatureMap:
-    phi = feature_rows(factor, K_XZ)
+def build_feature_map(factor: NystroemFactor, K_XZ, n: int | None = None) -> FeatureMap:
+    """Signed features of the n training points, filled one `_row_blocks`
+    block at a time into one n x r array.
+
+    ``K_XZ`` is either the n x m cross block against the landmarks or a
+    function ``rows(start, stop)`` returning its rows start:stop, with n
+    given; in the second case no n x m array is ever whole.  Either way the
+    map holds the bits `feature_rows` gives for the whole cross block.
+    """
+    if callable(K_XZ):
+        rows = K_XZ
+    else:
+        k = np.asarray(K_XZ, dtype=float)
+        n, rows = k.shape[0], lambda start, stop: k[start:stop]
+    phi = np.empty((n, factor.effective_rank))
+    for start, stop in _row_blocks(n, factor.m):
+        feature_rows(factor, rows(start, stop), out=phi[start:stop])
     return FeatureMap(phi=phi, signs=np.array(factor.s_r), factor=factor)
 
 
@@ -241,7 +279,16 @@ class LowRankModel:
     diagnostics: dict = field(default_factory=dict)
 
     def predict(self, k_rows) -> np.ndarray | float:
-        return self.map.rows(k_rows) @ self.z
+        """Decision values of points from their kernel rows against the
+        landmarks, scored one `_row_blocks` block at a time: the only arrays
+        formed are the output and one block of feature rows."""
+        k = np.asarray(k_rows, dtype=float)
+        if k.ndim != 2:
+            return self.map.rows(k) @ self.z
+        out = np.empty(k.shape[0])
+        for start, stop in _row_blocks(k.shape[0], k.shape[1]):
+            out[start:stop] = self.map.rows(k[start:stop]) @ self.z
+        return out
 
 
 def _as_labels(y, n: int) -> np.ndarray:

@@ -24,8 +24,6 @@ __all__ = [
     "SphereQP",
     "sym_eigen",
     "thin_svd",
-    "flip_spectrum",
-    "flip_projector",
     "indefiniteness",
     "SphereQPFactor",
     "factor_sphere_qp",
@@ -146,18 +144,6 @@ def sym_eigen(M, tau_zero: float | None = None) -> SignedEigenSystem:
     s = np.sign(d)
     s[np.abs(d) <= tau_zero] = 0.0
     return SignedEigenSystem(U=_frozen(u), d=_frozen(d), s=_frozen(s), tau_zero=float(tau_zero))
-
-
-def flip_spectrum(eig: SignedEigenSystem) -> SymMatrix:
-    """Positive semidefinite matrix U diag(d * s) U.T obtained by flipping the
-    sign of every negative eigenvalue."""
-    return SymMatrix((eig.U * (eig.d * eig.s)) @ eig.U.T)
-
-
-def flip_projector(eig: SignedEigenSystem) -> SymMatrix:
-    """Sign operator U diag(s) U.T; multiplying the original matrix by it
-    yields the flipped-spectrum matrix."""
-    return SymMatrix((eig.U * eig.s) @ eig.U.T)
 
 
 def indefiniteness(eig: SignedEigenSystem) -> float:

@@ -22,9 +22,7 @@ __all__ = [
     "NystroemFactor",
     "OneShotEigen",
     "fit",
-    "project_coeffs",
     "approximate",
-    "extend",
     "one_shot_eigen",
     "sgt_one_shot",
     "truncate_factor",
@@ -167,26 +165,11 @@ def _check_cross(factor: NystroemFactor, K_XZ) -> np.ndarray:
     return k
 
 
-def project_coeffs(factor: NystroemFactor, k_x) -> np.ndarray:
-    """Projection coefficients of one point: pseudo-inverse of the landmark
-    block applied to its kernel column."""
-    v = np.asarray(k_x, dtype=float)
-    if v.shape != (factor.m,):
-        raise ShapeError(f"expected a kernel column of length {factor.m}")
-    return factor.U_r @ ((factor.U_r.T @ v) / factor.d_r)
-
-
 def approximate(factor: NystroemFactor, K_XZ) -> SymMatrix:
     """Low-rank approximation K_XZ pinv(K_ZZ) K_ZX of the full matrix."""
     k = _check_cross(factor, K_XZ)
     c = k @ factor.U_r
     return SymMatrix((c / factor.d_r) @ c.T)
-
-
-def extend(factor: NystroemFactor, K_XZ, k_x) -> np.ndarray:
-    """Out-of-sample column of the approximation for one new point."""
-    k = _check_cross(factor, K_XZ)
-    return k @ project_coeffs(factor, k_x)
 
 
 def one_shot_eigen(factor: NystroemFactor, K_XZ) -> OneShotEigen:

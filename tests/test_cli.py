@@ -8,19 +8,27 @@ from numpy.testing import assert_allclose
 from kreinkit import (
     ConfigError,
     GramSource,
+    RegPair,
+    SymMatrix,
     approximate,
+    feature_rows,
     frobenius_error,
     gaussian_diff,
     gram,
     gram_cross,
+    landmark_factor,
+    learner_path,
     load_model,
+    make_rng,
     misclassification,
+    parse_kernel_spec,
     reconstruct,
     tanh_sigmoid,
     truncate_eigen,
     write_matrix,
 )
-from kreinkit.cli import _parse_ranks, main
+from kreinkit import learners
+from kreinkit.cli import _feature_map, _parse_ranks, main
 
 
 def read_csv(path):
@@ -342,6 +350,73 @@ def test_train_forms_no_whole_data_matrix(tmp_path, monkeypatch, learner):
     refuse_order(monkeypatch, kreinkit.nystroem, 60)
     assert main(["train", *synthetic_args(n=60), "--m", "12", "--learner", learner,
                  "--seed", "4", "--out", str(tmp_path / "model")]) == 0
+
+
+@pytest.mark.parametrize("learner", ["lsm", "vclsm", "shsvm"])
+def test_train_takes_the_cross_block_by_rows(tmp_path, monkeypatch, learner):
+    def whole(*args, **kwargs):
+        raise AssertionError("took the whole n x m cross block")
+
+    monkeypatch.setattr(GramSource, "cross_all", whole)
+    assert main(["train", *synthetic_args(n=60), "--m", "12", "--learner", learner,
+                 "--seed", "4", "--out", str(tmp_path / "model")]) == 0
+
+
+@pytest.mark.parametrize("learner", ["lsm", "shsvm"])
+def test_train_peaks_at_one_feature_array(tmp_path, peak_bytes, learner):
+    # the features are filled from one row block of the cross block at a
+    # time, so the n x m cross block is never held next to the n x r features
+    n, m = 30000, 300
+    out = tmp_path / "model"
+    argv = ["train", "--synthetic", "two_gaussians", "--n", str(n), "--p", "16",
+            "--kernel", "kernel=gaussdiff sigma1=4.0 sigma2=8.0", "--m", str(m),
+            "--learner", learner, "--seed", "1", "--out", str(out)]
+    codes = []
+    peak = peak_bytes(lambda: codes.append(main(argv)))
+    rank = json.loads((out / "result.json").read_text())["effective_rank"]
+    assert codes == [0]
+    assert peak <= 1.3 * n * rank * 8
+
+
+# rows within tolerance of the reference, exactly when tol is 0
+def _agree(rows, reference, tol):
+    if tol == 0.0:
+        return np.array_equal(rows, reference)
+    return np.abs(rows - reference).max() <= tol * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("kernel, tol", [
+    ("matrix", 0.0),
+    ("kernel=gaussdiff sigma1=1.0 sigma2=3.0", 0.0),
+    ("kernel=gauss sigma=1.5", 0.0),
+    ("kernel=epan sigma=3.0", 0.0),
+    # their kernel rows are BLAS products, summed in another order by blocks
+    ("kernel=tanh a=0.5 b=-0.2", 1e-12),
+    ("kernel=linear", 1e-12),
+])
+def test_features_and_predictions_by_row_blocks(monkeypatch, kernel, tol):
+    rng = np.random.default_rng(21)
+    if kernel == "matrix":
+        a = rng.normal(size=(300, 300))
+        source = GramSource.from_matrix(SymMatrix((a + a.T) / 2.0))
+    else:
+        source = GramSource.from_data(parse_kernel_spec(kernel), rng.normal(size=(300, 4)))
+    factor = landmark_factor(source, "uniform", 20, make_rng(3), None)
+    cross = source.cross_all(factor.landmarks.indices)
+    one_product = cross @ (factor.U_r / np.sqrt(np.abs(factor.d_r)) * factor.s_r)
+    monkeypatch.setattr(learners, "_ROW_BLOCK_ELEMENTS", 64 * factor.m)
+    assert len(list(learners._row_blocks(source.n, factor.m))) == 5
+    fmap = _feature_map(source, factor)
+    # the whole cross block goes through the same row blocks, so the rows
+    # agree as far as the kernel rows do; one product of the whole block may
+    # sum the last rows of a block in another order
+    assert _agree(fmap.phi, feature_rows(factor, cross), tol)
+    assert _agree(fmap.phi, one_product, 1e-12)
+    y = np.where(rng.random(300) < 0.5, -1.0, 1.0)
+    for learner in ("lsm", "vclsm"):
+        trained, solve = learner_path(learner, fmap, y)
+        model = solve(RegPair(0.1, 0.1))
+        assert _agree(model.predict(cross), trained.phi @ model.z, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -751,12 +826,14 @@ def test_hyperparameters_are_checked_before_any_io(tmp_path, capsys, command, fl
         "configuration error: " if code == 2 else "data error: ")
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "non_utf8"])
 @pytest.mark.parametrize("flag", ["--data", "--matrix", "--labels"])
 def test_unreadable_input_files_exit_three(tmp_path, capsys, flag, kind):
     path = tmp_path / "input"
     if kind == "directory":
         path.mkdir()
+    elif kind == "non_utf8":
+        path.write_bytes(np.random.default_rng(8).bytes(300))
     write_matrix(tmp_path / "k.csv", np.eye(4))
     inputs = {"--data": ["--data", str(path), "--kernel", "kernel=linear"],
               "--matrix": ["--matrix", str(path)],

@@ -199,19 +199,18 @@ def test_kmeanspp_budget_validation():
 
 
 # ---------------------------------------------------------------------------
-# the shared select -> fit -> cross block construction
+# the shared select -> fit construction
 
 
 @pytest.mark.parametrize("sampler", ["uniform", "leverage", "kmeanspp"])
 def test_landmark_factor_matches_its_steps(sampler):
     src = fixture_source(n=45, seed=11)
     marks = select_landmarks(sampler, src, 8, make_rng(12), None)
-    factor, cross = landmark_factor(src, sampler, 8, make_rng(12), None)
+    factor = landmark_factor(src, sampler, 8, make_rng(12), None)
     assert np.array_equal(factor.landmarks.indices, marks.indices)
     assert factor.landmarks.requested == marks.requested == 8
     if marks.multiplicity is not None:
         assert np.array_equal(factor.landmarks.multiplicity, marks.multiplicity)
-    assert np.array_equal(cross, src.cross_all(marks.indices))
     assert np.array_equal(factor.eig.d, fit(src.block(marks.indices)).eig.d)
 
 

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from kreinkit import (
     FeatureMap,
     InvalidInput,
+    LowRankModel,
     RankDeficient,
     RegPair,
     SymMatrix,
@@ -166,6 +167,22 @@ def test_feature_rows_allocate_only_their_output(peak_bytes):
     cross = rng.normal(size=(20000, 50))
     out = 20000 * factor.effective_rank * 8
     assert peak_bytes(lambda: feature_rows(factor, cross)) <= 1.1 * out
+
+
+def test_predict_allocates_its_output_and_one_block(peak_bytes):
+    rng = np.random.default_rng(16)
+    n, m = 60000, 40
+    factor = fit(random_indefinite(rng, m))
+    r = factor.effective_rank
+    fmap = FeatureMap(phi=np.zeros((0, r)), signs=np.array(factor.s_r), factor=factor,
+                      mean=rng.normal(size=r))
+    model = LowRankModel(z=rng.normal(size=r), map=fmap, learner="vclsm",
+                         reg=RegPair(0.1, 0.1))
+    k = rng.normal(size=(n, m))
+    start, stop = next(learners._row_blocks(n, m))
+    assert stop - start < n
+    block = (stop - start) * r * 8
+    assert peak_bytes(lambda: model.predict(k)) <= n * 8 + 1.1 * block
 
 
 def test_low_rank_predictions_reproduce_training_scores():

@@ -9,12 +9,11 @@ from kreinkit import (
     SingularLandmarkBlock,
     SymMatrix,
     approximate,
-    extend,
     fit,
     flop_count,
     frobenius_error,
     one_shot_eigen,
-    project_coeffs,
+    feature_rows,
     reconstruct,
     sgt_one_shot,
     sym_eigen,
@@ -96,18 +95,18 @@ def test_landmark_block_reproduced():
     assert_allclose(approx[np.ix_(idx, idx)], k.values[np.ix_(idx, idx)], atol=1e-9)
 
 
-def test_extend_and_project_consistency():
+def test_feature_rows_extend_the_approximation():
+    # a new point's signed features give its column of the approximation,
+    # which is what scoring points outside the training set relies on
     rng = np.random.default_rng(2)
     k = random_indefinite(rng, 15)
     idx = np.arange(6)
     factor = fit(SymMatrix(k.values[np.ix_(idx, idx)]))
     approx = approximate(factor, k.values[:, idx]).values
+    phi = feature_rows(factor, k.values[:, idx])
     for point in (7, 8):
-        column = extend(factor, k.values[:, idx], k.values[point, idx])
+        column = (phi * factor.s_r) @ feature_rows(factor, k.values[point, idx])
         assert_allclose(column, approx[:, point], atol=1e-9)
-    v = rng.normal(size=6)
-    coeffs = project_coeffs(factor, v)
-    assert_allclose(k.values[np.ix_(idx, idx)] @ coeffs, v, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
