@@ -127,19 +127,29 @@ def test_sym_eigen_deterministic():
 # flip spectrum
 
 
-def test_sym_eigen_signs_flip_the_spectrum():
+def test_flip_spectrum_diagonal():
     # d * s is the flipped spectrum |d| the flip baselines train on, and
-    # U diag(s) U' is the sign operator, an involution, that maps K to it
+    # U diag(s) U' is the sign operator that maps K to it
     eig = sym_eigen(SymMatrix(np.diag([2.0, -3.0])))
     assert_allclose(eig.d * eig.s, [3.0, 2.0])
+    assert_allclose((eig.U * (eig.d * eig.s)) @ eig.U.T, np.diag([2.0, 3.0]), atol=1e-14)
+    assert_allclose((eig.U * eig.s) @ eig.U.T, np.diag([1.0, -1.0]), atol=1e-14)
+
+
+def test_flip_spectrum_is_psd():
     rng = np.random.default_rng(5)
     for _ in range(10):
         eig = sym_eigen(random_symmetric(rng, 8))
         assert np.array_equal(eig.d * eig.s, np.abs(eig.d))
-        p = (eig.U * eig.s) @ eig.U.T
-        assert_allclose(p @ p, np.eye(8), atol=1e-10)
         flipped = (eig.U * (eig.d * eig.s)) @ eig.U.T
         assert np.linalg.eigvalsh(flipped).min() >= -1e-10
+
+
+def test_flip_projector_involution():
+    rng = np.random.default_rng(6)
+    eig = sym_eigen(random_symmetric(rng, 6))
+    p = (eig.U * eig.s) @ eig.U.T
+    assert_allclose(p @ p, np.eye(6), atol=1e-10)
 
 
 def test_indefiniteness():
