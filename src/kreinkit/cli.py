@@ -56,7 +56,6 @@ from .errors import (
     ShapeError,
     SingularLandmarkBlock,
     SolverError,
-    UseLoadMatrixInstead,
 )
 from .kernels import (
     GramSource,
@@ -90,17 +89,20 @@ from .nystroem import (
     truncate_factor,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 SAMPLERS = ("uniform", "leverage", "kmeanspp")
 # the kernel of --synthetic inputs and of bench when --kernel is not given
 DEFAULT_KERNEL = "kernel=gaussdiff sigma1=1.0 sigma2=3.0"
 
-# spawn-key domains for derived generators, so every task seed is distinct
+# spawn-key domains for derived generators, so every task seed is distinct;
+# _DOMAIN_CV seeds the fold plans and the inner splits, _DOMAIN_REFIT the
+# outer refits
 _DOMAIN_DATA = 0
 _DOMAIN_SWEEP = 1
 _DOMAIN_CV = 2
 _DOMAIN_BENCH = 3
 _DOMAIN_SINGLE = 4
+_DOMAIN_REFIT = 5
 
 
 # ---------------------------------------------------------------------------
@@ -163,63 +165,68 @@ def _parse_name_list(text: str, allowed, flag: str) -> list:
     return names
 
 
-def _add_input_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("input")
-    group.add_argument("--data", help="feature table (rows = points)")
-    group.add_argument("--data-format", default="csv", choices=["csv", "whitespace"])
-    group.add_argument("--matrix", help="precomputed square matrix file")
-    group.add_argument("--matrix-format", default="csv", choices=["csv", "whitespace"])
-    group.add_argument("--matrix-kind", default="similarity",
-                       choices=["similarity", "dissimilarity"])
-    group.add_argument("--no-square", action="store_true",
-                       help="dissimilarities are already squared")
-    group.add_argument("--labels", help="label file, one label per line")
-    group.add_argument("--target-class", help="map labels to +1 (target) / -1 (rest)")
-    group.add_argument("--synthetic", choices=["two_gaussians", "concentric"])
-    group.add_argument("--n", type=int, default=500, help="synthetic sample count")
-    group.add_argument("--p", type=int, default=4, help="synthetic feature count")
-    group.add_argument("--separation", type=float, default=6.0)
-    group.add_argument("--kernel", help='e.g. "kernel=gaussdiff sigma1=1.0 sigma2=3.0"')
-    group.add_argument("--no-standardize", action="store_true",
-                       help="skip feature standardization for vector data")
-    group.add_argument("--pinv-tol", type=float, default=None)
-
-
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of every data command and of bench."""
+    parser.add_argument("--p", type=int, default=4, help="feature count of generated points")
+    parser.add_argument("--kernel", help='e.g. "kernel=gaussdiff sigma1=1.0 sigma2=3.0"')
+    parser.add_argument("--pinv-tol", type=float, default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", help="output directory (default: print summary only)")
 
 
+def _add_input_flags(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_argument_group("input")
+    group.add_argument("--data", help="feature table (rows = points), comma- or "
+                       "whitespace-separated as its first line shows")
+    group.add_argument("--matrix", help="precomputed square matrix file, laid out as --data")
+    group.add_argument("--matrix-kind", default="similarity",
+                       choices=["similarity", "dissimilarity"])
+    group.add_argument("--no-square", action="store_true",
+                       help="dissimilarities are already squared")
+    group.add_argument("--synthetic", choices=["two_gaussians", "concentric"])
+    group.add_argument("--n", type=int, default=500, help="synthetic sample count")
+    group.add_argument("--separation", type=float, default=6.0)
+    group.add_argument("--no-standardize", action="store_true",
+                       help="skip feature standardization for vector data")
+    _add_shared_flags(parser)
+
+
+def _add_label_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--labels", help="label file, one label per line")
+    parser.add_argument("--target-class", help="map labels to +1 (target) / -1 (rest)")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="kreinkit", description=__doc__,
+    # no abbreviations: a prefix of a flag is an unknown flag, not that flag
+    parser = argparse.ArgumentParser(prog="kreinkit", description=__doc__, allow_abbrev=False,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("approx", help="approximation error/time sweep")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
+
+    p = command("approx", "approximation error/time sweep")
     _add_input_flags(p)
-    _add_run_flags(p)
     p.add_argument("--samplers", default="uniform",
                    type=lambda text: _parse_name_list(text, SAMPLERS, "--samplers"))
     p.add_argument("--ranks", default="10:160:x2", type=_parse_ranks)
     p.add_argument("--landmark-factor", default="1", choices=["1", "logn"])
     p.add_argument("--reps", type=int, default=10)
 
-    p = sub.add_parser("eigen", help="one approximate eigendecomposition")
+    p = command("eigen", "one approximate eigendecomposition")
     _add_input_flags(p)
-    _add_run_flags(p)
     p.add_argument("--m", type=int, required=True, help="landmark budget")
     p.add_argument("--sampler", default="uniform", choices=SAMPLERS)
     p.add_argument("--method", default="one_shot", choices=["one_shot", "sgt"])
 
-    p = sub.add_parser("sample", help="write a landmark set")
+    p = command("sample", "write a landmark set")
     _add_input_flags(p)
-    _add_run_flags(p)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--sampler", default="uniform", choices=SAMPLERS)
 
-    p = sub.add_parser("train", help="fit one learner on the full dataset")
+    p = command("train", "fit one learner on the full dataset")
     _add_input_flags(p)
-    _add_run_flags(p)
+    _add_label_flags(p)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--sampler", default="uniform", choices=SAMPLERS)
     p.add_argument("--learner", default="lsm", choices=LEARNERS)
@@ -228,9 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=None,
                    help="variance target for vclsm (default sqrt(n) * std(y))")
 
-    p = sub.add_parser("cv", help="stratified k-fold evaluation")
+    p = command("cv", "stratified k-fold evaluation")
     _add_input_flags(p)
-    _add_run_flags(p)
+    _add_label_flags(p)
     p.add_argument("--learners", default=",".join(LEARNERS),
                    type=lambda text: _parse_name_list(text, LEARNERS, "--learners"))
     p.add_argument("--sampler", default="uniform", choices=SAMPLERS)
@@ -244,9 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
                    type=lambda text: _parse_float_list(text, "--radius-factors"))
     p.add_argument("--inner-folds", type=int, default=3)
 
-    p = sub.add_parser("bench", help="wall-clock scaling of both routes")
-    _add_input_flags(p)
-    _add_run_flags(p)
+    # bench draws its own standard-normal points per schedule entry
+    p = command("bench", "wall-clock scaling of both routes")
+    _add_shared_flags(p)
+    p.set_defaults(kernel=DEFAULT_KERNEL)
     p.add_argument("--n-schedule", default="2000,4000,8000",
                    type=lambda text: _parse_int_list(text, "--n-schedule"))
     p.add_argument("--m", type=int, default=200)
@@ -254,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="one_shot,sgt",
                    type=lambda text: _parse_name_list(text, ("one_shot", "sgt"), "--methods"))
 
-    p = sub.add_parser("flops", help="closed-form multiplication counts")
+    p = command("flops", "closed-form multiplication counts")
     p.add_argument("--n", default="1000000", type=lambda text: _parse_int_list(text, "--n"))
     p.add_argument("--m", default="1000", type=lambda text: _parse_int_list(text, "--m"))
     p.add_argument("--out")
@@ -292,16 +300,18 @@ def validate_config(args: argparse.Namespace) -> None:
         _check_finite("--lambda-pos/--lambda-neg", [args.lambda_pos, args.lambda_neg],
                       zero_ok=True)
         _check_finite("--radius", [args.radius])
-    inputs = sum(1 for v in (args.data, args.matrix, args.synthetic) if v)
     if args.command == "bench":
-        # bench draws its own standard-normal points per schedule entry
-        if inputs:
-            raise ConfigError("bench generates its own data; drop the input flags")
-    elif inputs == 0:
+        if args.p < 1:
+            raise ConfigError("--p must be at least 1")
+        return
+    inputs = sum(1 for v in (args.data, args.matrix, args.synthetic) if v)
+    if inputs == 0:
         raise ConfigError("provide exactly one of --data, --matrix, --synthetic")
-    elif inputs > 1:
+    if inputs > 1:
         raise ConfigError("--data, --matrix, and --synthetic are mutually exclusive")
-    if (args.synthetic or args.command == "bench") and not args.kernel:
+    if args.matrix and args.kernel:
+        raise ConfigError("--matrix holds the kernel values; drop --kernel")
+    if args.synthetic and not args.kernel:
         args.kernel = DEFAULT_KERNEL
     if args.data and not args.kernel:
         raise ConfigError("vector data needs --kernel")
@@ -331,22 +341,25 @@ def load_inputs(args: argparse.Namespace, need_labels: bool = False):
     """Build the Gram source (and labels) described by the configuration."""
     y = None
     if args.matrix:
-        loaded = load_matrix(args.matrix, args.matrix_format, kind=args.matrix_kind,
-                             squared=args.no_square)
+        loaded = load_matrix(args.matrix, kind=args.matrix_kind, squared=args.no_square)
         if args.matrix_kind == "dissimilarity":
             loaded = double_center_neg(loaded)
         source = GramSource.from_matrix(loaded)
     else:
         if args.synthetic:
-            ds = make_synthetic(args.synthetic, args.n, args.p,
-                                spawn_rng(args.seed, _DOMAIN_DATA), args.separation)
-            x, y = ds.X, ds.y
+            try:
+                x, y = make_synthetic(args.synthetic, args.n, args.p,
+                                      spawn_rng(args.seed, _DOMAIN_DATA), args.separation)
+            except InvalidInput as exc:
+                raise ConfigError(str(exc)) from None
         else:
-            x = load_table(args.data, args.data_format)
+            x = load_table(args.data)
         if not args.no_standardize:
             x, _ = standardize(x)
         source = GramSource.from_data(parse_kernel_spec(args.kernel), x)
 
+    if not need_labels:
+        return source, None
     if args.labels:
         raw = load_labels(args.labels)
         if raw.shape[0] != source.n:
@@ -362,7 +375,7 @@ def load_inputs(args: argparse.Namespace, need_labels: bool = False):
                 raise ConfigError(
                     "labels are not numeric; use --target-class to binarize"
                 ) from None
-    if need_labels and y is None:
+    if y is None:
         raise ConfigError("this command needs labels (--labels or --synthetic)")
     return source, y
 
@@ -655,25 +668,22 @@ def run_cv(source: GramSource, y, args: argparse.Namespace):
     for learner, k, l, key in runs:
         rates = []
         failed = 0
-        train_s = predict_s = 0.0
+        refit_s = 0.0
         for fi, (train, test) in enumerate(splits):
             hyper = _pick_hyper(learner, source, y, train, k, l, args, (*key, fi))
-            t0 = time.perf_counter()
+            start = time.perf_counter()
             predict = _split_predictor(learner, source, y, train, test, k, l, args,
-                                       spawn_rng(args.seed, _DOMAIN_CV, *key, fi))
+                                       spawn_rng(args.seed, _DOMAIN_REFIT, *key, fi))
             try:
                 preds = predict(hyper)
             except (SolverError, RankDeficient):
                 preds = None  # scored as a failing inner grid point is
-            t1 = time.perf_counter()
+            refit_s += time.perf_counter() - start
             failed += preds is None
             rate = 1.0 if preds is None else misclassification(np.sign(preds), y[test])
-            train_s += t1 - t0
-            predict_s += time.perf_counter() - t1
             rates.append(rate)
             fold_rows.append((learner, k, l, fi, rate))
-        timings = {"train_seconds": train_s, "predict_seconds": predict_s} \
-            if learner in LEARNERS else {}
+        timings = {"refit_seconds": refit_s} if learner in LEARNERS else {}
         summaries.append((learner, k, l, EvalResult.from_rates(rates, timings), failed))
     return fold_rows, summaries
 
@@ -798,7 +808,7 @@ _COMMANDS = {
 }
 
 _DATA_ERRORS = (ParseError, FoldError, InvalidClass, ShapeError, InvalidInput,
-                UseLoadMatrixInstead, DegenerateSpectrum, DegenerateScores)
+                DegenerateSpectrum, DegenerateScores)
 _SOLVER_ERRORS = (SolverError, SingularLandmarkBlock, RankDeficient)
 
 

@@ -16,7 +16,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .kernels import Dataset, center_kernel
+from .kernels import center_kernel
 from .linalg import SymMatrix
 
 __all__ = [
@@ -63,49 +63,53 @@ class DissimilarityMatrix:
         return self.values.shape[0]
 
 
-def _split_line(line: str, fmt: str) -> list[str]:
-    if fmt == "csv":
-        return [token.strip() for token in line.split(",")]
-    return line.split()
+def _delimiter(path) -> str | None:
+    """',' when the first non-blank line of the file holds a comma, else None:
+    no number contains a comma, so a comma-free table splits on whitespace."""
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            if line.strip():
+                return "," if "," in line else None
+    return None
 
 
-def _parse_fast(path, fmt: str) -> np.ndarray | None:
+def _parse_fast(path, delimiter: str | None) -> np.ndarray | None:
     """The table through NumPy's C parser, or None where that parser rejects
     it or finds no rows."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "Empty input file"
-            a = np.loadtxt(path, delimiter="," if fmt == "csv" else None,
-                           comments=None, ndmin=2, dtype=float, encoding="utf-8")
+            a = np.loadtxt(path, delimiter=delimiter, comments=None, ndmin=2, dtype=float,
+                           encoding="utf-8")
     except ValueError:
         return None
     return a if a.size else None
 
 
-def _parse_grid(path, fmt: str) -> np.ndarray:
-    """Numeric table of a text file.  The C parser reads well-formed files;
-    anything it rejects (a bad or ragged row, whitespace-only lines in a csv
-    file, or a token only Python's float() accepts, such as ``1_0``) is read
-    again line by line, which returns the same array or locates the error."""
-    if fmt not in ("csv", "whitespace"):
-        raise InvalidInput(f"unknown format {fmt!r}; use 'csv' or 'whitespace'")
+def _parse_grid(path) -> np.ndarray:
+    """Numeric table of a text file, comma-separated or whitespace-separated
+    as `_delimiter` finds.  The C parser reads well-formed files; anything it
+    rejects (a bad or ragged row, whitespace-only lines in a csv file, or a
+    token only Python's float() accepts, such as ``1_0``) is read again line
+    by line, which returns the same array or locates the error."""
     try:
-        a = _parse_fast(path, fmt)
-        return a if a is not None else _parse_lines(path, fmt)
+        delimiter = _delimiter(path)
+        a = _parse_fast(path, delimiter)
+        return a if a is not None else _parse_lines(path, delimiter)
     except OSError as exc:
         raise ParseError(f"{path}: cannot read the file: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
-def _parse_lines(path, fmt: str) -> np.ndarray:
+def _parse_lines(path, delimiter: str | None) -> np.ndarray:
     rows = []
     width = None
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            tokens = _split_line(line.strip(), fmt)
+            tokens = [token.strip() for token in line.split(delimiter)]
             parsed = []
             for col, token in enumerate(tokens, start=1):
                 try:
@@ -128,21 +132,20 @@ def _parse_lines(path, fmt: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def load_table(path, fmt: str = "csv") -> np.ndarray:
+def load_table(path) -> np.ndarray:
     """Rectangular numeric table (feature rows); errors carry line/column."""
-    return _parse_grid(path, fmt)
+    return _parse_grid(path)
 
 
-def load_matrix(path, fmt: str = "csv", kind: str = "similarity",
-                squared: bool = False):
-    """Square matrix from a dense text file.
+def load_matrix(path, kind: str = "similarity", squared: bool = False):
+    """Square matrix from a dense text file, laid out as for `load_table`.
 
     ``kind`` selects the return type: 'similarity' gives a SymMatrix,
     'dissimilarity' a DissimilarityMatrix tagged with ``squared``.  Asymmetry
     is tolerated up to 1e-6 relative and symmetrized away; anything worse is
     a parse error pointing at the worst entry.
     """
-    a = _parse_grid(path, fmt)
+    a = _parse_grid(path)
     if a.shape[0] != a.shape[1]:
         raise ParseError(
             f"{path}: expected a square matrix, got {a.shape[0]} x {a.shape[1]}",
@@ -209,7 +212,6 @@ class CVPlan:
 
     k: int
     folds: tuple
-    seed_note: str = ""
 
     def __post_init__(self):
         if self.k != len(self.folds):
@@ -218,10 +220,6 @@ class CVPlan:
         n = all_idx.size
         if not np.array_equal(np.sort(all_idx), np.arange(n)):
             raise InvalidInput("folds must partition the index range")
-
-    @property
-    def n(self) -> int:
-        return sum(fold.size for fold in self.folds)
 
     def splits(self):
         """Yield (train_indices, test_indices) per fold, in fold order."""
@@ -310,8 +308,8 @@ class EvalResult:
 
 
 def make_synthetic(kind: str, n: int, p: int, rng: np.random.Generator,
-                   separation: float = 6.0) -> Dataset:
-    """Balanced two-class toy problems.
+                   separation: float = 6.0) -> tuple[np.ndarray, np.ndarray]:
+    """Balanced two-class toy problems as points X and -1/+1 labels y.
 
     two_gaussians: unit-variance blobs with means +/- separation/2 along the
     first axis.  concentric: two noisy spheres of radius 1 and 3.
@@ -328,11 +326,11 @@ def make_synthetic(kind: str, n: int, p: int, rng: np.random.Generator,
         x = rng.normal(size=(n, p))
         x[:half, 0] += separation / 2.0
         x[half:, 0] -= separation / 2.0
-        return Dataset(X=x, y=y)
+        return x, y
     if kind == "concentric":
         directions = rng.normal(size=(n, p))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         radii = np.where(y > 0, 1.0, 3.0)
         x = directions * radii[:, None] + 0.1 * rng.normal(size=(n, p))
-        return Dataset(X=x, y=y)
+        return x, y
     raise InvalidInput(f"unknown synthetic kind {kind!r}")

@@ -31,10 +31,6 @@ class SingularLandmarkBlock(KreinKitError):
     """The landmark block has no eigenvalue above the pseudo-inverse cutoff."""
 
 
-class UseLoadMatrixInstead(KreinKitError):
-    """A precomputed kernel cannot be evaluated pointwise; load its matrix."""
-
-
 class InvalidBudget(KreinKitError):
     """A landmark budget is outside the feasible range for the dataset."""
 

@@ -22,21 +22,18 @@ from .errors import (
     ConstantFeatureWarning,
     InvalidInput,
     ShapeError,
-    UseLoadMatrixInstead,
 )
 from .linalg import SymMatrix
 
 __all__ = [
     "KERNEL_KINDS",
     "KernelSpec",
-    "Dataset",
     "Standardizer",
     "gaussian",
     "gaussian_diff",
     "tanh_sigmoid",
     "epanechnikov",
     "linear",
-    "precomputed",
     "rl_sigmoid_preset",
     "parse_kernel_spec",
     "format_kernel_spec",
@@ -47,7 +44,7 @@ __all__ = [
     "GramSource",
 ]
 
-KERNEL_KINDS = ("gaussdiff", "gauss", "tanh", "epan", "linear", "precomputed")
+KERNEL_KINDS = ("gaussdiff", "gauss", "tanh", "epan", "linear")
 
 # which numeric parameters each kind accepts
 _KIND_PARAMS = {
@@ -56,7 +53,6 @@ _KIND_PARAMS = {
     "tanh": ("a", "b"),
     "epan": ("sigma",),
     "linear": (),
-    "precomputed": (),
 }
 
 
@@ -71,7 +67,6 @@ class KernelSpec:
       tanh        tanh(a <x,y> + b); indefinite for generic parameters
       epan        max(0, 1 - |x-y|^2 / sigma^2)
       linear      <x, y>
-      precomputed evaluations come from a loaded matrix, never a formula
     """
 
     kind: str
@@ -122,10 +117,6 @@ def epanechnikov(sigma: float) -> KernelSpec:
 
 def linear() -> KernelSpec:
     return KernelSpec("linear")
-
-
-def precomputed() -> KernelSpec:
-    return KernelSpec("precomputed")
 
 
 def rl_sigmoid_preset() -> KernelSpec:
@@ -189,34 +180,6 @@ def format_kernel_spec(spec: KernelSpec) -> str:
 
 
 @dataclass(frozen=True)
-class Dataset:
-    """Feature matrix with optional labels."""
-
-    X: np.ndarray
-    y: np.ndarray | None = None
-
-    def __post_init__(self):
-        x = np.asarray(self.X, dtype=float)
-        if x.ndim != 2:
-            raise ShapeError(f"X must be 2-d, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise InvalidInput("X entries must be finite")
-        object.__setattr__(self, "X", x)
-        if self.y is not None:
-            y = np.asarray(self.y)
-            if y.shape != (x.shape[0],):
-                raise ShapeError("y must have one entry per row of X")
-            values = set(np.unique(y).tolist())
-            if values <= {-1, 1} and len(values) < 2:
-                raise InvalidInput("classification labels must contain both classes")
-            object.__setattr__(self, "y", y)
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-
-@dataclass(frozen=True)
 class Standardizer:
     """Per-feature affine transform fitted by standardize().
 
@@ -227,7 +190,6 @@ class Standardizer:
     mean: np.ndarray
     std: np.ndarray
     constant: np.ndarray
-    convention: str = "population"
 
     def apply(self, X) -> np.ndarray:
         x = np.asarray(X, dtype=float)
@@ -326,9 +288,7 @@ def _evaluate(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         return k
     if spec.kind == "tanh":
         return np.tanh(spec.a * (X @ Z.T) + spec.b)
-    if spec.kind == "linear":
-        return X @ Z.T
-    raise UseLoadMatrixInstead("precomputed kernels cannot be evaluated from data")
+    return X @ Z.T  # linear
 
 
 def _as_points(X) -> np.ndarray:
@@ -381,10 +341,6 @@ class GramSource:
         if (matrix is None) == (spec is None):
             raise InvalidInput("provide either a matrix or a kernel spec with points")
         if spec is not None:
-            if spec.kind == "precomputed":
-                raise UseLoadMatrixInstead(
-                    "a precomputed spec carries no formula; construct from its matrix"
-                )
             if points is None:
                 raise InvalidInput("a kernel spec needs a point array")
             points = _as_points(points)

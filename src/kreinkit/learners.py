@@ -424,14 +424,14 @@ def _active_gram(features, active) -> np.ndarray:
     return gram
 
 
-def _newton_squared_hinge(features, y, lam_diag, n_scale, *, max_iter=100,
-                          armijo_c=1e-4, backtrack=0.5):
+def _newton_squared_hinge(features, y, lam_diag, n_scale):
     """Damped Newton for the squared-hinge objective.
 
     The active-set Hessian 2 F_A' F_A + 2 n diag(lam) is positive definite
     whenever the penalties are positive, so the Newton direction always
-    descends; an Armijo backtracking line search makes the damping explicit.
-    Converges when the gradient norm drops below 1e-8 * max(1, n).  Each
+    descends; an Armijo backtracking line search (sufficient decrease 1e-4,
+    halving steps) makes the damping explicit.  Converges when the gradient
+    norm drops below 1e-8 * max(1, n) within 100 steps.  Each
     candidate's margins 1 - y o (F z) are formed once, by the line search,
     and serve the accepted iterate's gradient and active set.
     """
@@ -440,6 +440,7 @@ def _newton_squared_hinge(features, y, lam_diag, n_scale, *, max_iter=100,
     gtol = 1e-8 * max(1.0, float(n))
     margin = 1.0 - y * (features @ z)
     obj = _hinge_objective(margin, lam_diag, n_scale, z)
+    max_iter = 100
     for iteration in range(max_iter):
         grad = _hinge_gradient(features, y, margin, lam_diag, n_scale, z)
         gnorm = float(np.linalg.norm(grad))
@@ -462,9 +463,9 @@ def _newton_squared_hinge(features, y, lam_diag, n_scale, *, max_iter=100,
             candidate = z + step * direction
             trial = 1.0 - y * (features @ candidate)
             value = _hinge_objective(trial, lam_diag, n_scale, candidate)
-            if value <= obj + armijo_c * step * slope:
+            if value <= obj + 1e-4 * step * slope:
                 break
-            step *= backtrack
+            step *= 0.5
         else:
             raise SolverError(
                 "line search stalled in the squared-hinge Newton solver",
@@ -688,8 +689,9 @@ def model_from_dict(payload: dict) -> tuple[LowRankModel, KernelSpec | None]:
 
 
 def save_model(path, model: LowRankModel, kernel: KernelSpec | None = None) -> None:
+    # json.dumps takes the C encoder, which json.dump never does
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model_to_dict(model, kernel), handle, indent=1)
+        handle.write(json.dumps(model_to_dict(model, kernel)))
 
 
 def load_model(path) -> tuple[LowRankModel, KernelSpec | None]:

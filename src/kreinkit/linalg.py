@@ -119,17 +119,10 @@ class SignedEigenSystem:
         return self.U.shape[0]
 
 
-def sym_eigen(M, tau_zero: float | None = None) -> SignedEigenSystem:
-    """Signed eigendecomposition of a symmetric matrix.
-
-    Parameters
-    ----------
-    M : SymMatrix or array_like
-        Matrix to decompose; arrays are validated/symmetrized first.
-    tau_zero : float, optional
-        Magnitude below which an eigenvalue is treated as exactly zero.
-        Defaults to ``1e-12 * max|d|``.
-    """
+def sym_eigen(M) -> SignedEigenSystem:
+    """Signed eigendecomposition of a symmetric matrix (a SymMatrix, or an
+    array that is validated and symmetrized first).  Eigenvalues with
+    magnitude at most ``tau_zero = 1e-12 * max|d|`` get sign zero."""
     if not isinstance(M, SymMatrix):
         M = SymMatrix(M)
     w, v = np.linalg.eigh(M.values)
@@ -137,10 +130,7 @@ def sym_eigen(M, tau_zero: float | None = None) -> SignedEigenSystem:
     d = w[order]
     u = np.array(v[:, order])
     _fix_column_signs(u)
-    if tau_zero is None:
-        tau_zero = 1e-12 * (float(np.abs(d).max()) if d.size else 0.0)
-    elif not (tau_zero >= 0.0 and math.isfinite(tau_zero)):
-        raise InvalidInput("tau_zero must be a finite non-negative number")
+    tau_zero = 1e-12 * (float(np.abs(d).max()) if d.size else 0.0)
     s = np.sign(d)
     s[np.abs(d) <= tau_zero] = 0.0
     return SignedEigenSystem(U=_frozen(u), d=_frozen(d), s=_frozen(s), tau_zero=float(tau_zero))

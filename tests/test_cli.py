@@ -108,7 +108,7 @@ def test_approx_outputs_and_row_counts(tmp_path):
     header, medians = read_csv(out / "approx_median.csv")
     assert len(medians) == 4
     result = json.loads((out / "result.json").read_text())
-    assert result["schema_version"] == 2
+    assert result["schema_version"] == 3
     assert result["artifact"]["name"] == "kreinkit"
     assert result["config"]["seed"] == 3
 
@@ -294,6 +294,24 @@ def test_sample_vector_data_needs_kernel(tmp_path, capsys):
     assert "vector data needs --kernel" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sample", "eigen"])
+def test_whitespace_twin_gives_the_same_outputs(tmp_path, command):
+    # the layout of a table or matrix file is read from its first line
+    x = np.random.default_rng(23).normal(size=(30, 3))
+    if command == "sample":
+        values, inputs = x, ["--kernel", "kernel=gauss sigma=1.5", "--sampler", "kmeanspp"]
+        flag, table = "--data", "landmarks.csv"
+    else:
+        values, inputs = gram(gaussian_diff(1.0, 3.0), x).values, ["--sampler", "leverage"]
+        flag, table = "--matrix", "eigenvalues.csv"
+    for fmt in ("csv", "whitespace"):
+        write_matrix(tmp_path / f"in.{fmt}", values, fmt)
+        assert main([command, flag, str(tmp_path / f"in.{fmt}"), *inputs, "--m", "8",
+                     "--seed", "2", "--out", str(tmp_path / fmt)]) == 0
+    assert (tmp_path / "csv" / table).read_bytes() == \
+        (tmp_path / "whitespace" / table).read_bytes()
+
+
 def test_train_writes_loadable_model(tmp_path):
     out = tmp_path / "model"
     rc = main(["train", *synthetic_args(n=60), "--m", "12", "--learner", "shsvm",
@@ -438,10 +456,10 @@ def test_cv_outputs(tmp_path):
     # the subcommand and every cv flag under its own name, resolved, and nothing else
     config = json.loads((out / "result.json").read_text())["config"]
     assert set(config) == {
-        "command", "data", "data_format", "matrix", "matrix_format", "matrix_kind",
-        "no_square", "labels", "target_class", "synthetic", "n", "p", "separation",
-        "kernel", "no_standardize", "pinv_tol", "seed", "out", "learners", "sampler",
-        "ranks", "landmark_factor", "folds", "lambdas", "radius_factors", "inner_folds"}
+        "command", "data", "matrix", "matrix_kind", "no_square", "labels", "target_class",
+        "synthetic", "n", "p", "separation", "kernel", "no_standardize", "pinv_tol", "seed",
+        "out", "learners", "sampler", "ranks", "landmark_factor", "folds", "lambdas",
+        "radius_factors", "inner_folds"}
     assert config["learners"] == ["lsm"] and config["ranks"] == [12]
     assert config["radius_factors"] == [0.5, 1.0, 2.0]
 
@@ -725,6 +743,57 @@ def test_approx_eigen_sample_on_degenerate_inputs(tmp_path, capsys, points, kern
             assert np.isfinite(result["orthonormality_residual"])
 
 
+def test_cv_refits_draw_from_their_own_generators(tmp_path, monkeypatch):
+    import sys
+
+    import kreinkit.cli
+
+    keys = {}
+    original = kreinkit.cli.spawn_rng
+
+    def recorded(seed, *key):
+        keys.setdefault(sys._getframe(1).f_code.co_name, []).append(key)
+        return original(seed, *key)
+
+    monkeypatch.setattr(kreinkit.cli, "spawn_rng", recorded)
+    folds = 3
+    assert main(["cv", *synthetic_args(n=48), "--learners", "lsm,shsvm", "--ranks", "8",
+                 "--folds", str(folds), "--lambdas", "0.01,0.1", "--inner-folds", "2",
+                 "--seed", "13", "--out", str(tmp_path / "cv")]) == 0
+    plan, *refits = keys["run_cv"]
+    inner = keys["_pick_hyper"]  # the inner fold plans and the inner splits
+    assert len(refits) == 4 * folds  # lsm, shsvm, sf-lsm and constant
+    # the two baselines share a key: the constant predictor draws nothing
+    assert len(set(refits)) == 3 * folds
+    assert len(set(inner)) == len(inner)
+    assert not set(refits) & set(inner)
+    assert plan not in refits + inner
+
+
+def test_cv_timings_leave_scoring_out(tmp_path, monkeypatch):
+    import time
+
+    import kreinkit.cli
+
+    delay, folds = 0.1, 3
+    original = kreinkit.cli.misclassification
+
+    def slow(*args):
+        time.sleep(delay)
+        return original(*args)
+
+    monkeypatch.setattr(kreinkit.cli, "misclassification", slow)
+    out = tmp_path / "cv"
+    assert main(["cv", *synthetic_args(n=48), "--learners", "lsm", "--ranks", "8",
+                 "--folds", str(folds), "--lambdas", "0.1", "--seed", "1",
+                 "--out", str(out)]) == 0
+    result = json.loads((out / "result.json").read_text())
+    [timings] = [row["timings"] for row in result["summaries"] if row["learner"] == "lsm"]
+    # three refits on 48 points take milliseconds; scoring a fold sleeps `delay`
+    assert list(timings) == ["refit_seconds"]
+    assert timings["refit_seconds"] < folds * delay
+
+
 def test_cv_separable_data_full_budget(tmp_path):
     out = tmp_path / "sep"
     rc = main(["cv", *synthetic_args(n=100), "--no-standardize", "--learners",
@@ -826,6 +895,50 @@ def test_hyperparameters_are_checked_before_any_io(tmp_path, capsys, command, fl
         "configuration error: " if code == 2 else "data error: ")
 
 
+_BENCH = ["bench", "--n-schedule", "60", "--m", "5", "--reps", "1"]
+_SYNTHETIC = ["--synthetic", "two_gaussians", "--n", "40"]
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, *flags, "--m", "2"] for command in ("sample", "train") for flags in (
+        ["--synthetic", "two_gaussians", "--n", "5"],
+        ["--synthetic", "two_gaussians", "--p", "0"],
+        ["--synthetic", "two_gaussians", "--separation", "-1"],
+        # a matrix holds the kernel's values, so a kernel spec would only mislabel them
+        ["--matrix", "missing.csv", "--kernel", "kernel=gauss sigma=1.0"])),
+    [*_BENCH, "--p", "0"],
+])
+def test_bad_input_flags_exit_two(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    # bench draws its own points and reads no input flag
+    *([*_BENCH, *flag] for flag in (
+        ["--data", "x.csv"], ["--matrix", "k.csv"], ["--matrix-kind", "dissimilarity"],
+        ["--no-square"], ["--labels", "y.txt"], ["--target-class", "zz"],
+        ["--synthetic", "concentric"], ["--n", "99999"], ["--separation", "2"],
+        ["--no-standardize"], ["--data-format", "whitespace"])),
+    # only train and cv read labels
+    ["approx", *_SYNTHETIC, "--ranks", "5", "--labels", "y.txt"],
+    ["eigen", *_SYNTHETIC, "--m", "5", "--target-class", "1"],
+    ["sample", *_SYNTHETIC, "--m", "5", "--labels", "y.txt"],
+    # the layout of a table is read from the file
+    ["sample", "--data", "x.csv", "--kernel", "kernel=linear", "--m", "2",
+     "--data-format", "whitespace"],
+    ["eigen", "--matrix", "k.csv", "--m", "2", "--matrix-format", "csv"],
+    # no abbreviations
+    ["cv", *_SYNTHETIC, "--ranks", "5", "--learner", "lsm", "--fold", "2", "--inner", "2",
+     "--lambda", "1"],
+    [*_BENCH, "--n", "5"],
+    ["approx", *_SYNTHETIC, "--ranks", "5", "--rep", "1"],
+])
+def test_flags_a_command_does_not_read_exit_two(capsys, argv):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory", "non_utf8"])
 @pytest.mark.parametrize("flag", ["--data", "--matrix", "--labels"])
 def test_unreadable_input_files_exit_three(tmp_path, capsys, flag, kind):
@@ -838,7 +951,9 @@ def test_unreadable_input_files_exit_three(tmp_path, capsys, flag, kind):
     inputs = {"--data": ["--data", str(path), "--kernel", "kernel=linear"],
               "--matrix": ["--matrix", str(path)],
               "--labels": ["--matrix", str(tmp_path / "k.csv"), "--labels", str(path)]}
-    assert main(["sample", *inputs[flag], "--m", "2"]) == 3
+    # only train and cv read labels
+    command = "train" if flag == "--labels" else "sample"
+    assert main([command, *inputs[flag], "--m", "2"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(path) in err
 

@@ -39,7 +39,7 @@ def test_load_table_csv(tmp_path):
 def test_load_table_whitespace(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("1 2\n3\t4\n")
-    assert_allclose(load_table(path, "whitespace"), [[1.0, 2.0], [3.0, 4.0]])
+    assert_allclose(load_table(path), [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_load_table_reports_bad_token_position(tmp_path):
@@ -68,8 +68,11 @@ def test_load_table_rejects_empty(tmp_path):
 _DIGITS = "\n".join(",".join(f"{v:.17g}" for v in row)
                     for row in np.random.default_rng(1).normal(size=(5, 3)) * 1e3)
 
-# (text, fmt): files NumPy's C parser reads, each of which must give the same
-# array as the line-by-line parser
+# the delimiter of each layout; load_table finds it from the first non-blank line
+_SEP = {"csv": ",", "whitespace": None}
+
+# (text, layout): files NumPy's C parser reads, each of which must give the same
+# array as the line-by-line parser, and as load_table, which is not told the layout
 _FAST_TABLES = [
     ("1,2\n3,4\n", "csv"),
     ("1,2\n\n3,4\n\n", "csv"),  # blank lines
@@ -93,10 +96,10 @@ _FAST_TABLES = [
 def test_fast_table_parser_matches_line_parser(tmp_path, text, fmt):
     path = tmp_path / "t.txt"
     path.write_text(text)
-    fast = data._parse_fast(path, fmt)
+    fast = data._parse_fast(path, _SEP[fmt])
     assert fast is not None
-    assert np.array_equal(fast, data._parse_lines(path, fmt), equal_nan=True)
-    assert np.array_equal(load_table(path, fmt), fast, equal_nan=True)
+    assert np.array_equal(fast, data._parse_lines(path, _SEP[fmt]), equal_nan=True)
+    assert np.array_equal(load_table(path), fast, equal_nan=True)
 
 
 @pytest.mark.parametrize("text,fmt,expected", [
@@ -107,8 +110,8 @@ def test_fast_table_parser_matches_line_parser(tmp_path, text, fmt):
 def test_table_parser_falls_back_to_lines(tmp_path, text, fmt, expected):
     path = tmp_path / "t.txt"
     path.write_text(text)
-    assert data._parse_fast(path, fmt) is None
-    assert np.array_equal(load_table(path, fmt), expected)
+    assert data._parse_fast(path, _SEP[fmt]) is None
+    assert np.array_equal(load_table(path), expected)
 
 
 @pytest.mark.parametrize("text,fmt,line,col", [
@@ -120,8 +123,9 @@ def test_table_parser_falls_back_to_lines(tmp_path, text, fmt, expected):
 def test_table_parse_errors_keep_their_position(tmp_path, text, fmt, line, col):
     path = tmp_path / "t.txt"
     path.write_text(text)
+    assert data._delimiter(path) == _SEP[fmt]  # the first line decides
     with pytest.raises(ParseError) as info:
-        load_table(path, fmt)
+        load_table(path)
     assert info.value.line == line and info.value.col == col
 
 
@@ -154,7 +158,7 @@ def test_write_read_round_trip_bit_identical(tmp_path):
     for fmt in ("csv", "whitespace"):
         path = tmp_path / f"k.{fmt}"
         write_matrix(path, k, fmt)
-        back = load_matrix(path, fmt)
+        back = load_matrix(path)
         assert np.array_equal(back.values, k)
 
 
@@ -314,24 +318,24 @@ def test_eval_result_statistics():
 
 
 def test_make_synthetic_two_gaussians():
-    ds = make_synthetic("two_gaussians", 100, 3, make_rng(4), separation=6.0)
-    assert ds.X.shape == (100, 3)
-    assert ds.y.sum() == 0
-    pos = ds.X[ds.y > 0, 0].mean()
-    neg = ds.X[ds.y < 0, 0].mean()
+    x, y = make_synthetic("two_gaussians", 100, 3, make_rng(4), separation=6.0)
+    assert x.shape == (100, 3)
+    assert y.sum() == 0
+    pos = x[y > 0, 0].mean()
+    neg = x[y < 0, 0].mean()
     assert pos - neg == pytest.approx(6.0, abs=1.0)
 
 
 def test_make_synthetic_concentric():
-    ds = make_synthetic("concentric", 200, 2, make_rng(5))
-    radii = np.linalg.norm(ds.X, axis=1)
-    assert radii[ds.y > 0].mean() < radii[ds.y < 0].mean()
+    x, y = make_synthetic("concentric", 200, 2, make_rng(5))
+    radii = np.linalg.norm(x, axis=1)
+    assert radii[y > 0].mean() < radii[y < 0].mean()
 
 
 def test_make_synthetic_deterministic():
-    a = make_synthetic("two_gaussians", 50, 2, make_rng(6))
-    b = make_synthetic("two_gaussians", 50, 2, make_rng(6))
-    assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+    xa, ya = make_synthetic("two_gaussians", 50, 2, make_rng(6))
+    xb, yb = make_synthetic("two_gaussians", 50, 2, make_rng(6))
+    assert np.array_equal(xa, xb) and np.array_equal(ya, yb)
 
 
 def test_make_synthetic_validation():

@@ -9,7 +9,6 @@ from kreinkit import (
     InvalidInput,
     ShapeError,
     SymMatrix,
-    UseLoadMatrixInstead,
     center_kernel,
     epanechnikov,
     format_kernel_spec,
@@ -20,7 +19,6 @@ from kreinkit import (
     indefiniteness,
     linear,
     parse_kernel_spec,
-    precomputed,
     rl_sigmoid_preset,
     standardize,
     sym_eigen,
@@ -40,7 +38,6 @@ def test_parse_round_trip():
         "kernel=tanh a=2.0 b=-1.0",
         "kernel=epan sigma=2.0",
         "kernel=linear",
-        "kernel=precomputed",
     ):
         spec = parse_kernel_spec(text)
         assert parse_kernel_spec(format_kernel_spec(spec)) == spec
@@ -248,8 +245,6 @@ def test_gram_validation():
         gram_cross(linear(), np.zeros((3, 2)), np.zeros((3, 4)))
     with pytest.raises(InvalidInput):
         gram(gaussian(1.0), [[np.nan, 0.0]])
-    with pytest.raises(UseLoadMatrixInstead):
-        gram(precomputed(), np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +257,6 @@ def test_standardize_population_convention():
     z, scaler = standardize(x)
     assert_allclose(z.mean(axis=0), 0.0, atol=1e-12)
     assert_allclose(z.std(axis=0), 1.0, atol=1e-12)  # ddof=0
-    assert scaler.convention == "population"
     assert_allclose(scaler.apply(x), z, atol=1e-12)
 
 
@@ -393,8 +387,3 @@ def test_gram_source_data_subset_is_the_source_of_its_points(spec):
         ref = GramSource.from_data(spec, x[pos])
         for got, want in zip(_source_parts(sub, idx, rows), _source_parts(ref, idx, rows)):
             assert_allclose(got, want, rtol=0, atol=0)
-
-
-def test_gram_source_precomputed_spec_rejected():
-    with pytest.raises(UseLoadMatrixInstead):
-        GramSource.from_data(precomputed(), np.zeros((3, 2)))
