@@ -167,7 +167,7 @@ def _parse_name_list(text: str, allowed, flag: str) -> list:
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     """The flags of every data command and of bench."""
-    parser.add_argument("--p", type=int, default=4, help="feature count of generated points")
+    parser.add_argument("--p", type=int, help="feature count of generated points (default 4)")
     parser.add_argument("--kernel", help='e.g. "kernel=gaussdiff sigma1=1.0 sigma2=3.0"')
     parser.add_argument("--pinv-tol", type=float, default=None)
     parser.add_argument("--seed", type=int, default=0)
@@ -179,14 +179,15 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--data", help="feature table (rows = points), comma- or "
                        "whitespace-separated as its first line shows")
     group.add_argument("--matrix", help="precomputed square matrix file, laid out as --data")
-    group.add_argument("--matrix-kind", default="similarity",
-                       choices=["similarity", "dissimilarity"])
-    group.add_argument("--no-square", action="store_true",
+    # the defaults of these flags are resolved in validate_config (_INPUT_FLAGS)
+    group.add_argument("--matrix-kind", choices=["similarity", "dissimilarity"],
+                       help="default similarity")
+    group.add_argument("--no-square", action="store_true", default=None,
                        help="dissimilarities are already squared")
     group.add_argument("--synthetic", choices=["two_gaussians", "concentric"])
-    group.add_argument("--n", type=int, default=500, help="synthetic sample count")
-    group.add_argument("--separation", type=float, default=6.0)
-    group.add_argument("--no-standardize", action="store_true",
+    group.add_argument("--n", type=int, help="synthetic sample count (default 500)")
+    group.add_argument("--separation", type=float, help="default 6.0")
+    group.add_argument("--no-standardize", action="store_true", default=None,
                        help="skip feature standardization for vector data")
     _add_shared_flags(parser)
 
@@ -254,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     # bench draws its own standard-normal points per schedule entry
     p = command("bench", "wall-clock scaling of both routes")
     _add_shared_flags(p)
-    p.set_defaults(kernel=DEFAULT_KERNEL)
+    p.set_defaults(kernel=DEFAULT_KERNEL, p=4)
     p.add_argument("--n-schedule", default="2000,4000,8000",
                    type=lambda text: _parse_int_list(text, "--n-schedule"))
     p.add_argument("--m", type=int, default=200)
@@ -275,6 +276,18 @@ def _check_finite(flag: str, values, zero_ok: bool = False) -> None:
         if v is not None and not (math.isfinite(v) and (v > 0.0 or zero_ok and v == 0.0)):
             raise ConfigError(f"{flag} must be finite and "
                               f"{'non-negative' if zero_ok else 'positive'}, got {v}")
+
+
+# input flag -> (the inputs that read it, its default with those inputs); the
+# flag is refused with any other input, and left None there in result.json
+_INPUT_FLAGS = {
+    "n": (("synthetic",), 500),
+    "p": (("synthetic",), 4),
+    "separation": (("synthetic",), 6.0),
+    "matrix_kind": (("matrix",), "similarity"),
+    "no_square": (("matrix",), False),
+    "no_standardize": (("data", "synthetic"), False),
+}
 
 
 def validate_config(args: argparse.Namespace) -> None:
@@ -315,6 +328,13 @@ def validate_config(args: argparse.Namespace) -> None:
         args.kernel = DEFAULT_KERNEL
     if args.data and not args.kernel:
         raise ConfigError("vector data needs --kernel")
+    for dest, (readers, default) in _INPUT_FLAGS.items():
+        read = any(getattr(args, reader) for reader in readers)
+        if getattr(args, dest) is None:
+            setattr(args, dest, default if read else None)
+        elif not read:
+            raise ConfigError(f"--{dest.replace('_', '-')} acts only with "
+                              + " or ".join(f"--{reader}" for reader in readers))
 
 
 def resolve_schedule(args: argparse.Namespace, n: int) -> list:
@@ -422,19 +442,19 @@ def _outdir(args: argparse.Namespace) -> bool:
 _SCORE_BLOCK_ELEMENTS = 1 << 22
 
 
-def _residual_norms(rows, n: int, width: int, eigs) -> list:
+def _residual_norms(source: GramSource, eigs) -> list:
     """Frobenius errors ||K - U diag(lam) U'|| of several eigensystems, from
-    one pass over the row blocks ``rows(start, stop)`` of the n x n matrix K,
-    each entry of which costs ``width`` elements to form; no n x n array is
-    formed."""
+    one pass over row blocks of the kernel matrix K of ``source``, an entry
+    of which costs one element per point coordinate to form; no n x n array
+    is formed."""
     for eig in eigs:
         if not (np.all(np.isfinite(eig.U)) and np.all(np.isfinite(eig.lam))):
             raise InvalidInput("approximate eigensystem entries must be finite")
-    step = max(1, _SCORE_BLOCK_ELEMENTS // (n * width))
+    step = max(1, _SCORE_BLOCK_ELEMENTS // source.points.size)
     squares = np.zeros(len(eigs))
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        block = rows(start, stop)
+    for start in range(0, source.n, step):
+        stop = min(source.n, start + step)
+        block = source.rows(start, stop)
         if not np.all(np.isfinite(block)):
             raise InvalidInput("matrix entries must be finite")
         for i, eig in enumerate(eigs):
@@ -470,8 +490,7 @@ def run_approx_sweep(source: GramSource, samplers, schedule, reps: int, seed: in
         return (sampler, k, l, rep, eig, seconds)
 
     timed = [row for row in map(one, tasks) if row[3] >= 0]
-    errors = _residual_norms(source.rows, source.n, source.points.size // source.n,
-                             [row[4] for row in timed])
+    errors = _residual_norms(source, [row[4] for row in timed])
     raw = [(*row[:4], error, row[5]) for row, error in zip(timed, errors)]
     medians = []
     for si, sampler in enumerate(samplers):
@@ -512,14 +531,18 @@ def cmd_eigen(args: argparse.Namespace) -> int:
     cross = source.cross_all(factor.landmarks.indices)
     eig = one_shot_eigen(factor, cross) if args.method == "one_shot" else \
         sgt_one_shot(factor, cross)
-    gram_residual = float(np.abs(eig.U.T @ eig.U - np.eye(eig.rank)).max())
-    # the approximation is C diag(1/d) C' with C = cross U_r, scored by row
-    # blocks; with C = QR its norm is that of the r x r R diag(1/d) R'
     C = cross @ factor.U_r
-    [recon_err] = _residual_norms(lambda a, b: (C[a:b] / factor.d_r) @ C.T, source.n, 1,
-                                  [eig])
-    R = np.linalg.qr(C, mode="r")
-    scale = float(np.linalg.norm((R / factor.d_r) @ R.T, "fro"))
+    del cross  # free the n x m block before the QR
+    gram_residual = float(np.abs(eig.U.T @ eig.U - np.eye(eig.rank)).max())
+    # C diag(1/d) C' and U diag(lam) U' lie in the span of C, so with C = QR and
+    # P = Q'U the residual and its scale are those of r x r matrices
+    Q, R = np.linalg.qr(C)
+    P = Q.T @ eig.U
+    approx = (R / factor.d_r) @ R.T
+    scale = float(np.linalg.norm(approx))
+    recon_err = float(np.linalg.norm(approx - (P * eig.lam) @ P.T))
+    if not (math.isfinite(gram_residual) and math.isfinite(recon_err)):
+        raise InvalidInput("approximate eigensystem entries must be finite")
     rel = recon_err / scale if scale > 0.0 else 0.0
     negative_mass = float(np.abs(eig.lam[eig.lam < 0]).sum())
     total_mass = float(np.abs(eig.lam).sum())
@@ -625,11 +648,13 @@ def _split_predictor(learner: str, source: GramSource, y, train, test, rank, bud
     factor = truncate_factor(factor, rank)
     fmap, solve = learner_path(learner, _feature_map(fold, factor), y_train)
     phi_test = fmap.rows(source.cross(test, train[factor.landmarks.indices]))
+    # vclsm's variance target per radius factor; the other learners read None
+    targets = {f: variance_target(y_train, f) for f in args.radius_factors} \
+        if learner == "vclsm" else {}
 
     def predict(hyper):
         reg, radius_factor = hyper
-        r = None if radius_factor is None else variance_target(y_train, radius_factor)
-        return phi_test @ solve(reg, r).z
+        return phi_test @ solve(reg, targets.get(radius_factor)).z
 
     return predict
 

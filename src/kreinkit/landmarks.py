@@ -9,6 +9,7 @@ landmarks and factor their block with the signs kept.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -57,21 +58,16 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Sketch:
-    """Rough eigenstructure of the full matrix from a cheap uniform pass.
-
-    ``features`` holds rows of U |lam|^{1/2}, so the Gram of the sketch
-    features is the flipped-spectrum version of the sketched approximation.
-    """
+    """Rough eigenstructure of the full matrix from a cheap uniform pass."""
 
     eig: OneShotEigen
-    features: np.ndarray
     sketch_size: int
-    landmarks: LandmarkSet
-    factor: NystroemFactor
 
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
+    @functools.cached_property
+    def features(self) -> np.ndarray:
+        """Rows of U |lam|^{1/2}, formed on first read: their Gram is the
+        flipped-spectrum version of the sketched approximation."""
+        return self.eig.U * np.sqrt(np.abs(self.eig.lam))
 
 
 def default_sketch_size(m: int, n: int) -> int:
@@ -94,9 +90,7 @@ def build_sketch(source: GramSource, m0: int, rng: np.random.Generator,
     """One-shot eigendecomposition from m0 uniform landmarks."""
     factor = landmark_factor(source, "uniform", m0, rng, pinv_tol)
     eig = one_shot_eigen(factor, source.cross_all(factor.landmarks.indices))
-    features = eig.U * np.sqrt(np.abs(eig.lam))
-    return Sketch(eig=eig, features=features, sketch_size=m0,
-                  landmarks=factor.landmarks, factor=factor)
+    return Sketch(eig=eig, sketch_size=m0)
 
 
 def leverage_scores(eig: OneShotEigen) -> np.ndarray:

@@ -202,15 +202,17 @@ def one_shot_eigen(factor: NystroemFactor, K_XZ) -> OneShotEigen:
     # eigensystem alone only achieves up to eps * cond(G)
     C = T.T @ (G @ T)
     C = 0.5 * (C + C.T)
+    warning = factor.warning
     try:
         chol = np.linalg.cholesky(C)
         T = np.linalg.solve(chol, T.T).T
     except np.linalg.LinAlgError:
-        pass
+        note = "Cholesky polish failed: U'U = I holds only to eps * cond(G)"
+        warning = note if warning is None else f"{warning}; {note}"
     H = G @ T
     M = H.T @ (factor.s_r[:, None] * H)
     rot = sym_eigen(SymMatrix(0.5 * (M + M.T)))
-    return OneShotEigen(U=L @ (T @ rot.U), lam=rot.d, warning=factor.warning)
+    return OneShotEigen(U=L @ (T @ rot.U), lam=rot.d, warning=warning)
 
 
 def sgt_one_shot(factor: NystroemFactor, K_XZ) -> OneShotEigen:
@@ -259,11 +261,13 @@ def truncate_factor(factor: NystroemFactor, rank: int) -> NystroemFactor:
 
 
 def truncate_eigen(eig: OneShotEigen, rank: int) -> OneShotEigen:
-    """Keep at most ``rank`` leading approximate eigenpairs."""
+    """Keep at most ``rank`` leading approximate eigenpairs, copied so that
+    the dropped columns can be freed."""
     if rank < 1:
         raise InvalidInput("rank must be at least 1")
-    r = min(rank, eig.rank)
-    return OneShotEigen(U=eig.U[:, :r], lam=eig.lam[:r], warning=eig.warning)
+    if rank >= eig.rank:
+        return eig
+    return OneShotEigen(U=eig.U[:, :rank].copy(), lam=eig.lam[:rank], warning=eig.warning)
 
 
 def reconstruct(eig: OneShotEigen) -> SymMatrix:

@@ -221,23 +221,37 @@ def test_eigen_forms_no_dense_matrix(tmp_path, monkeypatch, method):
     assert 0.0 <= result["reconstruction_relative_error"] < 1e-8
 
 
-def test_eigen_streamed_residual_matches_dense(tmp_path, monkeypatch):
+@pytest.mark.parametrize("method", ["one_shot", "sgt"])
+def test_eigen_scores_without_a_row_pass(tmp_path, monkeypatch, method):
+    import kreinkit.cli
+
+    monkeypatch.setattr(GramSource, "rows", refuse)
+    monkeypatch.setattr(kreinkit.cli, "_residual_norms", refuse)
+    out = tmp_path / "eig"
+    assert main(["eigen", *synthetic_args(), "--m", "12", "--method", method,
+                 "--seed", "3", "--out", str(out)]) == 0
+    result = json.loads((out / "result.json").read_text())
+    assert 0.0 < result["reconstruction_relative_error"] <= 1e-13  # untruncated: round-off
+
+
+def _truncated_eigen_matches_dense(tmp_path, monkeypatch, method):
+    """``eigen`` with its eigensystem truncated to rank 4 reports the dense
+    relative residual of that eigensystem."""
     import kreinkit.cli
     import kreinkit.nystroem
 
+    route = "one_shot_eigen" if method == "one_shot" else "sgt_one_shot"
     seen = []
-    original = kreinkit.cli.one_shot_eigen
+    original = getattr(kreinkit.cli, route)
 
     def truncated(factor, cross):
         seen.append((factor, cross, truncate_eigen(original(factor, cross), 4)))
         return seen[-1][2]
 
-    monkeypatch.setattr(kreinkit.cli, "one_shot_eigen", truncated)
-    # 7-row scoring blocks, the last one ragged, instead of a single block
-    monkeypatch.setattr(kreinkit.cli, "_SCORE_BLOCK_ELEMENTS", 7 * 80)
+    monkeypatch.setattr(kreinkit.cli, route, truncated)
     refuse_order(monkeypatch, kreinkit.nystroem, 80)
     out = tmp_path / "eig"
-    assert main(["eigen", *synthetic_args(), "--m", "12", "--seed", "3",
+    assert main(["eigen", *synthetic_args(), "--m", "12", "--method", method, "--seed", "3",
                  "--out", str(out)]) == 0
     [(factor, cross, eig)] = seen
     monkeypatch.undo()  # the dense reference below forms the n x n matrices
@@ -246,6 +260,25 @@ def test_eigen_streamed_residual_matches_dense(tmp_path, monkeypatch):
     assert expected > 1e-3  # a truncation error, not round-off
     result = json.loads((out / "result.json").read_text())
     assert result["reconstruction_relative_error"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_eigen_streamed_residual_matches_dense(tmp_path, monkeypatch):
+    _truncated_eigen_matches_dense(tmp_path, monkeypatch, "one_shot")
+
+
+def test_eigen_truncated_sgt_residual_matches_dense(tmp_path, monkeypatch):
+    _truncated_eigen_matches_dense(tmp_path, monkeypatch, "sgt")
+
+
+def test_eigen_reports_a_failed_cholesky_polish(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    out = tmp_path / "eig"
+    assert main(["eigen", *synthetic_args(), "--m", "12", "--seed", "3",
+                 "--out", str(out)]) == 0
+    assert "Cholesky polish failed" in json.loads((out / "result.json").read_text())["warning"]
 
 
 def test_eigen_relative_error_scales_with_the_kernel(tmp_path):
@@ -911,6 +944,44 @@ _SYNTHETIC = ["--synthetic", "two_gaussians", "--n", "40"]
 def test_bad_input_flags_exit_two(capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--matrix", "missing.csv", "--n", "7"],
+    ["--matrix", "missing.csv", "--p", "3"],
+    ["--matrix", "missing.csv", "--separation", "-1"],
+    ["--matrix", "missing.csv", "--no-standardize"],
+    ["--data", "missing.csv", "--kernel", "kernel=linear", "--n", "7"],
+    ["--data", "missing.csv", "--kernel", "kernel=linear", "--no-square"],
+    ["--data", "missing.csv", "--kernel", "kernel=linear", "--matrix-kind", "similarity"],
+    ["--synthetic", "two_gaussians", "--no-square"],
+    ["--synthetic", "two_gaussians", "--matrix-kind", "dissimilarity"],
+    ["--matrix", "missing.csv", "--n", "7", "--separation", "-1", "--p", "0",
+     "--no-standardize"],
+])
+def test_input_flags_act_only_with_their_input(capsys, flags):
+    # refused before the (missing) file is read, which would exit 3
+    assert main(["sample", *flags, "--m", "2"]) == 2
+    assert "acts only with" in capsys.readouterr().err
+
+
+_INPUT_KEYS = ("n", "p", "separation", "no_standardize", "matrix_kind", "no_square")
+
+
+@pytest.mark.parametrize("source, used", [
+    ("synthetic", (20, 4, 6.0, False, None, None)),
+    ("data", (None, None, None, False, None, None)),
+    ("matrix", (None, None, None, None, "similarity", False)),
+])
+def test_result_config_records_the_input_defaults_used(tmp_path, source, used):
+    write_matrix(tmp_path / "k.csv", np.eye(4))
+    inputs = {"synthetic": ["--synthetic", "two_gaussians", "--n", "20"],
+              "data": ["--data", str(tmp_path / "k.csv"), "--kernel", "kernel=linear"],
+              "matrix": ["--matrix", str(tmp_path / "k.csv")]}[source]
+    out = tmp_path / "run"
+    assert main(["sample", *inputs, "--m", "2", "--out", str(out)]) == 0
+    config = json.loads((out / "result.json").read_text())["config"]
+    assert tuple(config[key] for key in _INPUT_KEYS) == used
 
 
 @pytest.mark.parametrize("argv", [

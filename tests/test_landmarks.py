@@ -145,6 +145,7 @@ def test_build_sketch_shapes():
     src = fixture_source(n=35)
     sketch = build_sketch(src, 9, make_rng(5), None)
     assert sketch.sketch_size == 9
+    assert "features" not in vars(sketch)  # formed only when read
     assert sketch.features.shape == (35, sketch.eig.rank)
     # features are the eigenvectors scaled by sqrt |eigenvalue|
     assert_allclose(np.sum(sketch.features**2, axis=0),

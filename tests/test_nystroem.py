@@ -178,6 +178,9 @@ def test_truncation():
     small = truncate_eigen(eig, 4)
     assert small.rank == 4
     assert_allclose(small.lam, eig.lam[:4])
+    # the kept columns are a copy, so the dropped ones are not kept alive
+    assert small.U.base is None and np.array_equal(small.U, eig.U[:, :4])
+    assert truncate_eigen(eig, eig.rank) is eig
     # truncation keeps the dominant part: error grows as rank shrinks
     full_err = frobenius_error(k, reconstruct(eig))
     small_err = frobenius_error(k, reconstruct(small))
