@@ -70,8 +70,22 @@ class Sketch:
         return self.eig.U * np.sqrt(np.abs(self.eig.lam))
 
 
+# Leverage sketch columns per landmark.  On the n = 3000 `approx_sketch`
+# input (24 seeds), 3 l columns kept the mean relative error within 0.4% of a
+# ceil(l ln n) sketch at about 0.65x the job's wall time; 2 l raised the
+# median k = 100 leverage error by 15% on 8 of those seeds, and 1.5 l the
+# mean error by 3.7%.  CHANGES.md holds the curve.
+_LEVERAGE_SKETCH_FACTOR = 3
+
+
 def default_sketch_size(m: int, n: int) -> int:
-    """Default sketch budget: ceil(m ln n), capped at the dataset size."""
+    """ceil(m ln n), capped at n: the k-means++ sketch size for a budget of
+    m landmarks, and the landmark budget of ``--landmark-factor logn``.
+
+    k-means++ distances only sharpen as the sketch grows, so its sketch keeps
+    this size; the leverage sketch is sized from the budget alone (see
+    `select_landmarks`).
+    """
     if not 1 <= m <= n:
         raise InvalidBudget(f"need 1 <= m <= n, got m={m}, n={n}")
     return min(n, math.ceil(m * math.log(n)) if n > 1 else 1)
@@ -97,7 +111,9 @@ def leverage_scores(eig: OneShotEigen) -> np.ndarray:
     """Row leverage of the approximate eigenvectors: squared row norms of U.
 
     The scores sum to the sketch rank and are invariant to the signs of the
-    approximate eigenvalues.
+    approximate eigenvalues.  So they flatten as the sketch grows: at full
+    rank with a sketch of all n points, U is square and orthogonal and every
+    score is 1, which is uniform sampling.
     """
     return np.einsum("ij,ij->i", eig.U, eig.U)
 
@@ -173,13 +189,23 @@ def kmeanspp_landmarks(features, m: int, rng: np.random.Generator) -> LandmarkSe
 def select_landmarks(sampler: str, source: GramSource, budget: int,
                      rng: np.random.Generator, pinv_tol: float | None):
     """Dispatch one landmark selection; sketch-based samplers build their
-    sketch from the same generator so a task seed fixes everything."""
+    sketch from the same generator so a task seed fixes everything.
+
+    The leverage sketch has min(n, 3 budget) columns: its scores need to
+    resolve only the budget's dimension, and a larger sketch flattens them
+    towards uniform.  k-means++ seeds over a sketch of
+    ``default_sketch_size(budget, n)`` columns.
+    """
+    n = source.n
+    if not 1 <= budget <= n:
+        raise InvalidBudget(f"landmark budget must satisfy 1 <= m <= n, got m={budget}, n={n}")
     if sampler == "uniform":
-        return uniform_landmarks(source.n, budget, rng)
-    sketch = build_sketch(source, default_sketch_size(budget, source.n), rng, pinv_tol)
+        return uniform_landmarks(n, budget, rng)
     if sampler == "leverage":
+        sketch = build_sketch(source, min(n, _LEVERAGE_SKETCH_FACTOR * budget), rng, pinv_tol)
         return sample_leverage(leverage_scores(sketch.eig), budget, rng)
     if sampler == "kmeanspp":
+        sketch = build_sketch(source, default_sketch_size(budget, n), rng, pinv_tol)
         return kmeanspp_landmarks(sketch.features, budget, rng)
     raise ConfigError(f"unknown sampler {sampler!r}")
 

@@ -38,6 +38,22 @@ def peak_bytes():
     return _peak_bytes
 
 
+@pytest.fixture
+def sketch_sizes(monkeypatch):
+    """The column count of every sketch `select_landmarks` builds."""
+    import kreinkit.landmarks
+
+    sizes = []
+    original = kreinkit.landmarks.build_sketch
+
+    def spy(source, m0, rng, pinv_tol=None):
+        sizes.append(m0)
+        return original(source, m0, rng, pinv_tol)
+
+    monkeypatch.setattr(kreinkit.landmarks, "build_sketch", spy)
+    return sizes
+
+
 def pytest_terminal_summary(terminalreporter):
     if _REPORT_LINES:
         terminalreporter.section("acceptance report")

@@ -145,6 +145,15 @@ def test_approx_logn_budget(tmp_path):
     assert rows[0][1] == "5" and rows[0][2] == "21"  # ceil(5 ln 60) = 21
 
 
+def test_approx_logn_leverage_sketch_is_three_budgets(tmp_path, sketch_sizes):
+    rc = main(["approx", *synthetic_args(n=60), "--samplers", "leverage",
+               "--ranks", "2,5", "--landmark-factor", "logn", "--reps", "1",
+               "--seed", "0", "--out", str(tmp_path / "logn")])
+    assert rc == 0
+    # l = ceil(k ln 60) = 9 and 21; the sketch takes min(60, 3 l) columns
+    assert sketch_sizes == [27, 27, 60, 60]  # a warm-up and a timed repetition each
+
+
 @pytest.mark.parametrize("from_matrix", [False, True])
 def test_approx_streamed_errors_match_dense(monkeypatch, from_matrix):
     import kreinkit.cli
@@ -307,7 +316,7 @@ def test_sample_command_deterministic(tmp_path):
     assert rows_a == rows_b
     header, rows = read_csv(tmp_path / "a" / "landmarks.csv")
     assert header == ["position", "index", "multiplicity"]
-    assert len(rows) == 7
+    assert [int(row[1]) for row in rows] == [40, 11, 77, 8, 4, 67, 32]
 
 
 @pytest.mark.parametrize("sampler", ["uniform", "leverage"])

@@ -215,6 +215,24 @@ def test_landmark_factor_matches_its_steps(sampler):
     assert np.array_equal(factor.eig.d, fit(src.block(marks.indices)).eig.d)
 
 
+@pytest.mark.parametrize("n, budget, columns", [(45, 5, 15), (8, 3, 8)])  # 3 l, capped at n
+def test_leverage_sketch_has_three_columns_per_landmark(sketch_sizes, n, budget, columns):
+    select_landmarks("leverage", fixture_source(n=n, seed=3), budget, make_rng(4), None)
+    assert sketch_sizes == [columns]
+
+
+def test_kmeanspp_sketch_keeps_the_default_size(sketch_sizes):
+    select_landmarks("kmeanspp", fixture_source(n=45, seed=3), 5, make_rng(4), None)
+    assert sketch_sizes == [default_sketch_size(5, 45)]
+
+
+def test_select_landmarks_budget_validation():
+    for sampler in ("uniform", "leverage", "kmeanspp"):
+        for budget in (0, 41):
+            with pytest.raises(InvalidBudget):
+                select_landmarks(sampler, fixture_source(), budget, make_rng(0), None)
+
+
 def test_landmark_factor_rejects_unknown_sampler():
     with pytest.raises(ConfigError):
         landmark_factor(fixture_source(), "nearest", 5, make_rng(0), None)
