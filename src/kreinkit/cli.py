@@ -313,6 +313,10 @@ def validate_config(args: argparse.Namespace) -> None:
         _check_finite("--lambda-pos/--lambda-neg", [args.lambda_pos, args.lambda_neg],
                       zero_ok=True)
         _check_finite("--radius", [args.radius])
+        if args.radius is not None and args.learner != "vclsm":
+            raise ConfigError("--radius acts only with --learner vclsm")
+    if args.command in ("train", "cv") and args.target_class is not None and not args.labels:
+        raise ConfigError("--target-class acts only with --labels")
     if args.command == "bench":
         if args.p < 1:
             raise ConfigError("--p must be at least 1")
@@ -473,31 +477,24 @@ def run_approx_sweep(source: GramSource, samplers, schedule, reps: int, seed: in
     repetition before the timed ones.  The timed results are scored together
     afterwards, in one pass over row blocks of the kernel matrix.
     """
-    tasks = []
+    timed = []  # (sampler, k, l, repetition), eigensystem, seconds
     for si, sampler in enumerate(samplers):
         for ki, (k, l) in enumerate(schedule):
             for rep in range(-1, reps):  # rep -1 is the warm-up
-                tasks.append((si, sampler, ki, k, l, rep))
-
-    def one(task):
-        si, sampler, ki, k, l, rep = task
-        rng = spawn_rng(seed, _DOMAIN_SWEEP, si, ki, max(rep, 0), int(rep < 0))
-        start = time.perf_counter()
-        factor = landmark_factor(source, sampler, l, rng, pinv_tol)
-        cross = source.cross_all(factor.landmarks.indices)
-        eig = truncate_eigen(one_shot_eigen(factor, cross), k)
-        seconds = time.perf_counter() - start
-        return (sampler, k, l, rep, eig, seconds)
-
-    timed = [row for row in map(one, tasks) if row[3] >= 0]
-    errors = _residual_norms(source, [row[4] for row in timed])
-    raw = [(*row[:4], error, row[5]) for row, error in zip(timed, errors)]
+                rng = spawn_rng(seed, _DOMAIN_SWEEP, si, ki, max(rep, 0), int(rep < 0))
+                start = time.perf_counter()
+                factor = landmark_factor(source, sampler, l, rng, pinv_tol)
+                eig = truncate_eigen(
+                    one_shot_eigen(factor, source.cross_all(factor.landmarks.indices)), k)
+                if rep >= 0:
+                    timed.append(((sampler, k, l, rep), eig, time.perf_counter() - start))
+    errors = _residual_norms(source, [eig for _, eig, _ in timed])
+    raw = [(*key, error, seconds) for (key, _, seconds), error in zip(timed, errors)]
     medians = []
-    for si, sampler in enumerate(samplers):
-        for k, l in schedule:
-            errs = [r[4] for r in raw if r[0] == sampler and r[1] == k and r[2] == l]
-            secs = [r[5] for r in raw if r[0] == sampler and r[1] == k and r[2] == l]
-            medians.append((sampler, k, l, float(np.median(errs)), float(np.median(secs))))
+    for i in range(0, len(raw), reps):  # each configuration's rows are consecutive
+        rows = raw[i:i + reps]
+        medians.append((*rows[0][:3], float(np.median([row[4] for row in rows])),
+                        float(np.median([row[5] for row in rows]))))
     return raw, medians
 
 

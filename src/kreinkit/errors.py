@@ -40,7 +40,7 @@ class DegenerateScores(KreinKitError):
 
 
 class RankDeficient(KreinKitError):
-    """A matrix that must have full column rank does not."""
+    """A matrix has too low a rank for the solve, such as all-zero vclsm features."""
 
 
 class FoldError(KreinKitError):

@@ -23,14 +23,7 @@ import numpy as np
 
 from .errors import InvalidInput, RankDeficient, ShapeError, SolverError
 from .kernels import KernelSpec, format_kernel_spec, parse_kernel_spec
-from .linalg import (
-    SVDFactors,
-    SignedEigenSystem,
-    SymMatrix,
-    factor_sphere_qp,
-    solve_sphere_qp,
-    thin_svd,
-)
+from .linalg import SignedEigenSystem, SymMatrix, factor_sphere_qp, solve_sphere_qp
 from .nystroem import LandmarkSet, NystroemFactor
 
 __all__ = [
@@ -95,9 +88,11 @@ class FeatureMap:
     ``phi`` has one row per training point and one column per retained
     landmark eigendirection; ``signs`` are the matching eigenvalue signs, so
     phi diag(signs) phi' reproduces the low-rank kernel approximation.
-    ``svd`` and ``gram`` are computed on first use and then shared by every
-    learner and penalty trained on this map.  ``mean`` is the training mean
-    subtracted from every row by `center_features`, None for raw features.
+    ``svd`` is (sigma, B), phi's singular values (descending) and right
+    singular vectors, from the SVD of its r x r R factor; it and ``gram`` are
+    computed on first use and shared by every learner and penalty trained on
+    this map.  ``mean`` is the training mean subtracted from every row by
+    `center_features`, None for raw features.
     """
 
     phi: np.ndarray
@@ -114,8 +109,12 @@ class FeatureMap:
         return self.phi.shape[1]
 
     @functools.cached_property
-    def svd(self) -> SVDFactors:
-        return thin_svd(self.phi)
+    def svd(self) -> tuple[np.ndarray, np.ndarray]:
+        R = np.linalg.qr(self.phi, mode="r")
+        if not np.all(np.isfinite(R)):  # a non-finite phi leaves R non-finite
+            raise InvalidInput("feature entries must be finite")
+        _, sigma, vt = np.linalg.svd(R, full_matrices=False)
+        return sigma, vt.T
 
     @functools.cached_property
     def gram(self) -> np.ndarray:
@@ -335,22 +334,25 @@ def vc_lsm_path(fmap: FeatureMap, y, reg: RegPair) -> Callable[[float], LowRankM
 
     Minimizes n lam_pos ||z_+||^2 + n lam_neg ||z_-||^2 - 2 z' Phi' y subject
     to ||Phi z|| = r.  The caller centres the features (`center_features`).
-    Through the SVD Phi = A diag(delta) B' the problem becomes a sphere QP in
-    gamma = diag(delta) B' z, which is solved globally; rank-deficient Phi is
-    rejected because the back-substitution needs delta > 0.  Everything but
-    the secular solve, including the eigendecomposition of the QP matrix, is
-    built here once and shared by every r passed to the returned function.
+    With Phi = A diag(sigma) B' (`FeatureMap.svd`, from Phi's R factor) it is
+    a sphere QP in gamma = diag(sigma) B' z with linear term A' y =
+    (B / sigma)' Phi' y, solved globally on the directions with sigma >
+    1e-10 max(sigma): z lies in the row space of Phi, so a rank-deficient Phi
+    trains on its range, and only an all-zero Phi raises RankDeficient.
+    Everything but the secular solve, eigh(W) included, is built here once
+    and shared by every r passed to the returned function.
     """
     y = _as_labels(y, fmap.n)
-    svd = fmap.svd
-    if svd.sigma.size == 0 or svd.sigma.min() <= 1e-10 * svd.sigma.max():
-        raise RankDeficient("feature matrix is rank deficient; reduce the landmark set")
+    sigma, B = fmap.svd
+    keep = sigma > 1e-10 * sigma.max(initial=0.0)
+    if not keep.any():
+        raise RankDeficient("feature matrix is zero; no weights meet the variance target")
     n = fmap.n
     lam = _lambda_diag(reg, fmap.signs)
-    scaled = svd.B / svd.sigma[None, :]  # columns map gamma -> z
+    scaled = B[:, keep] / sigma[keep]  # columns map gamma -> z
     W = n * (scaled.T * lam[None, :]) @ scaled
-    qp = factor_sphere_qp(W, svd.A.T @ y)
     phi_y = fmap.phi.T @ y
+    qp = factor_sphere_qp(W, scaled.T @ phi_y)
 
     def solve(r: float) -> LowRankModel:
         _check_radius(r)
@@ -513,10 +515,11 @@ def learner_path(learner: str, fmap: FeatureMap, y) -> tuple[FeatureMap, Callabl
     Returns ``(map, solve)``: the map the learner trains on, whose ``rows``
     also score new points, and ``solve(reg, r=None)``, the `LowRankModel` for
     the penalty pair ``reg``.  lsm and shsvm train on ``fmap`` itself and
-    ignore r.  vclsm trains on the centred map (`center_features`) at the
-    variance target r, by default `variance_target(y)`; it keeps one
-    `vc_lsm_path` per penalty pair, shared by every r, and tries a pair whose
-    factorisation raised again on its next use.
+    ignore r.  vclsm trains on the centred map (`center_features`), on its
+    range if centring costs a rank, at the variance target r, by default
+    `variance_target(y)`; the map's R factor serves every penalty pair, one
+    `vc_lsm_path` per pair serves every r, and a pair whose factorisation
+    raised is tried again on its next use.
     """
     if learner == "lsm":
         return fmap, lambda reg, r=None: krein_krr_lowrank(fmap, y, reg)

@@ -368,8 +368,7 @@ def test_train_writes_loadable_model(tmp_path):
     assert result["training_error"] <= 0.2
 
 
-@pytest.mark.parametrize("learner", ["lsm", "vclsm", "shsvm"])
-def test_saved_model_reproduces_training_decisions(tmp_path, monkeypatch, learner):
+def _saved_model_reproduces_training_decisions(tmp_path, monkeypatch, learner, m):
     import kreinkit.cli
 
     trained = []
@@ -388,7 +387,7 @@ def test_saved_model_reproduces_training_decisions(tmp_path, monkeypatch, learne
     out = tmp_path / "model"
     assert main(["train", *_degenerate_inputs(tmp_path), "--no-standardize",
                  "--kernel", "kernel=tanh a=1.0 b=-1.0", "--learner", learner,
-                 "--m", "12", "--seed", "3", "--out", str(out)]) == 0
+                 "--m", str(m), "--seed", "3", "--out", str(out)]) == 0
     [(fmap, model)] = trained
     scored = fmap.phi @ model.z
     restored, spec = load_model(out / "model.json")
@@ -398,6 +397,17 @@ def test_saved_model_reproduces_training_decisions(tmp_path, monkeypatch, learne
     y = np.loadtxt(tmp_path / "y.txt")
     result = json.loads((out / "result.json").read_text())
     assert misclassification(np.sign(decisions), y) == result["training_error"]
+
+
+@pytest.mark.parametrize("learner", ["lsm", "vclsm", "shsvm"])
+def test_saved_model_reproduces_training_decisions(tmp_path, monkeypatch, learner):
+    _saved_model_reproduces_training_decisions(tmp_path, monkeypatch, learner, 12)
+
+
+def test_saved_vclsm_model_at_full_landmarks_reproduces_training_decisions(tmp_path,
+                                                                          monkeypatch):
+    # the centred features lose a rank at m = n; vclsm trains on their range
+    _saved_model_reproduces_training_decisions(tmp_path, monkeypatch, "vclsm", 40)
 
 
 @pytest.mark.parametrize("learner", ["lsm", "vclsm", "shsvm"])
@@ -422,10 +432,12 @@ def test_train_takes_the_cross_block_by_rows(tmp_path, monkeypatch, learner):
                  "--seed", "4", "--out", str(tmp_path / "model")]) == 0
 
 
-@pytest.mark.parametrize("learner", ["lsm", "shsvm"])
+@pytest.mark.parametrize("learner", ["lsm", "shsvm", "vclsm"])
 def test_train_peaks_at_one_feature_array(tmp_path, peak_bytes, learner):
     # the features are filled from one row block of the cross block at a
-    # time, so the n x m cross block is never held next to the n x r features
+    # time, so the n x m cross block is never held next to the n x r features;
+    # vclsm adds its centred copy, and the QR of that copy takes one more
+    # while it forms the r x r R factor, but no n x r singular vectors
     n, m = 30000, 300
     out = tmp_path / "model"
     argv = ["train", "--synthetic", "two_gaussians", "--n", str(n), "--p", "16",
@@ -435,7 +447,7 @@ def test_train_peaks_at_one_feature_array(tmp_path, peak_bytes, learner):
     peak = peak_bytes(lambda: codes.append(main(argv)))
     rank = json.loads((out / "result.json").read_text())["effective_rank"]
     assert codes == [0]
-    assert peak <= 1.3 * n * rank * 8
+    assert peak <= (2.3 if learner == "vclsm" else 1.3) * n * rank * 8
 
 
 # rows within tolerance of the reference, exactly when tol is 0
@@ -506,18 +518,39 @@ def test_cv_outputs(tmp_path):
     assert config["radius_factors"] == [0.5, 1.0, 2.0]
 
 
-def test_cv_scores_a_failed_refit_as_an_error(tmp_path):
-    # at full landmarks the centred vclsm features lose a rank, so every
-    # vclsm refit raises RankDeficient
+def test_cv_scores_a_failed_refit_as_an_error(tmp_path, monkeypatch):
+    import kreinkit.learners
+    from kreinkit import SolverError
+
+    def failing(*args, **kwargs):
+        raise SolverError("injected secular solve failure")
+
+    # every vclsm solve fails, so the inner grid and every refit score 1.0
+    monkeypatch.setattr(kreinkit.learners, "solve_sphere_qp", failing)
     out = tmp_path / "cv"
     assert main(["cv", "--synthetic", "two_gaussians", "--n", "40", "--learners",
-                 "lsm,vclsm,shsvm", "--ranks", "40", "--folds", "3", "--lambdas", "0.1,1",
+                 "lsm,vclsm,shsvm", "--ranks", "8", "--folds", "3", "--lambdas", "0.1,1",
                  "--out", str(out)]) == 0
     result = json.loads((out / "result.json").read_text())
     failed = {row["learner"]: row["failed_refits"] for row in result["summaries"]}
     assert failed == {"lsm": 0, "vclsm": 3, "shsvm": 0, "sf-lsm": 0, "constant": 0}
     _, rows = read_csv(out / "cv_folds.csv")
     assert [float(r[4]) for r in rows if r[0] == "vclsm"] == [1.0, 1.0, 1.0]
+
+
+def test_cv_refits_vclsm_at_full_landmarks(tmp_path):
+    # at full landmarks the centred features lose a rank; vclsm trains on
+    # their range instead of failing the split
+    out = tmp_path / "cv"
+    assert main(["cv", "--synthetic", "two_gaussians", "--n", "40", "--learners", "vclsm",
+                 "--ranks", "40", "--folds", "3", "--lambdas", "0.1,1",
+                 "--out", str(out)]) == 0
+    result = json.loads((out / "result.json").read_text())
+    failed = {row["learner"]: row["failed_refits"] for row in result["summaries"]}
+    assert failed["vclsm"] == 0
+    _, summary = read_csv(out / "cv_summary.csv")
+    mean = {row[0]: float(row[3]) for row in summary}
+    assert mean["vclsm"] < mean["constant"]
 
 
 def test_cv_constant_row_is_majority_class_error(tmp_path):
@@ -559,22 +592,24 @@ def test_cv_forms_no_whole_data_matrix(tmp_path, monkeypatch, sampler):
 
 
 def test_cv_builds_each_split_factor_once(tmp_path, monkeypatch):
+    import sys
+
     import kreinkit.landmarks
-    import kreinkit.learners
 
-    calls = {"fit": 0, "thin_svd": 0}
+    calls = {"fit": 0, "qr": 0}
+    original_fit, original_qr = kreinkit.landmarks.fit, np.linalg.qr
 
-    def counted(module, name):
-        original = getattr(module, name)
+    def counted_fit(*args, **kwargs):
+        calls["fit"] += 1
+        return original_fit(*args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
+    def counted_qr(*args, **kwargs):
+        # the R factors of feature maps: the QRs learners makes
+        calls["qr"] += sys._getframe(1).f_globals.get("__name__") == "kreinkit.learners"
+        return original_qr(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(kreinkit.landmarks, "fit")
-    counted(kreinkit.learners, "thin_svd")
+    monkeypatch.setattr(kreinkit.landmarks, "fit", counted_fit)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
     learners, folds, inner_folds = ["lsm", "vclsm", "shsvm"], 3, 2
     rc = main(["cv", *synthetic_args(n=48), "--learners", ",".join(learners),
                "--ranks", "8", "--folds", str(folds), "--lambdas", "0.01,0.1",
@@ -584,8 +619,8 @@ def test_cv_builds_each_split_factor_once(tmp_path, monkeypatch):
     # one factor per (learner, outer fold, inner fold or the outer refit),
     # however many penalty pairs and radius factors the grid holds
     assert calls["fit"] == len(learners) * folds * (inner_folds + 1)
-    # only vclsm needs the SVD of its features, once per split
-    assert calls["thin_svd"] == folds * (inner_folds + 1)
+    # only vclsm needs the R factor of its features, once per split
+    assert calls["qr"] == folds * (inner_folds + 1)
 
 
 def test_cv_builds_each_sf_lsm_block_once(tmp_path, monkeypatch):
@@ -698,7 +733,8 @@ DEGENERATE_CASES = [
     pytest.param({}, None, ["--lambdas", "1e-300"],
                  ["--lambda-pos", "1e-300", "--lambda-neg", "1e-300"], (), id="lambda-1e-300"),
     pytest.param({"duplicated": True}, None, [], [], (), id="duplicates"),
-    pytest.param({}, None, ["--ranks", "40"], ["--m", "40"], (), id="m-equals-n"),
+    # the centred vclsm features lose a rank; vclsm trains on their range
+    pytest.param({}, None, ["--ranks", "40"], ["--m", "40"], ("vclsm",), id="m-equals-n"),
     pytest.param({}, None, ["--ranks", "1"], ["--m", "1"], (), id="m-1"),
     # lambda_min of the vclsm sphere QP is 1.2e5 against a bracket of 0.83
     pytest.param({}, _NEAR_CANCELLING, [], [], ("vclsm",), id="near-cancelling"),
@@ -956,21 +992,30 @@ def test_bad_input_flags_exit_two(capsys, argv):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--matrix", "missing.csv", "--n", "7"],
-    ["--matrix", "missing.csv", "--p", "3"],
-    ["--matrix", "missing.csv", "--separation", "-1"],
-    ["--matrix", "missing.csv", "--no-standardize"],
-    ["--data", "missing.csv", "--kernel", "kernel=linear", "--n", "7"],
-    ["--data", "missing.csv", "--kernel", "kernel=linear", "--no-square"],
-    ["--data", "missing.csv", "--kernel", "kernel=linear", "--matrix-kind", "similarity"],
-    ["--synthetic", "two_gaussians", "--no-square"],
-    ["--synthetic", "two_gaussians", "--matrix-kind", "dissimilarity"],
-    ["--matrix", "missing.csv", "--n", "7", "--separation", "-1", "--p", "0",
-     "--no-standardize"],
+    *(["sample", *inputs, "--m", "2"] for inputs in (
+        ["--matrix", "missing.csv", "--n", "7"],
+        ["--matrix", "missing.csv", "--p", "3"],
+        ["--matrix", "missing.csv", "--separation", "-1"],
+        ["--matrix", "missing.csv", "--no-standardize"],
+        ["--data", "missing.csv", "--kernel", "kernel=linear", "--n", "7"],
+        ["--data", "missing.csv", "--kernel", "kernel=linear", "--no-square"],
+        ["--data", "missing.csv", "--kernel", "kernel=linear", "--matrix-kind", "similarity"],
+        ["--synthetic", "two_gaussians", "--no-square"],
+        ["--synthetic", "two_gaussians", "--matrix-kind", "dissimilarity"],
+        ["--matrix", "missing.csv", "--n", "7", "--separation", "-1", "--p", "0",
+         "--no-standardize"])),
+    # --radius is vclsm's variance target, and --target-class maps --labels
+    ["train", "--data", "missing.csv", "--kernel", "kernel=linear", "--labels", "y.txt",
+     "--m", "2", "--learner", "shsvm", "--radius", "3"],
+    ["train", "--data", "missing.csv", "--kernel", "kernel=linear", "--labels", "y.txt",
+     "--m", "2", "--radius", "3"],
+    ["train", "--synthetic", "two_gaussians", "--m", "2", "--target-class", "1"],
+    ["cv", "--synthetic", "two_gaussians", "--target-class", "1"],
+    ["cv", "--matrix", "missing.csv", "--target-class", "1"],
 ])
 def test_input_flags_act_only_with_their_input(capsys, flags):
-    # refused before the (missing) file is read, which would exit 3
-    assert main(["sample", *flags, "--m", "2"]) == 2
+    # refused before any input is read; a missing file would exit 3
+    assert main(flags) == 2
     assert "acts only with" in capsys.readouterr().err
 
 

@@ -263,9 +263,33 @@ def test_vclsm_beats_random_feasible_points():
             assert best <= objective(z) + 1e-6 * max(1.0, abs(best))
 
 
-def test_vclsm_rejects_rank_deficient_features():
-    phi = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-    fmap = FeatureMap(phi=phi, signs=np.array([1.0, 1.0]), factor=None)
+def test_vclsm_trains_rank_deficient_features_on_their_range():
+    rng = np.random.default_rng(8)
+    phi = np.outer(rng.normal(size=12), [1.0, 2.0, -1.0])  # rank 1
+    fmap = FeatureMap(phi=phi, signs=np.array([1.0, -1.0, 1.0]), factor=None)
+    y = rng.normal(size=12)
+    reg, r = RegPair(0.3, 0.1), 1.7
+    model = vc_lsm_lowrank(fmap, y, reg, r)
+    assert np.linalg.norm(phi @ model.z) == pytest.approx(r, rel=1e-10)
+    # z lies in the row space of phi: no part of it along null(phi)
+    _, _, vh = np.linalg.svd(phi)
+    null = vh[1:]
+    assert np.abs(null @ model.z).max() <= 1e-12 * np.linalg.norm(model.z)
+    lam = _lambda_diag(reg, fmap.signs)
+
+    def objective(z):
+        return 12 * float(lam @ (z * z)) - 2.0 * float(z @ (phi.T @ y))
+
+    # a rank-1 range holds two feasible points, +-r along its direction
+    feasible = [s * r / np.linalg.norm(phi @ vh[0]) * vh[0] for s in (1.0, -1.0)]
+    best = objective(model.z)
+    assert all(best <= objective(z) + 1e-12 * abs(best) for z in feasible)
+    assert min(objective(z) for z in feasible) == pytest.approx(best, rel=1e-12)
+
+
+def test_vclsm_rejects_all_zero_features():
+    # no z meets ||Phi z|| = r
+    fmap = FeatureMap(phi=np.zeros((3, 2)), signs=np.array([1.0, 1.0]), factor=None)
     with pytest.raises(RankDeficient):
         vc_lsm_lowrank(fmap, [1.0, -1.0, 1.0], RegPair(0.1, 0.1), 1.0)
 
@@ -274,6 +298,9 @@ def test_vclsm_validation():
     fmap = FeatureMap(phi=np.eye(3), signs=np.ones(3), factor=None)
     with pytest.raises(InvalidInput):
         vc_lsm_lowrank(fmap, [1.0, 1.0, -1.0], RegPair(0.1, 0.1), 0.0)
+    fmap = FeatureMap(phi=np.diag([1.0, np.nan, 1.0]), signs=np.ones(3), factor=None)
+    with pytest.raises(InvalidInput):
+        vc_lsm_lowrank(fmap, [1.0, 1.0, -1.0], RegPair(0.1, 0.1), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -577,13 +604,19 @@ def test_vclsm_path_matches_a_fresh_solve_per_radius():
         y = binary_labels(rng, n)
         reg = RegPair(float(rng.uniform(1e-3, 1.0)), float(rng.uniform(1e-3, 1.0)))
         solve = vc_lsm_path(fmap, y, reg)
+        sigma, B = fmap.svd
+        # the SVD of phi, taken from its R factor
+        dense = np.linalg.svd(fmap.phi, compute_uv=False)
+        assert_allclose(sigma, dense, rtol=1e-12, atol=1e-12 * dense[0])
+        assert_allclose(B.T @ B, np.eye(fmap.rank), atol=1e-12)
+        assert_allclose(np.linalg.norm(fmap.phi @ B, axis=0), sigma, rtol=1e-10)
         for r in (0.5, 1.0, 2.0):
             # everything rebuilt for this radius alone
-            svd = fmap.svd
             lam = _lambda_diag(reg, fmap.signs)
-            scaled = svd.B / svd.sigma[None, :]
+            scaled = B / sigma[None, :]
             W = n * (scaled.T * lam[None, :]) @ scaled
-            gamma = sphere_constrained_qp(SphereQP(W=W, b=svd.A.T @ y, r=r), tol=1e-12)
+            b = scaled.T @ (fmap.phi.T @ y)  # A' y with A = phi B / sigma
+            gamma = sphere_constrained_qp(SphereQP(W=W, b=b, r=r), tol=1e-12)
             z = scaled @ gamma
             model = solve(r)
             assert np.array_equal(model.z, z)
