@@ -33,7 +33,6 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    EvalResult,
     load_labels,
     load_matrix,
     load_table,
@@ -80,6 +79,7 @@ from .learners import (
     sf_lsm_path,
     variance_target,
 )
+from .linalg import row_blocks
 from .nystroem import (
     fit,
     flop_count,
@@ -248,8 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas", default=[10.0**e for e in range(-4, 3)],
                    type=lambda text: _parse_float_list(text, "--lambdas"),
                    help="comma-separated grid (default 1e-4..1e2 log-spaced)")
-    p.add_argument("--radius-factors", default="0.5,1,2",
-                   type=lambda text: _parse_float_list(text, "--radius-factors"))
+    p.add_argument("--radius-factors", default=None,
+                   type=lambda text: _parse_float_list(text, "--radius-factors"),
+                   help="vclsm variance targets over sqrt(n) * std(y) (default 0.5,1,2)")
     p.add_argument("--inner-folds", type=int, default=3)
 
     # bench draws its own standard-normal points per schedule entry
@@ -307,7 +308,11 @@ def validate_config(args: argparse.Namespace) -> None:
         if args.inner_folds < 2:
             raise ConfigError("--inner-folds must be at least 2")
         _check_finite("--lambdas", args.lambdas)
-        _check_finite("--radius-factors", args.radius_factors)
+        _check_finite("--radius-factors", args.radius_factors or [])
+        if "vclsm" in args.learners:
+            args.radius_factors = args.radius_factors or [0.5, 1.0, 2.0]
+        elif args.radius_factors is not None:
+            raise ConfigError("--radius-factors acts only with --learners naming vclsm")
     if args.command == "train":
         # zero penalties are allowed; shsvm itself rejects them
         _check_finite("--lambda-pos/--lambda-neg", [args.lambda_pos, args.lambda_neg],
@@ -438,26 +443,15 @@ def _outdir(args: argparse.Namespace) -> bool:
 # approx
 
 
-# a scoring block of K holds at most this many rows * n * p elements (p = 1
-# for a matrix source), so each block of K and its residual stay within
-# 32 MiB / p at any n; the block size also fixes the order in which the
-# residual squares are summed, so changing it changes the reported errors
-# at round-off level
-_SCORE_BLOCK_ELEMENTS = 1 << 22
-
-
 def _residual_norms(source: GramSource, eigs) -> list:
     """Frobenius errors ||K - U diag(lam) U'|| of several eigensystems, from
-    one pass over row blocks of the kernel matrix K of ``source``, an entry
-    of which costs one element per point coordinate to form; no n x n array
-    is formed."""
+    one pass over the `row_blocks` grid of the kernel matrix K of ``source``;
+    no n x n array is formed."""
     for eig in eigs:
         if not (np.all(np.isfinite(eig.U)) and np.all(np.isfinite(eig.lam))):
             raise InvalidInput("approximate eigensystem entries must be finite")
-    step = max(1, _SCORE_BLOCK_ELEMENTS // source.points.size)
     squares = np.zeros(len(eigs))
-    for start in range(0, source.n, step):
-        stop = min(source.n, start + step)
+    for start, stop in row_blocks(source.n, source.n):
         block = source.rows(start, stop)
         if not np.all(np.isfinite(block)):
             raise InvalidInput("matrix entries must be finite")
@@ -521,8 +515,6 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
 def cmd_eigen(args: argparse.Namespace) -> int:
     source, _ = load_inputs(args)
-    if not 1 <= args.m <= source.n:
-        raise ConfigError(f"--m must lie in [1, {source.n}]")
     factor = landmark_factor(source, args.sampler, args.m,
                              spawn_rng(args.seed, _DOMAIN_SINGLE), args.pinv_tol)
     cross = source.cross_all(factor.landmarks.indices)
@@ -561,8 +553,6 @@ def cmd_eigen(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     source, _ = load_inputs(args)
-    if not 1 <= args.m <= source.n:
-        raise ConfigError(f"--m must lie in [1, {source.n}]")
     rng = spawn_rng(args.seed, _DOMAIN_SINGLE)
     marks = select_landmarks(args.sampler, source, args.m, rng, args.pinv_tol)
     mult = marks.multiplicity if marks.multiplicity is not None else \
@@ -585,8 +575,6 @@ def _feature_map(source: GramSource, factor):
 
 def cmd_train(args: argparse.Namespace) -> int:
     source, y = load_inputs(args, need_labels=True)
-    if not 1 <= args.m <= source.n:
-        raise ConfigError(f"--m must lie in [1, {source.n}]")
     factor = landmark_factor(source, args.sampler, args.m,
                              spawn_rng(args.seed, _DOMAIN_SINGLE), args.pinv_tol)
     fmap, solve = learner_path(args.learner, _feature_map(source, factor), y)
@@ -706,16 +694,15 @@ def run_cv(source: GramSource, y, args: argparse.Namespace):
             rates.append(rate)
             fold_rows.append((learner, k, l, fi, rate))
         timings = {"refit_seconds": refit_s} if learner in LEARNERS else {}
-        summaries.append((learner, k, l, EvalResult.from_rates(rates, timings), failed))
+        summaries.append((learner, k, l, rates, timings, failed))
     return fold_rows, summaries
 
 
 def cmd_cv(args: argparse.Namespace) -> int:
     source, y = load_inputs(args, need_labels=True)
     fold_rows, summaries = run_cv(source, y, args)
-    summary_rows = [
-        (learner, k, l, res.mean, res.std, res.median) for learner, k, l, res, _ in summaries
-    ]
+    summary_rows = [(learner, k, l, float(np.mean(rates)), float(np.std(rates)),
+                     float(np.median(rates))) for learner, k, l, rates, _, _ in summaries]
     if _outdir(args):
         _write_csv(f"{args.out}/cv_folds.csv",
                    ["learner", "k", "l", "fold", "error"], fold_rows)
@@ -724,14 +711,15 @@ def cmd_cv(args: argparse.Namespace) -> int:
                    summary_rows)
         _write_result(args, {
             "summaries": [
-                {"learner": learner, "k": k, "l": l, "mean": res.mean, "std": res.std,
-                 "median": res.median, "timings": res.timings, "failed_refits": failed}
-                for learner, k, l, res, failed in summaries
+                {"learner": learner, "k": k, "l": l, "mean": mean, "std": std,
+                 "median": median, "timings": timings, "failed_refits": failed}
+                for (learner, k, l, mean, std, median), (*_, timings, failed)
+                in zip(summary_rows, summaries)
             ],
         })
-    for learner, k, l, res, _ in summaries:
-        print(f"{learner:>9}  k={k!s:<5} l={l!s:<5} mean={res.mean:.4f} "
-              f"(std {res.std:.4f})  median={res.median:.4f}")
+    for learner, k, l, mean, std, median in summary_rows:
+        print(f"{learner:>9}  k={k!s:<5} l={l!s:<5} mean={mean:.4f} "
+              f"(std {std:.4f})  median={median:.4f}")
     return 0
 
 

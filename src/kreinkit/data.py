@@ -22,7 +22,6 @@ from .linalg import SymMatrix
 __all__ = [
     "DissimilarityMatrix",
     "CVPlan",
-    "EvalResult",
     "load_table",
     "load_matrix",
     "write_matrix",
@@ -278,33 +277,6 @@ def misclassification(predictions, y) -> float:
     if not np.all((labels == 1.0) | (labels == -1.0)):
         raise InvalidInput("labels must be -1/+1")
     return float(np.mean(labels * pred <= 0.0))
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """Per-fold error rates with aggregate statistics and phase timings."""
-
-    rates: np.ndarray
-    mean: float
-    std: float
-    median: float
-    timings: dict
-
-    @classmethod
-    def from_rates(cls, rates, timings=None) -> "EvalResult":
-        r = np.asarray(rates, dtype=float)
-        if r.ndim != 1 or r.size == 0:
-            raise InvalidInput("rates must form a non-empty vector")
-        if np.any(r < 0.0) or np.any(r > 1.0):
-            raise InvalidInput("error rates must lie in [0, 1]")
-        r.setflags(write=False)
-        return cls(
-            rates=r,
-            mean=float(r.mean()),
-            std=float(r.std()),
-            median=float(np.median(r)),
-            timings=dict(timings or {}),
-        )
 
 
 def make_synthetic(kind: str, n: int, p: int, rng: np.random.Generator,

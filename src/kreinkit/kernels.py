@@ -225,7 +225,10 @@ def standardize(X) -> tuple[np.ndarray, Standardizer]:
 
 
 # rows of a distance kernel block handled at a time, which bounds the
-# temporaries to _CHUNK x m
+# temporaries to _CHUNK x m.  It is a cache tile, not the `linalg.row_blocks`
+# grid: it fixes no sum order, and on a 40000 x 400 gaussdiff block (p = 16,
+# one BLAS thread) 256-row tiles took 0.33-0.36 s against 0.41-0.46 s for
+# 2560-row ones.
 _CHUNK = 256
 
 # an entry with d^2 <= _CANCEL * (p + 2) * (|x|^2 + |z|^2) may have lost all

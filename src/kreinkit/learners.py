@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidInput, RankDeficient, ShapeError, SolverError
 from .kernels import KernelSpec, format_kernel_spec, parse_kernel_spec
-from .linalg import SignedEigenSystem, SymMatrix, factor_sphere_qp, solve_sphere_qp
+from .linalg import SignedEigenSystem, SymMatrix, factor_sphere_qp, row_blocks, solve_sphere_qp
 from .nystroem import LandmarkSet, NystroemFactor
 
 __all__ = [
@@ -128,24 +128,6 @@ class FeatureMap:
         return rows
 
 
-# Rows per block of a feature fill or a prediction are this many elements over
-# the landmark count, rounded down to a multiple of 64 rows: 8 MiB of kernel
-# rows at any n.  Every product is taken on this grid of blocks, so a row's
-# features are the same bits whichever array it arrives in; a row-blocked
-# matrix product need not match one product of the whole array.  With
-# OpenBLAS, blocks of a multiple of 64 rows also sum a matrix-vector product
-# as the whole array does, so blocked predictions match phi @ z exactly.
-# Changing the budget moves the features at round-off level.
-_ROW_BLOCK_ELEMENTS = 1 << 20
-
-
-def _row_blocks(n: int, width: int):
-    """(start, stop) of the blocks of n rows of ``width`` elements each."""
-    step = max(64, _ROW_BLOCK_ELEMENTS // max(1, width) // 64 * 64)
-    for start in range(0, n, step):
-        yield start, min(n, start + step)
-
-
 def feature_rows(factor: NystroemFactor, K_rows, out: np.ndarray | None = None) -> np.ndarray:
     """Signed feature rows for arbitrary points given their kernel values
     against the landmarks.  Training and prediction share this path so that
@@ -153,9 +135,11 @@ def feature_rows(factor: NystroemFactor, K_rows, out: np.ndarray | None = None) 
 
     The signs are folded into the m x r projection rather than applied to the
     n x r product: scaling by +-1 is exact, so the rows are the same bits
-    without a second n x r array.  The product is taken one `_row_blocks`
-    block at a time, so a row's features do not depend on how many rows are
-    passed with it.  ``out``, if given, receives the rows of a 2-d K_rows."""
+    without a second n x r array.  The product is taken one block of the
+    `linalg.row_blocks` grid at a time, so a row's features do not depend on
+    how many rows are passed with it; a row-blocked product need not match
+    one product of the whole array.  ``out``, if given, receives the rows of
+    a 2-d K_rows."""
     k = np.asarray(K_rows, dtype=float)
     single = k.ndim == 1
     if single:
@@ -164,14 +148,14 @@ def feature_rows(factor: NystroemFactor, K_rows, out: np.ndarray | None = None) 
         raise ShapeError(f"expected kernel rows of length {factor.m}, got {k.shape}")
     proj = factor.U_r / np.sqrt(np.abs(factor.d_r)) * factor.s_r
     rows = np.empty((k.shape[0], proj.shape[1])) if out is None else out
-    for start, stop in _row_blocks(k.shape[0], factor.m):
+    for start, stop in row_blocks(k.shape[0], factor.m):
         np.matmul(k[start:stop], proj, out=rows[start:stop])
     return rows[0] if single else rows
 
 
 def build_feature_map(factor: NystroemFactor, K_XZ, n: int | None = None) -> FeatureMap:
-    """Signed features of the n training points, filled one `_row_blocks`
-    block at a time into one n x r array.
+    """Signed features of the n training points, filled one block of the
+    `linalg.row_blocks` grid at a time into one n x r array.
 
     ``K_XZ`` is either the n x m cross block against the landmarks or a
     function ``rows(start, stop)`` returning its rows start:stop, with n
@@ -184,7 +168,7 @@ def build_feature_map(factor: NystroemFactor, K_XZ, n: int | None = None) -> Fea
         k = np.asarray(K_XZ, dtype=float)
         n, rows = k.shape[0], lambda start, stop: k[start:stop]
     phi = np.empty((n, factor.effective_rank))
-    for start, stop in _row_blocks(n, factor.m):
+    for start, stop in row_blocks(n, factor.m):
         feature_rows(factor, rows(start, stop), out=phi[start:stop])
     return FeatureMap(phi=phi, signs=np.array(factor.s_r), factor=factor)
 
@@ -279,13 +263,14 @@ class LowRankModel:
 
     def predict(self, k_rows) -> np.ndarray | float:
         """Decision values of points from their kernel rows against the
-        landmarks, scored one `_row_blocks` block at a time: the only arrays
-        formed are the output and one block of feature rows."""
+        landmarks, scored one block of the `linalg.row_blocks` grid at a
+        time: the only arrays formed are the output and one block of feature
+        rows."""
         k = np.asarray(k_rows, dtype=float)
         if k.ndim != 2:
             return self.map.rows(k) @ self.z
         out = np.empty(k.shape[0])
-        for start, stop in _row_blocks(k.shape[0], k.shape[1]):
+        for start, stop in row_blocks(*k.shape):
             out[start:stop] = self.map.rows(k[start:stop]) @ self.z
         return out
 
@@ -398,26 +383,19 @@ def _hinge_gradient(features, y, margin, lam_diag, n_scale, z) -> np.ndarray:
     return grad + 2.0 * n_scale * lam_diag * z
 
 
-# Rows per block of the Newton Hessian's sum are this many elements over the
-# feature width: 4 MiB of scratch at any n.  The block size also fixes the
-# order in which the Hessian is summed, so changing it moves the Newton
-# iterates at round-off level
-_HESSIAN_BLOCK_ELEMENTS = 1 << 19
-
-
 def _active_gram(features, active) -> np.ndarray:
-    """F_A' F_A over the rows where ``active`` holds, summed over row blocks.
+    """F_A' F_A over the rows where ``active`` holds, summed over the blocks
+    of the `linalg.row_blocks` grid, so its scratch is one block at any n.
 
     A block whose rows are all active enters as a view, any other as a copy
     of its active rows; either way ``rows.T @ rows`` reads one buffer twice,
     which NumPy hands to SYRK.
     """
-    n, m = features.shape
-    step = max(1, _HESSIAN_BLOCK_ELEMENTS // m)
+    m = features.shape[1]
     gram = np.zeros((m, m))
-    for start in range(0, n, step):
-        rows = features[start:start + step]
-        keep = active[start:start + step]
+    for start, stop in row_blocks(*features.shape):
+        rows = features[start:stop]
+        keep = active[start:stop]
         if not keep.all():
             if not keep.any():
                 continue

@@ -21,13 +21,14 @@ from kreinkit import (
     load_model,
     make_rng,
     misclassification,
+    one_shot_eigen,
     parse_kernel_spec,
     reconstruct,
     tanh_sigmoid,
     truncate_eigen,
     write_matrix,
 )
-from kreinkit import learners
+from kreinkit import learners, linalg
 from kreinkit.cli import _feature_map, _parse_ranks, main
 
 
@@ -159,14 +160,14 @@ def test_approx_streamed_errors_match_dense(monkeypatch, from_matrix):
     import kreinkit.cli
 
     rng = np.random.default_rng(21)
-    x = rng.normal(size=(50, 3))
+    x = rng.normal(size=(150, 3))
     if from_matrix:
         source = GramSource.from_matrix(gram(tanh_sigmoid(0.3, -0.5), x))
     else:
         source = GramSource.from_data(gaussian_diff(1.0, 3.0), x)
-    # 7-row scoring blocks, the last one ragged, instead of a single block
-    width = 1 if from_matrix else x.shape[1]
-    monkeypatch.setattr(kreinkit.cli, "_SCORE_BLOCK_ELEMENTS", 7 * 50 * width)
+    # 64-row scoring blocks, the last one ragged, instead of a single block
+    monkeypatch.setattr(linalg, "_ROW_BLOCK_ELEMENTS", 64 * 150)
+    assert [stop for _, stop in linalg.row_blocks(150, 150)] == [64, 128, 150]
     eigs = []
 
     def keep(eig, rank):
@@ -476,8 +477,8 @@ def test_features_and_predictions_by_row_blocks(monkeypatch, kernel, tol):
     factor = landmark_factor(source, "uniform", 20, make_rng(3), None)
     cross = source.cross_all(factor.landmarks.indices)
     one_product = cross @ (factor.U_r / np.sqrt(np.abs(factor.d_r)) * factor.s_r)
-    monkeypatch.setattr(learners, "_ROW_BLOCK_ELEMENTS", 64 * factor.m)
-    assert len(list(learners._row_blocks(source.n, factor.m))) == 5
+    monkeypatch.setattr(linalg, "_ROW_BLOCK_ELEMENTS", 64 * factor.m)
+    assert len(list(linalg.row_blocks(source.n, factor.m))) == 5
     fmap = _feature_map(source, factor)
     # the whole cross block goes through the same row blocks, so the rows
     # agree as far as the kernel rows do; one product of the whole block may
@@ -489,6 +490,50 @@ def test_features_and_predictions_by_row_blocks(monkeypatch, kernel, tol):
         trained, solve = learner_path(learner, fmap, y)
         model = solve(RegPair(0.1, 0.1))
         assert _agree(model.predict(cross), trained.phi @ model.z, tol)
+
+
+def test_one_budget_blocks_every_n_scale_pass(monkeypatch):
+    import sys
+
+    import kreinkit.cli
+
+    rng = np.random.default_rng(23)
+    source = GramSource.from_data(parse_kernel_spec("kernel=gaussdiff sigma1=1.0 sigma2=3.0"),
+                                  rng.normal(size=(300, 4)))
+    factor = landmark_factor(source, "uniform", 20, make_rng(5), None)
+    cross = source.cross_all(factor.landmarks.indices)
+    eig = truncate_eigen(one_shot_eigen(factor, cross), 10)
+    y = np.where(rng.random(300) < 0.5, -1.0, 1.0)
+    blocks = {}  # the most blocks any call of each pass walked
+
+    def counted(n, width):
+        grid = list(linalg.row_blocks(n, width))
+        caller = sys._getframe(1).f_code.co_name
+        blocks[caller] = max(blocks.get(caller, 0), len(grid))
+        return grid
+
+    monkeypatch.setattr(learners, "row_blocks", counted)
+    monkeypatch.setattr(kreinkit.cli, "row_blocks", counted)
+
+    def passes():
+        blocks.clear()
+        fmap = _feature_map(source, factor)
+        model = learner_path("lsm", fmap, y)[1](RegPair(0.1, 0.1))
+        active = y * (fmap.phi @ model.z) < 1.0
+        return (fmap.phi, model.predict(cross), learners._active_gram(fmap.phi, active),
+                kreinkit.cli._residual_norms(source, [eig]))
+
+    phi, pred, hess, [resid] = passes()
+    outer = ("build_feature_map", "predict", "_active_gram", "_residual_norms")
+    assert {blocks[name] for name in outer} == {1}
+    monkeypatch.setattr(linalg, "_ROW_BLOCK_ELEMENTS", 1)  # 64 rows at any width
+    phi_b, pred_b, hess_b, [resid_b] = passes()
+    assert {blocks[name] for name in outer} == {5}
+    # at this size the 64-row products are the bits of one product (OpenBLAS);
+    # the Hessian and the residual are sums, taken in another order
+    assert np.array_equal(phi_b, phi) and np.array_equal(pred_b, pred)
+    assert_allclose(hess_b, hess, rtol=1e-12, atol=0)
+    assert resid_b == pytest.approx(resid, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +560,7 @@ def test_cv_outputs(tmp_path):
         "out", "learners", "sampler", "ranks", "landmark_factor", "folds", "lambdas",
         "radius_factors", "inner_folds"}
     assert config["learners"] == ["lsm"] and config["ranks"] == [12]
-    assert config["radius_factors"] == [0.5, 1.0, 2.0]
+    assert config["radius_factors"] is None  # read by vclsm alone
 
 
 def test_cv_scores_a_failed_refit_as_an_error(tmp_path, monkeypatch):
@@ -923,6 +968,18 @@ def test_exit_code_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["eigen", "sample", "train"])
+@pytest.mark.parametrize("m", [0, 21])
+def test_landmark_budget_out_of_range_exits_two(monkeypatch, capsys, command, m):
+    def unreached(*args, **kwargs):
+        raise AssertionError("evaluated the kernel")
+
+    # the landmark selection refuses the budget before any kernel value is formed
+    monkeypatch.setattr(GramSource, "_kernel", unreached)
+    assert main([command, *synthetic_args(n=20), "--m", str(m)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: landmark budget")
+
+
 def test_exit_code_data_errors(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,9.0\n2.0,3.0\n")  # grossly asymmetric
@@ -1004,7 +1061,8 @@ def test_bad_input_flags_exit_two(capsys, argv):
         ["--synthetic", "two_gaussians", "--matrix-kind", "dissimilarity"],
         ["--matrix", "missing.csv", "--n", "7", "--separation", "-1", "--p", "0",
          "--no-standardize"])),
-    # --radius is vclsm's variance target, and --target-class maps --labels
+    # --radius and --radius-factors set vclsm's variance target, and
+    # --target-class maps --labels
     ["train", "--data", "missing.csv", "--kernel", "kernel=linear", "--labels", "y.txt",
      "--m", "2", "--learner", "shsvm", "--radius", "3"],
     ["train", "--data", "missing.csv", "--kernel", "kernel=linear", "--labels", "y.txt",
@@ -1012,6 +1070,8 @@ def test_bad_input_flags_exit_two(capsys, argv):
     ["train", "--synthetic", "two_gaussians", "--m", "2", "--target-class", "1"],
     ["cv", "--synthetic", "two_gaussians", "--target-class", "1"],
     ["cv", "--matrix", "missing.csv", "--target-class", "1"],
+    ["cv", "--synthetic", "two_gaussians", "--n", "40", "--learners", "lsm", "--ranks", "5",
+     "--folds", "2", "--radius-factors", "0.5,7"],
 ])
 def test_input_flags_act_only_with_their_input(capsys, flags):
     # refused before any input is read; a missing file would exit 3

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from kreinkit import data
 from kreinkit import (
     DissimilarityMatrix,
-    EvalResult,
     FoldError,
     InvalidClass,
     InvalidInput,
@@ -301,16 +300,6 @@ def test_misclassification_label_check_matches_the_set_rule(labels):
         rate = misclassification(preds, labels)
         expected = np.mean(np.asarray(labels) != 1.0)
     assert rate == pytest.approx(expected, nan_ok=True)
-
-
-def test_eval_result_statistics():
-    res = EvalResult.from_rates([0.1, 0.2, 0.3], {"train_seconds": 1.5})
-    assert res.mean == pytest.approx(0.2)
-    assert res.median == pytest.approx(0.2)
-    assert res.std == pytest.approx(np.std([0.1, 0.2, 0.3]))
-    assert res.timings == {"train_seconds": 1.5}
-    with pytest.raises(InvalidInput):
-        EvalResult.from_rates([1.5])
 
 
 # ---------------------------------------------------------------------------

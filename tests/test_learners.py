@@ -34,7 +34,7 @@ from kreinkit import (
     vc_lsm_lowrank,
     vc_lsm_path,
 )
-from kreinkit import learners
+from kreinkit import learners, linalg
 from kreinkit.learners import _lambda_diag, squared_hinge_gradient, squared_hinge_objective
 
 
@@ -179,7 +179,7 @@ def test_predict_allocates_its_output_and_one_block(peak_bytes):
     model = LowRankModel(z=rng.normal(size=r), map=fmap, learner="vclsm",
                          reg=RegPair(0.1, 0.1))
     k = rng.normal(size=(n, m))
-    start, stop = next(learners._row_blocks(n, m))
+    start, stop = next(linalg.row_blocks(n, m))
     assert stop - start < n
     block = (stop - start) * r * 8
     assert peak_bytes(lambda: model.predict(k)) <= n * 8 + 1.1 * block
@@ -367,22 +367,23 @@ def test_shsvm_gradient_scales_the_r_vector_exactly():
 
 def test_active_gram_sums_full_partial_and_empty_blocks(monkeypatch):
     rng = np.random.default_rng(17)
-    phi = rng.normal(size=(95, 7))
-    monkeypatch.setattr(learners, "_HESSIAN_BLOCK_ELEMENTS", 70)  # 10 rows
-    active = rng.random(95) < 0.5
-    active[:10] = True
-    active[10:20] = False
+    phi = rng.normal(size=(223, 7))
+    monkeypatch.setattr(linalg, "_ROW_BLOCK_ELEMENTS", 64 * 7)  # 64 rows
+    active = rng.random(223) < 0.5
+    active[:64] = True
+    active[64:128] = False
     rows = phi[active]
     assert_allclose(learners._active_gram(phi, active), rows.T @ rows, rtol=1e-12, atol=0)
-    empty = learners._active_gram(phi, np.zeros(95, dtype=bool))
+    empty = learners._active_gram(phi, np.zeros(223, dtype=bool))
     assert np.array_equal(empty, np.zeros((7, 7)))
 
 
 def test_shsvm_newton_sums_the_hessian_over_row_blocks(monkeypatch):
     rng = np.random.default_rng(18)
     m = 32
-    step = learners._HESSIAN_BLOCK_ELEMENTS // m
+    step = linalg._ROW_BLOCK_ELEMENTS // m
     n = 3 * step + step // 3
+    assert next(linalg.row_blocks(n, m)) == (0, step)
     phi = rng.normal(size=(n, m))
     y = np.sign(phi @ rng.normal(size=m))
     y[rng.random(n) < 0.1] *= -1.0
