@@ -17,7 +17,7 @@ import functools
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -294,13 +294,14 @@ def _as_binary(y, n: int) -> np.ndarray:
     return y
 
 
-def krein_krr_lowrank(fmap: FeatureMap, y, reg: RegPair) -> LowRankModel:
-    """Ridge regression in the signed feature space (closed form)."""
+def krein_krr_lowrank(fmap: FeatureMap, y, reg: RegPair, phi_y=None) -> LowRankModel:
+    """Ridge regression in the signed feature space (closed form).  ``phi_y``
+    is Phi' y, formed here unless the caller passes it."""
     y = _as_labels(y, fmap.n)
     n = fmap.n
     lam = _lambda_diag(reg, fmap.signs)
     system = fmap.gram + n * np.diag(lam)
-    rhs = fmap.phi.T @ y
+    rhs = fmap.phi.T @ y if phi_y is None else phi_y
     try:
         z = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
@@ -313,7 +314,8 @@ def krein_krr_lowrank(fmap: FeatureMap, y, reg: RegPair) -> LowRankModel:
                         diagnostics={"residual": residual})
 
 
-def vc_lsm_path(fmap: FeatureMap, y, reg: RegPair) -> Callable[[float], LowRankModel]:
+def vc_lsm_path(fmap: FeatureMap, y, reg: RegPair, phi_y=None,
+                factors: dict | None = None) -> Callable[[float], LowRankModel]:
     """Variance-constrained least squares for one penalty pair, as a function
     of the variance target r.
 
@@ -326,6 +328,17 @@ def vc_lsm_path(fmap: FeatureMap, y, reg: RegPair) -> Callable[[float], LowRankM
     trains on its range, and only an all-zero Phi raises RankDeficient.
     Everything but the secular solve, eigh(W) included, is built here once
     and shared by every r passed to the returned function.
+
+    ``phi_y`` is Phi' y, formed here unless the caller passes it.
+    ``factors``, a dict the caller keeps for one map and one y, shares the
+    factorisation across penalty pairs: W is linear in (lam_pos, lam_neg), so
+    the pairs of one ratio (lam_pos, lam_neg) / s, s = max(lam_pos, lam_neg),
+    share W's eigenvectors and b, and their eigenvalues scale with s.  The
+    first pair of a ratio factors its own W, as without ``factors``, and is
+    kept with its s0; a later pair of that ratio scales the kept eigenvalues
+    by s / s0 (Moré and Sorensen's trust-region view of the sphere QP),
+    unless s / s0 overflows.  A factorisation that raises is not kept, and
+    s = 0 is a ratio of its own.
     """
     y = _as_labels(y, fmap.n)
     sigma, B = fmap.svd
@@ -335,9 +348,19 @@ def vc_lsm_path(fmap: FeatureMap, y, reg: RegPair) -> Callable[[float], LowRankM
     n = fmap.n
     lam = _lambda_diag(reg, fmap.signs)
     scaled = B[:, keep] / sigma[keep]  # columns map gamma -> z
-    W = n * (scaled.T * lam[None, :]) @ scaled
-    phi_y = fmap.phi.T @ y
-    qp = factor_sphere_qp(W, scaled.T @ phi_y)
+    if phi_y is None:
+        phi_y = fmap.phi.T @ y
+    scale = max(reg.lam_pos, reg.lam_neg)
+    ratio = (reg.lam_pos / scale, reg.lam_neg / scale) if scale > 0.0 else (0.0, 0.0)
+    kept = None if factors is None else factors.get(ratio)
+    grow = 1.0 if kept is None or scale == kept[0] else scale / kept[0]
+    if kept is None or not math.isfinite(grow):
+        W = n * (scaled.T * lam[None, :]) @ scaled
+        qp = factor_sphere_qp(W, scaled.T @ phi_y)
+        if factors is not None and kept is None:
+            factors[ratio] = (scale, qp)
+    else:
+        qp = replace(kept[1], lam=kept[1].lam * grow)
 
     def solve(r: float) -> LowRankModel:
         _check_radius(r)
@@ -404,19 +427,23 @@ def _active_gram(features, active) -> np.ndarray:
     return gram
 
 
-def _newton_squared_hinge(features, y, lam_diag, n_scale):
-    """Damped Newton for the squared-hinge objective.
+def _newton_squared_hinge(features, y, lam_diag, n_scale, start=None):
+    """Damped Newton for the squared-hinge objective, from ``start`` (by
+    default z = 0).
 
     The active-set Hessian 2 F_A' F_A + 2 n diag(lam) is positive definite
     whenever the penalties are positive, so the Newton direction always
-    descends; an Armijo backtracking line search (sufficient decrease 1e-4,
-    halving steps) makes the damping explicit.  Converges when the gradient
-    norm drops below 1e-8 * max(1, n) within 100 steps.  Each
+    descends from any start; an Armijo backtracking line search (sufficient
+    decrease 1e-4, halving steps) makes the damping explicit.  Converges when
+    the gradient norm drops below 1e-8 * max(1, n) within 100 steps.  Each
     candidate's margins 1 - y o (F z) are formed once, by the line search,
-    and serve the accepted iterate's gradient and active set.
+    and serve the accepted iterate's gradient and active set.  The weights of
+    a nearby penalty pair make a warm start: its active set is mostly the
+    final one, so Newton needs fewer steps (Chapelle, "Training a Support
+    Vector Machine in the Primal", 2007).
     """
     n, m = features.shape
-    z = np.zeros(m)
+    z = np.zeros(m) if start is None else np.array(start, dtype=float)
     gtol = 1e-8 * max(1.0, float(n))
     margin = 1.0 - y * (features @ z)
     obj = _hinge_objective(margin, lam_diag, n_scale, z)
@@ -465,17 +492,20 @@ def _newton_squared_hinge(features, y, lam_diag, n_scale):
     )
 
 
-def sh_svm_lowrank(fmap: FeatureMap, y, reg: RegPair) -> LowRankModel:
+def sh_svm_lowrank(fmap: FeatureMap, y, reg: RegPair, start=None) -> LowRankModel:
     """Squared-hinge SVM in the signed feature space, no bias term.
 
     Minimizes sum_i max(1 - y_i (Phi z)_i, 0)^2 + n lam_pos ||z_+||^2
-    + n lam_neg ||z_-||^2 by damped Newton steps.
+    + n lam_neg ||z_-||^2 by damped Newton steps from the weights ``start``,
+    by default 0.
     """
     y = _as_binary(y, fmap.n)
     if reg.lam_pos <= 0.0 or reg.lam_neg <= 0.0:
         raise InvalidInput("the squared-hinge solver needs strictly positive penalties")
+    if start is not None and np.shape(start) != (fmap.rank,):
+        raise ShapeError(f"expected start weights of length {fmap.rank}, got {np.shape(start)}")
     lam = _lambda_diag(reg, fmap.signs)
-    z, info = _newton_squared_hinge(fmap.phi, y, lam, float(fmap.n))
+    z, info = _newton_squared_hinge(fmap.phi, y, lam, float(fmap.n), start)
     return LowRankModel(z=z, map=fmap, learner="shsvm", reg=reg, diagnostics=info)
 
 
@@ -495,24 +525,43 @@ def learner_path(learner: str, fmap: FeatureMap, y) -> tuple[FeatureMap, Callabl
     the penalty pair ``reg``.  lsm and shsvm train on ``fmap`` itself and
     ignore r.  vclsm trains on the centred map (`center_features`), on its
     range if centring costs a rank, at the variance target r, by default
-    `variance_target(y)`; the map's R factor serves every penalty pair, one
-    `vc_lsm_path` per pair serves every r, and a pair whose factorisation
-    raised is tried again on its next use.
+    `variance_target(y)`.
+
+    What no penalty pair changes is built once per path and shared by its
+    solves: Phi' y for lsm and vclsm, and for vclsm the map's R factor and
+    one sphere-QP factorisation per penalty ratio (see `vc_lsm_path`), with
+    one `vc_lsm_path` per pair serving every r.  A pair whose factorisation
+    raised is tried again on its next use.  shsvm starts each Newton solve
+    from the weights of the path's last successful solve, so a path's first
+    solve is the cold one `sh_svm_lowrank` makes, and the later solves of a
+    grid walked pair by pair are warm.
     """
-    if learner == "lsm":
-        return fmap, lambda reg, r=None: krein_krr_lowrank(fmap, y, reg)
     if learner == "shsvm":
-        return fmap, lambda reg, r=None: sh_svm_lowrank(fmap, y, reg)
-    if learner != "vclsm":
+        start = None
+
+        def solve_shsvm(reg: RegPair, r: float | None = None) -> LowRankModel:
+            nonlocal start
+            model = sh_svm_lowrank(fmap, y, reg, start)
+            start = model.z
+            return model
+
+        return fmap, solve_shsvm
+    if learner not in LEARNERS:
         raise InvalidInput(f"unknown learner {learner!r}; use one of {', '.join(LEARNERS)}")
+    y = _as_labels(y, fmap.n)
+    if learner == "lsm":
+        phi_y = fmap.phi.T @ y
+        return fmap, lambda reg, r=None: krein_krr_lowrank(fmap, y, reg, phi_y)
     fmap = center_features(fmap)
+    phi_y = fmap.phi.T @ y
     paths = {}
+    factors = {}
 
     def solve(reg: RegPair, r: float | None = None) -> LowRankModel:
         r = variance_target(y) if r is None else r
         _check_radius(r)  # before the rank check, as a bad r is the caller's error
         if reg not in paths:
-            paths[reg] = vc_lsm_path(fmap, y, reg)
+            paths[reg] = vc_lsm_path(fmap, y, reg, phi_y, factors)
         return paths[reg](r)
 
     return fmap, solve

@@ -728,9 +728,12 @@ def test_cv_factors_each_vclsm_penalty_pair_once(tmp_path, monkeypatch):
                "--radius-factors", "0.5,1,2", "--inner-folds", str(inner_folds),
                "--seed", "13", "--out", str(tmp_path / "cv")])
     assert rc == 0
-    # one factorisation per (inner split, penalty pair), however many radius
-    # factors the grid holds, plus one for each outer refit
-    assert len(calls) == folds * (inner_folds * len(lambdas) ** 2 + 1)
+    # one factorisation per (inner split, penalty ratio), however many radius
+    # factors and penalty pairs of that ratio the grid holds, plus one for each
+    # outer refit; 0.01 / 0.1 and 0.1 / 0.1 make three ratios, not four pairs
+    ratios = {(lp / max(lp, ln), ln / max(lp, ln)) for lp in lambdas for ln in lambdas}
+    assert len(ratios) == 3
+    assert len(calls) == folds * (inner_folds * len(ratios) + 1)
 
 
 def test_cv_failing_vclsm_factorisation_fails_every_radius(tmp_path, monkeypatch):
@@ -738,17 +741,25 @@ def test_cv_failing_vclsm_factorisation_fails_every_radius(tmp_path, monkeypatch
     import kreinkit.learners
     from kreinkit import RegPair, SolverError
 
-    bad = RegPair(0.01, 0.01)  # the first grid entry, so a tie would pick it
+    # the first grid entry, so a tie would pick it, and the first pair of its
+    # penalty ratio, so (0.1, 0.1) would reuse its factorisation if it were kept
+    bad = RegPair(0.01, 0.01)
+    current = []
     attempts = []
     picked = []
     original_path = kreinkit.learners.vc_lsm_path
+    original_factor = kreinkit.learners.factor_sphere_qp
     original_pick = kreinkit.cli._pick_hyper
 
-    def failing_path(fmap, y, reg):
-        attempts.append(reg)
-        if reg == bad:
+    def recorded_path(fmap, y, reg, *args):
+        current.append(reg)
+        return original_path(fmap, y, reg, *args)
+
+    def failing_factor(W, b):
+        attempts.append(current[-1])
+        if current[-1] == bad:
             raise SolverError("injected factorisation failure")
-        return original_path(fmap, y, reg)
+        return original_factor(W, b)
 
     def recorded_pick(learner, *args, **kwargs):
         hyper = original_pick(learner, *args, **kwargs)
@@ -756,7 +767,8 @@ def test_cv_failing_vclsm_factorisation_fails_every_radius(tmp_path, monkeypatch
             picked.append(hyper)
         return hyper
 
-    monkeypatch.setattr(kreinkit.learners, "vc_lsm_path", failing_path)
+    monkeypatch.setattr(kreinkit.learners, "vc_lsm_path", recorded_path)
+    monkeypatch.setattr(kreinkit.learners, "factor_sphere_qp", failing_factor)
     monkeypatch.setattr(kreinkit.cli, "_pick_hyper", recorded_pick)
     folds, inner_folds, radii = 3, 2, 3
     rc = main(["cv", *synthetic_args(n=48), "--learners", "vclsm", "--ranks", "8",
@@ -766,6 +778,47 @@ def test_cv_failing_vclsm_factorisation_fails_every_radius(tmp_path, monkeypatch
     # a raise is not kept as a factorisation: every radius tries again and fails
     assert attempts.count(bad) == folds * inner_folds * radii
     assert len(picked) == folds and all(reg != bad for reg, _ in picked)
+
+
+def test_cv_grid_shares_factorisations_and_warm_starts(tmp_path, monkeypatch):
+    import sys
+
+    import kreinkit.learners
+
+    eighs = []
+    grams = []
+    original_eigh = np.linalg.eigh
+    original_gram = kreinkit.learners._active_gram
+    original_newton = kreinkit.learners._newton_squared_hinge
+
+    def counted_eigh(a, *args, **kwargs):
+        caller = sys._getframe(1)
+        # the sphere-QP eigendecompositions: those linalg makes outside sym_eigen
+        if (caller.f_globals.get("__name__") == "kreinkit.linalg"
+                and caller.f_code.co_name != "sym_eigen"):
+            eighs.append(a.shape)
+        return original_eigh(a, *args, **kwargs)
+
+    def counted_gram(features, active):
+        grams.append(features.shape)
+        return original_gram(features, active)
+
+    def cold(features, y, lam_diag, n_scale, start=None):
+        return original_newton(features, y, lam_diag, n_scale)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(kreinkit.learners, "_active_gram", counted_gram)
+    folds, inner_folds = 3, 3
+    argv = ["cv", *synthetic_args(n=48), "--learners", "vclsm,shsvm", "--ranks", "8",
+            "--folds", str(folds), "--inner-folds", str(inner_folds), "--seed", "17"]
+    assert main([*argv, "--out", str(tmp_path / "warm")]) == 0
+    # the default 7 x 7 penalty grid holds 15 ratios in floating point
+    assert len(eighs) <= folds * (inner_folds * 15 + 1)
+    warm_grams = len(grams)
+    del grams[:]
+    monkeypatch.setattr(kreinkit.learners, "_newton_squared_hinge", cold)
+    assert main([*argv, "--out", str(tmp_path / "cold")]) == 0
+    assert warm_grams < len(grams)
 
 
 _NEAR_CANCELLING = "kernel=gaussdiff sigma1=1.0 sigma2=1.0000001"

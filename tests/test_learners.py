@@ -8,6 +8,7 @@ from kreinkit import (
     LowRankModel,
     RankDeficient,
     RegPair,
+    SolverError,
     SymMatrix,
     build_feature_map,
     center_features,
@@ -624,6 +625,166 @@ def test_vclsm_path_matches_a_fresh_solve_per_radius():
             assert np.array_equal(vc_lsm_lowrank(fmap, y, reg, r).z, z)
             assert model.diagnostics["objective"] == float(
                 n * lam @ (z * z) - 2.0 * (z @ (fmap.phi.T @ y)))
+
+
+_GRID = [10.0 ** e for e in range(-4, 3)]  # cv's default --lambdas
+
+
+def _ratio(reg):
+    scale = max(reg.lam_pos, reg.lam_neg)
+    return (reg.lam_pos / scale, reg.lam_neg / scale) if scale > 0.0 else (0.0, 0.0)
+
+
+def _counted_factors(monkeypatch):
+    """The (W, b) of every sphere-QP factorisation the learners make."""
+    calls = []
+    original = learners.factor_sphere_qp
+
+    def counted(W, b):
+        calls.append((W, b))
+        return original(W, b)
+
+    monkeypatch.setattr(learners, "factor_sphere_qp", counted)
+    return calls
+
+
+def test_vclsm_path_factors_once_per_penalty_ratio(monkeypatch):
+    calls = _counted_factors(monkeypatch)
+    rng = np.random.default_rng(53)
+    for _ in range(4):
+        n = int(rng.integers(10, 30))
+        fmap = landmark_feature_map(random_indefinite(rng, n), n // 2 + 1)
+        y = rng.normal(size=n)
+        centred, solve = learner_path("vclsm", fmap, y)
+        del calls[:]
+        seen = set()
+        for lp in _GRID:
+            for ln in _GRID:
+                reg = RegPair(lp, ln)
+                fresh = vc_lsm_path(centred, y, reg)
+                first = _ratio(reg) not in seen
+                seen.add(_ratio(reg))
+                for r in (0.5, 1.0, 2.0):
+                    model, reference = solve(reg, r), fresh(r)
+                    objective = model.diagnostics["objective"]
+                    expected = reference.diagnostics["objective"]
+                    if first:  # factored here, from this pair's own W
+                        assert np.array_equal(model.z, reference.z)
+                        assert objective == expected
+                    # later pairs of a ratio scale its eigenvalues: the same
+                    # solution up to round-off in the eigenvectors
+                    gap = np.linalg.norm(model.z - reference.z)
+                    assert gap <= 1e-12 * np.linalg.norm(reference.z)
+                    assert objective == pytest.approx(expected, rel=1e-12)
+        # 49 pairs make 15 ratios in floating point; the fresh paths add one each
+        assert len(seen) == 15
+        assert len(calls) == len(seen) + len(_GRID) ** 2
+
+
+def test_vclsm_path_factors_zero_and_overflowing_scales_itself(monkeypatch):
+    calls = _counted_factors(monkeypatch)
+    rng = np.random.default_rng(59)
+    n = 16
+    fmap = center_features(landmark_feature_map(random_indefinite(rng, n), 9))
+    y = rng.normal(size=n)
+    factors = {}
+    regs = [RegPair(1e-300, 1e-300), RegPair(0.0, 0.0), RegPair(0.0, 0.0), RegPair(0.0, 0.25),
+            RegPair(0.5, 0.5), RegPair(1e10, 1e10)]
+    for reg in regs:
+        model, fresh = vc_lsm_path(fmap, y, reg, None, factors)(1.5), vc_lsm_path(fmap, y, reg)(1.5)
+        if reg != RegPair(0.5, 0.5):  # the only pair scaled from a kept ratio
+            assert np.array_equal(model.z, fresh.z)
+        assert np.linalg.norm(model.z - fresh.z) <= 1e-12 * np.linalg.norm(fresh.z)
+    # (0, 0) is a ratio of its own; 1e10 / 1e-300 overflows, so (1e10, 1e10)
+    # factors its own W and leaves the first factorisation of (1, 1) kept
+    assert set(factors) == {(1.0, 1.0), (0.0, 0.0), (0.0, 1.0)}
+    assert factors[(0.0, 0.0)][0] == 0.0 and factors[(1.0, 1.0)][0] == 1e-300
+    assert len(calls) == 4 + len(regs)  # one per ratio and overflow, one per fresh path
+
+
+def test_vclsm_path_factors_again_after_a_raise(monkeypatch):
+    rng = np.random.default_rng(61)
+    n = 14
+    fmap = landmark_feature_map(random_indefinite(rng, n), 8)
+    y = rng.normal(size=n)
+    centred, solve = learner_path("vclsm", fmap, y)
+    calls = []
+    original = learners.factor_sphere_qp
+
+    def fails_first(W, b):
+        calls.append(W)
+        if len(calls) == 1:
+            raise SolverError("injected factorisation failure")
+        return original(W, b)
+
+    monkeypatch.setattr(learners, "factor_sphere_qp", fails_first)
+    with pytest.raises(SolverError):
+        solve(RegPair(0.1, 0.2))
+    # the same ratio: the raise was not kept, so this pair factors its own W
+    reg = RegPair(0.2, 0.4)
+    assert np.array_equal(solve(reg, 1.0).z, vc_lsm_path(centred, y, reg)(1.0).z)
+    assert len(calls) == 3
+    # and the pair that raised factors again on its next use, now from the
+    # ratio's kept factorisation
+    solve(RegPair(0.1, 0.2), 1.0)
+    assert len(calls) == 3
+
+
+def _newton_starts(monkeypatch, fail_at=()):
+    """The start of every squared-hinge Newton solve; the solves numbered in
+    ``fail_at`` raise SolverError instead."""
+    starts = []
+    original = learners._newton_squared_hinge
+
+    def recorded(features, y, lam_diag, n_scale, start=None):
+        starts.append(None if start is None else np.array(start))
+        if len(starts) in fail_at:
+            raise SolverError("injected Newton failure")
+        return original(features, y, lam_diag, n_scale, start)
+
+    monkeypatch.setattr(learners, "_newton_squared_hinge", recorded)
+    return starts
+
+
+def test_shsvm_path_warm_starts_along_the_grid(monkeypatch):
+    rng = np.random.default_rng(67)
+    for _ in range(3):
+        n = int(rng.integers(30, 60))
+        fmap = landmark_feature_map(random_indefinite(rng, n), n // 2)
+        y = binary_labels(rng, n)
+        cold = {RegPair(lp, ln): sh_svm_lowrank(fmap, y, RegPair(lp, ln))
+                for lp in _GRID for ln in _GRID}
+        starts = _newton_starts(monkeypatch)
+        _, solve = learner_path("shsvm", fmap, y)
+        warm = [solve(reg) for reg in cold]  # the grid in cv's order
+        assert starts[0] is None
+        for i, (model, reference) in enumerate(zip(warm, cold.values())):
+            if i == 0:
+                assert np.array_equal(model.z, reference.z)
+                assert model.diagnostics == reference.diagnostics
+            else:
+                assert np.array_equal(starts[i], warm[i - 1].z)
+            assert model.diagnostics["grad_norm"] <= 1e-8 * n
+            decision, expected = fmap.phi @ model.z, fmap.phi @ reference.z
+            assert np.abs(decision - expected).max() <= 1e-8 * np.abs(expected).max()
+        iterations = sum(model.diagnostics["iterations"] for model in warm)
+        assert iterations < sum(model.diagnostics["iterations"] for model in cold.values())
+        monkeypatch.undo()
+
+
+def test_shsvm_path_warm_starts_from_the_last_success(monkeypatch):
+    rng = np.random.default_rng(71)
+    n = 30
+    fmap = landmark_feature_map(random_indefinite(rng, n), 12)
+    y = binary_labels(rng, n)
+    starts = _newton_starts(monkeypatch, fail_at=(2,))
+    _, solve = learner_path("shsvm", fmap, y)
+    first = solve(RegPair(0.1, 0.1))
+    with pytest.raises(SolverError):
+        solve(RegPair(1.0, 0.1))
+    solve(RegPair(1.0, 1.0))
+    assert starts[0] is None
+    assert np.array_equal(starts[1], first.z) and np.array_equal(starts[2], first.z)
 
 
 def test_lsm_cached_gram_matches_the_normal_equations_per_penalty():
