@@ -651,13 +651,18 @@ def _pick_hyper(learner, source, y, train, rank, budget, args, key):
     if len(grid) == 1:
         return grid[0]
     inner = stratified_kfold(y[train], args.inner_folds, spawn_rng(args.seed, _DOMAIN_CV, *key))
+    # each lambda+ row of the grid is walked opposite to the one before, so a
+    # warm-started solve starts from its neighbour in the grid
+    width = len(grid) // len(args.lambdas)
+    rows = [range(start, start + width) for start in range(0, len(grid), width)]
+    walk = [gi for ri, row in enumerate(rows) for gi in (reversed(row) if ri % 2 else row)]
     scores = np.zeros(len(grid))
     for fi, (itr, ite) in enumerate(inner.splits()):
         predict = _split_predictor(learner, source, y, train[itr], train[ite], rank,
                                    budget, args, spawn_rng(args.seed, _DOMAIN_CV, *key, fi))
-        for gi, hyper in enumerate(grid):
+        for gi in walk:
             try:
-                scores[gi] += misclassification(np.sign(predict(hyper)), y[train[ite]])
+                scores[gi] += misclassification(np.sign(predict(grid[gi])), y[train[ite]])
             except (SolverError, RankDeficient):
                 scores[gi] += 1.0  # a failing combination never wins
     return grid[int(np.argmin(scores))]

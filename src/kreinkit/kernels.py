@@ -260,8 +260,9 @@ def _sqdist(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         norms = sx[start:stop, None] + sz[None, :]
         d2 += norms
         norms *= _CANCEL * (p + 2)
-        i, j = np.nonzero(d2 <= norms)
-        if i.size:
+        cancelled = d2 <= norms
+        if cancelled.any():  # rare: most tiles have no entry to redo
+            i, j = np.nonzero(cancelled)
             diff = X[start + i] - Z[j]
             d2[i, j] = np.einsum("ij,ij->i", diff, diff)
     return out

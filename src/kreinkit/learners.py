@@ -128,10 +128,15 @@ class FeatureMap:
         return rows
 
 
+def _projection(factor: NystroemFactor) -> np.ndarray:
+    # the m x r map U_r |d_r|^{-1/2} diag(s_r) from kernel rows to signed features
+    return factor.U_r / np.sqrt(np.abs(factor.d_r)) * factor.s_r
+
+
 def feature_rows(factor: NystroemFactor, K_rows, out: np.ndarray | None = None) -> np.ndarray:
     """Signed feature rows for arbitrary points given their kernel values
-    against the landmarks.  Training and prediction share this path so that
-    in-sample predictions agree with the training-time features exactly.
+    against the landmarks.  Training and `cv`'s held-out scoring share this
+    path, so a training row's features are the bits the map was built from.
 
     The signs are folded into the m x r projection rather than applied to the
     n x r product: scaling by +-1 is exact, so the rows are the same bits
@@ -146,7 +151,7 @@ def feature_rows(factor: NystroemFactor, K_rows, out: np.ndarray | None = None) 
         k = k[None, :]
     if k.shape[1] != factor.m:
         raise ShapeError(f"expected kernel rows of length {factor.m}, got {k.shape}")
-    proj = factor.U_r / np.sqrt(np.abs(factor.d_r)) * factor.s_r
+    proj = _projection(factor)
     rows = np.empty((k.shape[0], proj.shape[1])) if out is None else out
     for start, stop in row_blocks(k.shape[0], factor.m):
         np.matmul(k[start:stop], proj, out=rows[start:stop])
@@ -262,16 +267,22 @@ class LowRankModel:
     diagnostics: dict = field(default_factory=dict)
 
     def predict(self, k_rows) -> np.ndarray | float:
-        """Decision values of points from their kernel rows against the
-        landmarks, scored one block of the `linalg.row_blocks` grid at a
-        time: the only arrays formed are the output and one block of feature
-        rows."""
+        """Decision values of points from their kernel rows k against the
+        landmarks, as the landmark expansion k' alpha - c in O(m) per point.
+
+        alpha = P z over the m x r projection P that `feature_rows` uses, and
+        c = mu' z for a map centred at mu (0 for raw features), so the values
+        are Phi z to round-off without forming a feature row; the only array
+        formed is the output.  einsum adds each row's products in an order
+        set by the row's length and memory layout alone, unlike a BLAS GEMV,
+        so a row's value is the same bits whether it is scored alone, in a
+        block or in the whole array."""
         k = np.asarray(k_rows, dtype=float)
-        if k.ndim != 2:
-            return self.map.rows(k) @ self.z
-        out = np.empty(k.shape[0])
-        for start, stop in row_blocks(*k.shape):
-            out[start:stop] = self.map.rows(k[start:stop]) @ self.z
+        if k.ndim not in (1, 2) or k.shape[-1] != self.map.factor.m:
+            raise ShapeError(f"expected kernel rows of length {self.map.factor.m}, got {k.shape}")
+        out = np.einsum("...j,j->...", k, _projection(self.map.factor) @ self.z)
+        if self.map.mean is not None:
+            out -= self.map.mean @ self.z
         return out
 
 

@@ -8,6 +8,7 @@ from kreinkit import (
     LowRankModel,
     RankDeficient,
     RegPair,
+    ShapeError,
     SolverError,
     SymMatrix,
     build_feature_map,
@@ -170,7 +171,7 @@ def test_feature_rows_allocate_only_their_output(peak_bytes):
     assert peak_bytes(lambda: feature_rows(factor, cross)) <= 1.1 * out
 
 
-def test_predict_allocates_its_output_and_one_block(peak_bytes):
+def test_predict_allocates_only_its_output(peak_bytes):
     rng = np.random.default_rng(16)
     n, m = 60000, 40
     factor = fit(random_indefinite(rng, m))
@@ -180,10 +181,33 @@ def test_predict_allocates_its_output_and_one_block(peak_bytes):
     model = LowRankModel(z=rng.normal(size=r), map=fmap, learner="vclsm",
                          reg=RegPair(0.1, 0.1))
     k = rng.normal(size=(n, m))
-    start, stop = next(linalg.row_blocks(n, m))
-    assert stop - start < n
-    block = (stop - start) * r * 8
-    assert peak_bytes(lambda: model.predict(k)) <= n * 8 + 1.1 * block
+    assert peak_bytes(lambda: model.predict(k)) <= 1.1 * n * 8
+
+
+def test_predict_is_the_landmark_expansion():
+    # predict(k) = k' alpha - mu' z with alpha = U_r |d_r|^{-1/2} diag(s_r) z,
+    # summed row by row, so a row's value does not depend on its company
+    rng = np.random.default_rng(17)
+    k = random_indefinite(rng, 90)
+    y = rng.normal(size=90)
+    fmap = landmark_feature_map(k, 30)
+    factor = fmap.factor
+    rows = np.ascontiguousarray(k.values[:, :30])
+    proj = factor.U_r / np.sqrt(np.abs(factor.d_r)) * factor.s_r
+    for model in (krein_krr_lowrank(fmap, y, RegPair(0.1, 0.2)),
+                  vc_lsm_lowrank(center_features(fmap), y, RegPair(0.1, 0.2), 2.0)):
+        whole = model.predict(rows)
+        offset = 0.0 if model.map.mean is None else model.map.mean @ model.z
+        assert np.array_equal(whole, np.einsum("ij,j->i", rows, proj @ model.z) - offset)
+        assert_allclose(whole, model.map.phi @ model.z, rtol=0,
+                        atol=1e-12 * np.abs(model.map.phi @ model.z).max())
+        assert all(model.predict(rows[i]) == whole[i] for i in range(90))
+        for width in (1, 2, 37):
+            for start in range(0, 90, width):
+                assert np.array_equal(model.predict(rows[start:start + width]),
+                                      whole[start:start + width])
+        with pytest.raises(ShapeError):
+            model.predict(rows[:, :29])
 
 
 def test_low_rank_predictions_reproduce_training_scores():
@@ -532,7 +556,9 @@ def test_model_file_round_trip(tmp_path):
         assert restored.r_constraint == 2.0
         rows = k.values[:, :fmap.factor.m]
         assert np.array_equal(restored.predict(rows), model.predict(rows))
-        assert np.array_equal(restored.predict(rows), fmap.phi @ model.z)
+        # predict is the landmark expansion, equal to Phi z to round-off
+        scored = fmap.phi @ model.z
+        assert np.abs(restored.predict(rows) - scored).max() <= 1e-12 * np.abs(scored).max()
 
 
 def test_schema_1_model_files():
