@@ -13,6 +13,7 @@ n * lambda.
 
 from __future__ import annotations
 
+import base64
 import functools
 import json
 import math
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidInput, RankDeficient, ShapeError, SolverError
+from .errors import InvalidInput, ParseError, RankDeficient, ShapeError, SolverError
 from .kernels import KernelSpec, format_kernel_spec, parse_kernel_spec
 from .linalg import SignedEigenSystem, SymMatrix, factor_sphere_qp, row_blocks, solve_sphere_qp
 from .nystroem import LandmarkSet, NystroemFactor
@@ -128,30 +129,25 @@ class FeatureMap:
         return rows
 
 
-def _projection(factor: NystroemFactor) -> np.ndarray:
-    # the m x r map U_r |d_r|^{-1/2} diag(s_r) from kernel rows to signed features
-    return factor.U_r / np.sqrt(np.abs(factor.d_r)) * factor.s_r
-
-
 def feature_rows(factor: NystroemFactor, K_rows, out: np.ndarray | None = None) -> np.ndarray:
     """Signed feature rows for arbitrary points given their kernel values
     against the landmarks.  Training and `cv`'s held-out scoring share this
     path, so a training row's features are the bits the map was built from.
 
-    The signs are folded into the m x r projection rather than applied to the
-    n x r product: scaling by +-1 is exact, so the rows are the same bits
-    without a second n x r array.  The product is taken one block of the
-    `linalg.row_blocks` grid at a time, so a row's features do not depend on
-    how many rows are passed with it; a row-blocked product need not match
-    one product of the whole array.  ``out``, if given, receives the rows of
-    a 2-d K_rows."""
+    The signs are folded into the m x r `NystroemFactor.projection`, formed
+    once per factor, rather than applied to the n x r product: scaling by +-1
+    is exact, so the rows are the same bits without a second n x r array.
+    The product is taken one block of the `linalg.row_blocks` grid at a
+    time, so a row's features do not depend on how many rows are passed with
+    it; a row-blocked product need not match one product of the whole array.
+    ``out``, if given, receives the rows of a 2-d K_rows."""
     k = np.asarray(K_rows, dtype=float)
     single = k.ndim == 1
     if single:
         k = k[None, :]
     if k.shape[1] != factor.m:
         raise ShapeError(f"expected kernel rows of length {factor.m}, got {k.shape}")
-    proj = _projection(factor)
+    proj = factor.projection
     rows = np.empty((k.shape[0], proj.shape[1])) if out is None else out
     for start, stop in row_blocks(k.shape[0], factor.m):
         np.matmul(k[start:stop], proj, out=rows[start:stop])
@@ -270,7 +266,7 @@ class LowRankModel:
         """Decision values of points from their kernel rows k against the
         landmarks, as the landmark expansion k' alpha - c in O(m) per point.
 
-        alpha = P z over the m x r projection P that `feature_rows` uses, and
+        alpha = P z over the m x r `NystroemFactor.projection` P, and
         c = mu' z for a map centred at mu (0 for raw features), so the values
         are Phi z to round-off without forming a feature row; the only array
         formed is the output.  einsum adds each row's products in an order
@@ -280,7 +276,7 @@ class LowRankModel:
         k = np.asarray(k_rows, dtype=float)
         if k.ndim not in (1, 2) or k.shape[-1] != self.map.factor.m:
             raise ShapeError(f"expected kernel rows of length {self.map.factor.m}, got {k.shape}")
-        out = np.einsum("...j,j->...", k, _projection(self.map.factor) @ self.z)
+        out = np.einsum("...j,j->...", k, self.map.factor.projection @ self.z)
         if self.map.mean is not None:
             out -= self.map.mean @ self.z
         return out
@@ -438,6 +434,24 @@ def _active_gram(features, active) -> np.ndarray:
     return gram
 
 
+def _update_gram(gram, features, entered, left) -> None:
+    """gram += F_E' F_E - F_L' F_L in place, over the rows where ``entered``
+    and ``left`` hold, block by block on the grid `_active_gram` walks, so
+    its scratch is one block at any n."""
+    for start, stop in row_blocks(*features.shape):
+        for rows_of, combine in ((entered, np.add), (left, np.subtract)):
+            keep = rows_of[start:stop]
+            if keep.any():
+                rows = features[start:stop][keep]
+                combine(gram, rows.T @ rows, out=gram)
+                del rows  # before the next copy, so that two are never alive
+
+
+# the Hessian follows the rows that change status while fewer than this share
+# of the active count change; past it, it is formed again
+_GRAM_UPDATE_SHARE = 0.5
+
+
 def _newton_squared_hinge(features, y, lam_diag, n_scale, start=None):
     """Damped Newton for the squared-hinge objective, from ``start`` (by
     default z = 0).
@@ -452,20 +466,37 @@ def _newton_squared_hinge(features, y, lam_diag, n_scale, start=None):
     a nearby penalty pair make a warm start: its active set is mostly the
     final one, so Newton needs fewer steps (Chapelle, "Training a Support
     Vector Machine in the Primal", 2007).
+
+    Near the solution few rows change status between steps, so the raw Gram
+    F_A' F_A of the last step is kept with its active set A, and the next
+    step's Gram is that one plus phi phi' for each row that entered the
+    active set and minus it for each that left (`_update_gram`).  This holds
+    only while fewer rows changed than half the new active count: past that
+    the Gram is formed again by `_active_gram`, as on the first step, which
+    bounds the cancellation the subtractions can build up and keeps an
+    update no dearer than a recompute.  The Hessian is a scaled and
+    regularised copy, so the kept Gram is never scaled.
     """
     n, m = features.shape
     z = np.zeros(m) if start is None else np.array(start, dtype=float)
     gtol = 1e-8 * max(1.0, float(n))
     margin = 1.0 - y * (features @ z)
     obj = _hinge_objective(margin, lam_diag, n_scale, z)
+    gram = kept = None
     max_iter = 100
     for iteration in range(max_iter):
         grad = _hinge_gradient(features, y, margin, lam_diag, n_scale, z)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= gtol:
             return z, {"iterations": iteration, "objective": obj, "grad_norm": gnorm}
-        hess = _active_gram(features, margin > 0.0)
-        hess *= 2.0
+        active = margin > 0.0
+        if kept is not None and (np.count_nonzero(active != kept)
+                                 < _GRAM_UPDATE_SHARE * np.count_nonzero(active)):
+            _update_gram(gram, features, active & ~kept, kept & ~active)
+        else:
+            gram = _active_gram(features, active)
+        kept = active
+        hess = 2.0 * gram
         hess.flat[::m + 1] += 2.0 * n_scale * lam_diag
         try:
             direction = np.linalg.solve(hess, -grad)
@@ -637,39 +668,68 @@ def sf_lsm_baseline(K: SymMatrix, y, lam: float) -> SimilarityLSModel:
 
 
 # ---------------------------------------------------------------------------
-# serialization: full float precision via repr round-trip
+# serialization: plain JSON, with each array packed as the base64 of its
+# little-endian bytes, so a file holds every bit and reads back unparsed
 
 
-def _array(a) -> list:
-    return np.asarray(a).tolist()
+def _pack(a, dtype: str) -> dict | None:
+    if a is None:
+        return None
+    a = np.ascontiguousarray(a, dtype=dtype)
+    return {"dtype": dtype, "shape": list(a.shape),
+            "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _unpack(value, dtype: str, version: int, name: str) -> np.ndarray | None:
+    """The array ``name`` of a schema-``version`` model file, or None: nested
+    lists in schemas 1 and 2, an array packed by `_pack` in schema 3."""
+    if value is None:
+        return None
+    if version < 3:
+        a = np.array(value, dtype=dtype)
+    else:
+        if not isinstance(value, dict) or value.get("dtype") != dtype:
+            raise InvalidInput(f"model field {name!r} must be a packed {dtype} array")
+        shape = value["shape"]
+        if not (isinstance(shape, list) and all(type(k) is int and k >= 0 for k in shape)):
+            raise InvalidInput(f"model field {name!r} has no valid shape")
+        try:
+            raw = base64.b64decode(value["data"], validate=True)
+        except (TypeError, ValueError):  # binascii.Error is a ValueError
+            raise InvalidInput(f"model field {name!r} holds no base64 data") from None
+        a = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()  # ValueError on a bad count
+    if a.dtype.kind == "f" and not np.all(np.isfinite(a)):
+        raise InvalidInput(f"model field {name!r} holds non-finite values")
+    return a
 
 
 def model_to_dict(model: LowRankModel, kernel: KernelSpec | None = None) -> dict:
-    """JSON-ready dictionary capturing a low-rank model exactly."""
+    """JSON-ready dictionary capturing a low-rank model exactly: each array
+    as ``{"dtype", "shape", "data"}``, the base64 of its little-endian bytes
+    (``"<f8"`` or ``"<i8"``), everything else as plain JSON."""
     factor = model.map.factor
     landmarks = factor.landmarks
     payload = {
-        "schema_version": 2,
+        "schema_version": 3,
         "learner": model.learner,
-        "z": _array(model.z),
-        "feature_mean": None if model.map.mean is None else _array(model.map.mean),
+        "z": _pack(model.z, "<f8"),
+        "feature_mean": _pack(model.map.mean, "<f8"),
         "reg": {"lam_pos": model.reg.lam_pos, "lam_neg": model.reg.lam_neg},
         "r_constraint": model.r_constraint,
         "diagnostics": model.diagnostics,
         "kernel": format_kernel_spec(kernel) if kernel is not None else None,
         "factor": {
-            "U": _array(factor.eig.U),
-            "d": _array(factor.eig.d),
-            "s": _array(factor.eig.s),
+            "U": _pack(factor.eig.U, "<f8"),
+            "d": _pack(factor.eig.d, "<f8"),
+            "s": _pack(factor.eig.s, "<f8"),
             "tau_zero": factor.eig.tau_zero,
             "pinv_tol": factor.pinv_tol,
             "effective_rank": factor.effective_rank,
             "warning": factor.warning,
             "landmarks": None if landmarks is None else {
-                "indices": None if landmarks.indices is None else _array(landmarks.indices),
-                "points": None if landmarks.points is None else _array(landmarks.points),
-                "multiplicity": (None if landmarks.multiplicity is None
-                                 else _array(landmarks.multiplicity)),
+                "indices": _pack(landmarks.indices, "<i8"),
+                "points": _pack(landmarks.points, "<f8"),
+                "multiplicity": _pack(landmarks.multiplicity, "<i8"),
                 "requested": landmarks.requested,
             },
         },
@@ -678,27 +738,40 @@ def model_to_dict(model: LowRankModel, kernel: KernelSpec | None = None) -> dict
 
 
 def model_from_dict(payload: dict) -> tuple[LowRankModel, KernelSpec | None]:
+    """The model and kernel spec of a `model_to_dict` payload of schema 1, 2
+    or 3.  A payload that is not one raises InvalidInput (or ShapeError, for
+    arrays that disagree in shape), never a raw lookup or decoding error."""
+    if not isinstance(payload, dict):
+        raise InvalidInput("a model file holds a JSON object")
     version = payload.get("schema_version")
-    if version not in (1, 2):
+    if version not in (1, 2, 3):
         raise InvalidInput(f"unsupported model schema {version!r}")
+    try:
+        return _model_from_dict(payload, version)
+    except KeyError as exc:
+        raise InvalidInput(f"model file lacks the field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"malformed model file: {exc}") from None
+
+
+def _model_from_dict(payload: dict, version: int) -> tuple[LowRankModel, KernelSpec | None]:
     if version == 1 and payload["learner"] == "vclsm":
         raise InvalidInput("a schema-1 vclsm model lacks the centring it was trained "
                            "with; train it again")
     raw = payload["factor"]
     eig = SignedEigenSystem(
-        U=np.asarray(raw["U"], dtype=float),
-        d=np.asarray(raw["d"], dtype=float),
-        s=np.asarray(raw["s"], dtype=float),
+        U=_unpack(raw["U"], "<f8", version, "U"),
+        d=_unpack(raw["d"], "<f8", version, "d"),
+        s=_unpack(raw["s"], "<f8", version, "s"),
         tau_zero=float(raw["tau_zero"]),
     )
     lm = raw.get("landmarks")
     landmarks = None
     if lm is not None:
         landmarks = LandmarkSet(
-            indices=None if lm["indices"] is None else np.asarray(lm["indices"], dtype=int),
-            points=None if lm["points"] is None else np.asarray(lm["points"], dtype=float),
-            multiplicity=(None if lm["multiplicity"] is None
-                          else np.asarray(lm["multiplicity"], dtype=int)),
+            indices=_unpack(lm["indices"], "<i8", version, "indices"),
+            points=_unpack(lm["points"], "<f8", version, "points"),
+            multiplicity=_unpack(lm["multiplicity"], "<i8", version, "multiplicity"),
             requested=lm["requested"],
         )
     factor = NystroemFactor(
@@ -708,17 +781,22 @@ def model_from_dict(payload: dict) -> tuple[LowRankModel, KernelSpec | None]:
         landmarks=landmarks,
         warning=raw.get("warning"),
     )
+    z = _unpack(payload["z"], "<f8", version, "z")
+    mean = _unpack(payload.get("feature_mean"), "<f8", version, "feature_mean")
+    m, r = eig.d.size, factor.effective_rank
+    if (eig.U.shape != (m, m) or eig.s.shape != (m,) or eig.d.shape != (m,)
+            or not 0 < r <= m or z.shape != (r,) or mean is not None and mean.shape != (r,)):
+        raise ShapeError("the model's factor and weights disagree in shape")
     # training features are not stored; predictions need the factor and mean
-    mean = payload.get("feature_mean")
     fmap = FeatureMap(
-        phi=np.zeros((0, factor.effective_rank)),
+        phi=np.zeros((0, r)),
         signs=np.array(factor.s_r),
         factor=factor,
-        mean=None if mean is None else np.asarray(mean, dtype=float),
+        mean=mean,
     )
     reg = RegPair(payload["reg"]["lam_pos"], payload["reg"]["lam_neg"])
     model = LowRankModel(
-        z=np.asarray(payload["z"], dtype=float),
+        z=z,
         map=fmap,
         learner=payload["learner"],
         reg=reg,
@@ -736,5 +814,15 @@ def save_model(path, model: LowRankModel, kernel: KernelSpec | None = None) -> N
 
 
 def load_model(path) -> tuple[LowRankModel, KernelSpec | None]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return model_from_dict(json.load(handle))
+    """`model_from_dict` of the JSON file at ``path``; a file that cannot be
+    read as JSON raises ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.loads(handle.read())
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read the file: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: not JSON: {exc.msg}", line=exc.lineno, col=exc.colno) from None
+    return model_from_dict(payload)

@@ -9,6 +9,7 @@ indefinite or rank-deficient blocks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -102,6 +103,14 @@ class NystroemFactor:
     @property
     def s_r(self) -> np.ndarray:
         return self.eig.s[: self.effective_rank]
+
+    @functools.cached_property
+    def projection(self) -> np.ndarray:
+        """The m x r map U_r |d_r|^{-1/2} diag(s_r) from kernel rows to signed
+        features, formed on first use and shared by every later one."""
+        proj = self.U_r / np.sqrt(np.abs(self.d_r)) * self.s_r
+        proj.setflags(write=False)
+        return proj
 
 
 @dataclass(frozen=True)

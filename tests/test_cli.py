@@ -802,7 +802,7 @@ def test_cv_grid_shares_factorisations_and_warm_starts(tmp_path, monkeypatch):
             eighs.append(a.shape)
         return original_eigh(a, *args, **kwargs)
 
-    def counted_gram(features, active):
+    def counted_gram(features, active):  # a Newton step that forms its Gram again
         grams.append(features.shape)
         return original_gram(features, active)
 

@@ -1,3 +1,7 @@
+import base64
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,7 +9,9 @@ from numpy.testing import assert_allclose
 from kreinkit import (
     FeatureMap,
     InvalidInput,
+    LandmarkSet,
     LowRankModel,
+    ParseError,
     RankDeficient,
     RegPair,
     ShapeError,
@@ -20,6 +26,7 @@ from kreinkit import (
     flip_shsvm_baseline,
     gaussian_diff,
     gram,
+    gram_cross,
     krein_krr_full,
     krein_krr_lowrank,
     learner_path,
@@ -426,6 +433,7 @@ def test_shsvm_newton_sums_the_hessian_over_row_blocks(monkeypatch):
         return rows.T @ rows
 
     monkeypatch.setattr(learners, "_active_gram", dense)
+    monkeypatch.setattr(learners, "_GRAM_UPDATE_SHARE", 0.0)  # a dense Gram every step
     reference = sh_svm_lowrank(fmap, y, reg)
     assert model.diagnostics["iterations"] == reference.diagnostics["iterations"]
     assert_allclose(model.z, reference.z, rtol=1e-12, atol=0)
@@ -438,6 +446,132 @@ def test_shsvm_scratch_is_bounded(peak_bytes):
     y[rng.random(40000) < 0.1] *= -1.0
     fmap = FeatureMap(phi=phi, signs=np.ones(50), factor=None)
     assert peak_bytes(lambda: sh_svm_lowrank(fmap, y, RegPair(1e-3, 1e-3))) <= 0.5 * phi.nbytes
+
+
+def test_update_gram_adds_entering_and_subtracts_leaving_rows(monkeypatch):
+    rng = np.random.default_rng(53)
+    phi = rng.normal(size=(223, 7))
+    monkeypatch.setattr(linalg, "_ROW_BLOCK_ELEMENTS", 64 * 7)  # 64 rows
+    kept = rng.random(223) < 0.6
+    kept[64:128] = False  # a block with no kept row
+    flip = rng.random(223) < 0.2
+    for kind, entered, left in (("none", np.zeros(223, bool), np.zeros(223, bool)),
+                                ("enter", flip & ~kept, np.zeros(223, bool)),
+                                ("leave", np.zeros(223, bool), flip & kept),
+                                ("both", flip & ~kept, flip & kept)):
+        gram = learners._active_gram(phi, kept)
+        before = gram.copy()
+        learners._update_gram(gram, phi, entered, left)
+        if kind == "none":
+            assert np.array_equal(gram, before)
+        assert np.array_equal(gram, gram.T)
+        assert_allclose(gram, learners._active_gram(phi, (kept | entered) & ~left),
+                        rtol=0, atol=1e-12 * np.abs(before).max())
+
+
+def _newton_case(seed):
+    """A small squared-hinge problem with features scaled over decades and a
+    start 0.01 to 100 times a standard normal draw."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(10, 80)), int(rng.integers(1, 5))
+    phi = rng.normal(size=(n, m)) * np.exp(2.0 * rng.normal(size=m))
+    y = np.sign(phi @ rng.normal(size=m))
+    y[rng.random(n) < 0.3] *= -1.0
+    lam = 1e-2 * np.exp(3.0 * rng.normal(size=m))
+    return phi, y, lam, rng.normal(size=m) * 10.0 ** rng.uniform(-2, 2)
+
+
+def _cold_case():
+    # from z = 0 every row is active, and a few leave at each later step
+    rng = np.random.default_rng(54)
+    phi = rng.normal(size=(2000, 20))
+    y = np.sign(phi @ rng.normal(size=20))
+    y[rng.random(2000) < 0.15] *= -1.0
+    return phi, y, np.full(20, 1e-2), None
+
+
+def _hessian_steps(monkeypatch):
+    """Per Newton step: its active set, and whether its Gram was formed
+    again (True) or updated (False)."""
+    steps = []
+    gram, update = learners._active_gram, learners._update_gram
+
+    def counted_gram(features, active):
+        steps.append((active.copy(), True))
+        return gram(features, active)
+
+    def counted_update(kept_gram, features, entered, left):
+        steps.append(((steps[-1][0] | entered) & ~left, False))
+        update(kept_gram, features, entered, left)
+
+    monkeypatch.setattr(learners, "_active_gram", counted_gram)
+    monkeypatch.setattr(learners, "_update_gram", counted_update)
+    return steps
+
+
+def test_shsvm_hessian_updates_match_recomputes(monkeypatch):
+    steps = _hessian_steps(monkeypatch)
+    kinds = set()
+    # rows only leave from a cold start; 1 has rows only enter, 4 both; 676 and
+    # 1441 each take a step after which no row has changed status
+    for phi, y, lam, start in [_cold_case(), *map(_newton_case, (1, 4, 676, 1441))]:
+        del steps[:]
+        z, info = learners._newton_squared_hinge(phi, y, lam, float(len(y)), start)
+        for (before, _), (after, recomputed) in zip(steps, steps[1:]):
+            if not recomputed:
+                entered, left = (after & ~before).any(), (before & ~after).any()
+                kinds.add({(True, False): "enter", (False, True): "leave",
+                           (True, True): "both", (False, False): "none"}[entered, left])
+        with monkeypatch.context() as off:
+            off.setattr(learners, "_GRAM_UPDATE_SHARE", 0.0)
+            reference, reference_info = learners._newton_squared_hinge(
+                phi, y, lam, float(len(y)), start)
+        assert info["iterations"] == reference_info["iterations"]
+        assert_allclose(z, reference, rtol=1e-12, atol=0)
+    assert kinds == {"enter", "leave", "both", "none"}
+
+
+def test_shsvm_newton_recomputes_the_hessian_once_half_the_rows_change(monkeypatch):
+    steps = _hessian_steps(monkeypatch)
+    phi, y, lam, start = _cold_case()
+    _, info = learners._newton_squared_hinge(phi, y, lam, 2000.0, start)
+    # few rows change after the first step: one Gram, updated from then on
+    assert info["iterations"] >= 3
+    assert [recomputed for _, recomputed in steps] == [True] + [False] * (info["iterations"] - 1)
+    recomputes = 0
+    for seed in (676, 1441):
+        del steps[:]
+        phi, y, lam, start = _newton_case(seed)
+        learners._newton_squared_hinge(phi, y, lam, float(len(y)), start)
+        assert steps[0][1]
+        for (before, _), (after, recomputed) in zip(steps, steps[1:]):
+            changed = np.count_nonzero(before != after)
+            assert recomputed == (2 * changed >= np.count_nonzero(after))
+            recomputes += recomputed
+    assert recomputes >= 2
+
+
+def test_hessian_update_scratch_is_one_block(peak_bytes, monkeypatch):
+    rng = np.random.default_rng(55)
+    n, m = 40000, 50
+    phi = rng.normal(size=(n, m))
+    monkeypatch.setattr(linalg, "_ROW_BLOCK_ELEMENTS", 1024 * m)  # 1024 rows
+    one_block = 1024 * m * 8
+    kept = np.ones(n, dtype=bool)
+    kept[1024:2048] = False
+    # the whole first block leaves and the whole second enters, next to each
+    # other, and further rows leave up to just under half the active count
+    entered, left = ~kept, kept & (rng.random(n) < 0.3)
+    left[:1024] = True
+    active = (kept | entered) & ~left
+    changed = np.count_nonzero(entered | left)
+    assert 0.45 * np.count_nonzero(active) < changed < 0.5 * np.count_nonzero(active)
+    gram = learners._active_gram(phi, kept)
+    # one block's changed rows at a time: no two blocks' copies at once, and
+    # not all the changed rows, 0.49 phi
+    assert peak_bytes(lambda: learners._update_gram(gram, phi, entered, left)) <= 1.25 * one_block
+    assert_allclose(gram, learners._active_gram(phi, active), rtol=0,
+                    atol=1e-12 * np.abs(gram).max())
 
 
 def test_shsvm_newton_forms_each_candidates_margins_once():
@@ -535,11 +669,177 @@ def test_model_round_trip_bitwise():
     y = binary_labels(rng, 20)
     model = sh_svm_lowrank(fmap, y, RegPair(0.2, 0.1))
     payload = model_to_dict(model, gaussian_diff(1.0, 3.0))
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     restored, spec = model_from_dict(payload)
     assert spec == gaussian_diff(1.0, 3.0)
     rows = k.values[[3, 11, 19]][:, idx]
     assert np.array_equal(restored.predict(rows), model.predict(rows))
+
+
+def _as_lists(payload):
+    """A schema-3 payload with its packed arrays as nested lists, the layout
+    of schemas 1 and 2."""
+    if isinstance(payload, dict):
+        if set(payload) == {"dtype", "shape", "data"}:
+            raw = base64.b64decode(payload["data"])
+            return np.frombuffer(raw, dtype=payload["dtype"]).reshape(payload["shape"]).tolist()
+        return {key: _as_lists(value) for key, value in payload.items()}
+    return payload
+
+
+def _model_arrays(model):
+    factor = model.map.factor
+    arrays = {"z": model.z, "feature_mean": model.map.mean, "U": factor.eig.U,
+              "d": factor.eig.d, "s": factor.eig.s}
+    lm = factor.landmarks
+    if lm is not None:
+        arrays.update(indices=lm.indices, points=lm.points, multiplicity=lm.multiplicity)
+    return arrays
+
+
+def test_packed_model_arrays_round_trip_bitwise(tmp_path):
+    rng = np.random.default_rng(48)
+    k = random_indefinite(rng, 30)
+    y = rng.normal(size=30)
+    idx = np.array([0, 4, 9, 11, 20, 21, 27, 29])
+    base = fit(SymMatrix(k.values[np.ix_(idx, idx)]))
+    by_index = replace(base, landmarks=LandmarkSet(indices=idx, multiplicity=np.arange(1, 9),
+                                                   requested=9))
+    by_point = replace(base, landmarks=LandmarkSet(points=rng.normal(size=(8, 3))))
+    for factor, centred in ((by_index, False), (by_point, True)):
+        fmap = build_feature_map(factor, k.values[:, idx])
+        model = vc_lsm_lowrank(center_features(fmap) if centred else fmap, y,
+                               RegPair(0.3, 0.2), 2.0)
+        payload = model_to_dict(model)
+        assert payload["schema_version"] == 3
+        assert payload["z"]["dtype"] == "<f8" and payload["z"]["shape"] == [model.z.size]
+        save_model(tmp_path / "model.json", model)
+        for restored, _ in (model_from_dict(payload), load_model(tmp_path / "model.json")):
+            for name, a in _model_arrays(model).items():
+                b = _model_arrays(restored)[name]
+                assert (a is None) == (b is None), name
+                if a is not None:
+                    assert b.dtype == a.dtype and np.array_equal(b, a), name
+                    assert b.tobytes() == np.ascontiguousarray(a).tobytes(), name
+            assert restored.map.factor.landmarks.requested == factor.landmarks.requested
+            rows = k.values[:, idx]
+            assert np.array_equal(restored.predict(rows), model.predict(rows))
+
+
+def test_schema_2_model_files_load_as_before():
+    rng = np.random.default_rng(49)
+    k = random_indefinite(rng, 14)
+    factor = replace(fit(SymMatrix(k.values[:9, :9])),
+                     landmarks=LandmarkSet(indices=np.arange(9), multiplicity=np.full(9, 2)))
+    fmap = build_feature_map(factor, k.values[:, :9])
+    y = binary_labels(rng, 14)
+    reg = RegPair(0.3, 0.2)
+    rows = k.values[:, :9]
+    for model in (sh_svm_lowrank(fmap, y, reg), vc_lsm_lowrank(center_features(fmap), y, reg, 2.0)):
+        payload = _as_lists(model_to_dict(model))
+        payload["schema_version"] = 2
+        assert isinstance(payload["z"], list) and isinstance(payload["factor"]["U"], list)
+        restored, _ = model_from_dict(json.loads(json.dumps(payload)))
+        for name, a in _model_arrays(model).items():
+            b = _model_arrays(restored)[name]
+            assert (a is None and b is None) or np.array_equal(a, b), name
+        assert np.array_equal(restored.predict(rows), model.predict(rows))
+
+
+def test_model_file_packs_its_arrays(tmp_path):
+    # m = 400: the file is the base64 of its arrays' bytes (4/3 of them) plus
+    # a few hundred bytes of plain JSON, not text floats
+    rng = np.random.default_rng(50)
+    x = rng.normal(size=(600, 4))
+    idx = rng.choice(600, size=400, replace=False)
+    kernel = gaussian_diff(1.0, 3.0)
+    cross = gram_cross(kernel, x, x[idx])
+    factor = replace(fit(SymMatrix(cross[idx])), landmarks=LandmarkSet(indices=idx))
+    model = sh_svm_lowrank(build_feature_map(factor, cross), binary_labels(rng, 600),
+                           RegPair(0.1, 0.1))
+    save_model(tmp_path / "model.json", model, kernel)
+    raw = sum(a.nbytes for a in _model_arrays(model).values() if a is not None)
+    assert raw >= 400 * 400 * 8
+    assert (tmp_path / "model.json").stat().st_size <= 1.4 * raw
+
+
+def _packed(a, dtype="<f8"):
+    return {"dtype": dtype, "shape": list(np.shape(a)),
+            "data": base64.b64encode(np.asarray(a, dtype=dtype).tobytes()).decode()}
+
+
+def _broken_payloads(payload):
+    """(what is wrong, a copy of ``payload`` with that fault)"""
+    def edit(path, value):
+        copy = json.loads(json.dumps(payload))
+        node = copy
+        for key in path[:-1]:
+            node = node[key]
+        if value is None:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        return copy
+
+    z = payload["z"]
+    nan_z = np.ones(z["shape"][0])
+    nan_z[1] = np.nan
+    return [
+        ("missing key", edit(["factor", "U"], None)),
+        ("missing key", edit(["reg"], None)),
+        ("missing key", edit(["z", "data"], None)),
+        ("unknown dtype", edit(["z"], {**z, "dtype": "<f4"})),
+        ("unknown dtype", edit(["factor", "landmarks", "indices", "dtype"], "<f8")),
+        ("bad base64", edit(["z", "data"], z["data"][:-1] + "!")),
+        ("bad base64", edit(["z", "data"], 17)),
+        ("byte count", edit(["z", "shape"], [z["shape"][0] + 1])),
+        ("byte count", edit(["factor", "U", "shape"], [3, 3])),
+        ("byte count", edit(["z", "data"], base64.b64encode(bytes(7)).decode())),
+        ("bad shape", edit(["z", "shape"], [-1])),
+        ("shapes disagree", edit(["z"], _packed(np.ones(2)))),
+        ("shapes disagree", edit(["factor", "effective_rank"], 99)),
+        ("non-finite", edit(["z"], _packed(nan_z))),
+        ("non-finite", edit(["factor", "d"], _packed(np.full(8, np.inf)))),
+        ("not a list", edit(["factor", "s"], "abc")),
+        ("bad scalar", edit(["factor", "tau_zero"], "x")),
+        ("bad schema", edit(["schema_version"], 4)),
+    ]
+
+
+def test_malformed_model_files_raise_typed_errors(tmp_path):
+    rng = np.random.default_rng(51)
+    k = random_indefinite(rng, 12)
+    fmap = landmark_feature_map(k, 8)
+    payload = model_to_dict(sh_svm_lowrank(fmap, binary_labels(rng, 12), RegPair(0.1, 0.2)))
+    payload["factor"]["landmarks"] = {"indices": _packed(np.arange(8), "<i8"),
+                                      "points": None, "multiplicity": None, "requested": 8}
+    model_from_dict(payload)
+    for what, broken in _broken_payloads(payload):
+        with pytest.raises(ShapeError if what == "shapes disagree" else InvalidInput):
+            model_from_dict(broken)
+    lists = {**_as_lists(payload), "schema_version": 2}
+    model_from_dict(lists)
+    for missing in ("z", "reg", "factor"):
+        with pytest.raises(InvalidInput):
+            model_from_dict({key: v for key, v in lists.items() if key != missing})
+    for z in ([[1.0], [2.0, 3.0]], ["a"], [float("nan")] * len(lists["z"]), {"a": 1}):
+        with pytest.raises((InvalidInput, ShapeError)):
+            model_from_dict({**lists, "z": z})
+    with pytest.raises(InvalidInput):
+        model_from_dict([1, 2])
+    path = tmp_path / "model.json"
+    for text in ("{", "not json", '{"z": [1, 2'):
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            load_model(path)
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ParseError):
+        load_model(path)
+    with pytest.raises(ParseError):
+        load_model(tmp_path / "absent.json")
+    path.write_text("[]")
+    with pytest.raises(InvalidInput):
+        load_model(path)
 
 
 def test_model_file_round_trip(tmp_path):
@@ -572,7 +872,7 @@ def test_schema_1_model_files():
     reg = RegPair(0.3, 0.2)
     for model in (krein_krr_lowrank(fmap, y, reg), sh_svm_lowrank(fmap, y, reg),
                   vc_lsm_lowrank(center_features(fmap), y, reg, 2.0)):
-        payload = model_to_dict(model)
+        payload = _as_lists(model_to_dict(model))
         payload["schema_version"] = 1
         del payload["feature_mean"]
         if model.learner == "vclsm":
