@@ -479,7 +479,7 @@ def run_approx_sweep(source: GramSource, samplers, schedule, reps: int, seed: in
                 start = time.perf_counter()
                 factor = landmark_factor(source, sampler, l, rng, pinv_tol)
                 eig = truncate_eigen(
-                    one_shot_eigen(factor, source.cross_all(factor.landmarks.indices)), k)
+                    one_shot_eigen(factor, build_feature_map(factor, source).phi), k)
                 if rep >= 0:
                     timed.append(((sampler, k, l, rep), eig, time.perf_counter() - start))
     errors = _residual_norms(source, [eig for _, eig, _ in timed])
@@ -517,17 +517,20 @@ def cmd_eigen(args: argparse.Namespace) -> int:
     source, _ = load_inputs(args)
     factor = landmark_factor(source, args.sampler, args.m,
                              spawn_rng(args.seed, _DOMAIN_SINGLE), args.pinv_tol)
-    cross = source.cross_all(factor.landmarks.indices)
-    eig = one_shot_eigen(factor, cross) if args.method == "one_shot" else \
-        sgt_one_shot(factor, cross)
-    C = cross @ factor.U_r
-    del cross  # free the n x m block before the QR
+    if args.method == "one_shot":
+        phi = build_feature_map(factor, source).phi
+        eig = one_shot_eigen(factor, phi)
+    else:  # the baseline takes the whole cross block; the features come from it
+        cross = source.cross_all(factor.landmarks.indices)
+        eig = sgt_one_shot(factor, cross)
+        phi = build_feature_map(factor, cross).phi
+        del cross  # free the n x m block before the QR
     gram_residual = float(np.abs(eig.U.T @ eig.U - np.eye(eig.rank)).max())
-    # C diag(1/d) C' and U diag(lam) U' lie in the span of C, so with C = QR and
-    # P = Q'U the residual and its scale are those of r x r matrices
-    Q, R = np.linalg.qr(C)
+    # Phi diag(s) Phi' and U diag(lam) U' lie in the span of Phi, so with
+    # Phi = QR and P = Q'U the residual and its scale are those of r x r matrices
+    Q, R = np.linalg.qr(phi)
     P = Q.T @ eig.U
-    approx = (R / factor.d_r) @ R.T
+    approx = (R * factor.s_r) @ R.T
     scale = float(np.linalg.norm(approx))
     recon_err = float(np.linalg.norm(approx - (P * eig.lam) @ P.T))
     if not (math.isfinite(gram_residual) and math.isfinite(recon_err)):
@@ -565,19 +568,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _feature_map(source: GramSource, factor):
-    """Signed features of every point of ``source`` against the landmarks of
-    ``factor``, filled from one row block of the cross block at a time."""
-    marks = factor.landmarks.indices
-    return build_feature_map(
-        factor, lambda start, stop: source.cross(np.arange(start, stop), marks), source.n)
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     source, y = load_inputs(args, need_labels=True)
     factor = landmark_factor(source, args.sampler, args.m,
                              spawn_rng(args.seed, _DOMAIN_SINGLE), args.pinv_tol)
-    fmap, solve = learner_path(args.learner, _feature_map(source, factor), y)
+    fmap, solve = learner_path(args.learner, build_feature_map(factor, source), y)
     model = solve(RegPair(args.lambda_pos, args.lambda_neg), args.radius)
     training_error = misclassification(np.sign(fmap.phi @ model.z), y) \
         if set(np.unique(y).tolist()) <= {-1.0, 1.0} else None
@@ -631,7 +626,7 @@ def _split_predictor(learner: str, source: GramSource, y, train, test, rank, bud
     fold = source.subset(train)
     factor = landmark_factor(fold, args.sampler, min(budget, train.size), rng, args.pinv_tol)
     factor = truncate_factor(factor, rank)
-    fmap, solve = learner_path(learner, _feature_map(fold, factor), y_train)
+    fmap, solve = learner_path(learner, build_feature_map(factor, fold), y_train)
     phi_test = fmap.rows(source.cross(test, train[factor.landmarks.indices]))
     # vclsm's variance target per radius factor; the other learners read None
     targets = {f: variance_target(y_train, f) for f in args.radius_factors} \
@@ -736,9 +731,9 @@ def run_bench(args: argparse.Namespace):
     """Time both eigendecomposition routes on synthetic problems.
 
     The kernel blocks are built outside the timed region; each timed run
-    covers the landmark-block eigendecomposition plus the route itself, which
-    is exactly what the closed-form counts cover.  One warm-up run per
-    configuration is discarded.
+    covers the landmark-block eigendecomposition plus the route itself (for
+    one_shot, the feature fill too), which is exactly what the closed-form
+    counts cover.  One warm-up run per configuration is discarded.
     """
     spec = parse_kernel_spec(args.kernel)
     rows = []
@@ -751,11 +746,13 @@ def run_bench(args: argparse.Namespace):
         K_ZZ = gram(spec, x[marks.indices])
         K_XZ = gram_cross(spec, x, x[marks.indices])
         for method in args.methods:
-            route = one_shot_eigen if method == "one_shot" else sgt_one_shot
             for rep in range(-1, args.reps):
                 start = time.perf_counter()
                 factor = fit(K_ZZ, args.pinv_tol, marks)
-                route(factor, K_XZ)
+                if method == "one_shot":
+                    one_shot_eigen(factor, build_feature_map(factor, K_XZ).phi)
+                else:
+                    sgt_one_shot(factor, K_XZ)
                 seconds = time.perf_counter() - start
                 if rep >= 0:
                     rows.append((n, args.m, method, rep, seconds,

@@ -256,9 +256,9 @@ def stratified_kfold(y, k: int, rng: np.random.Generator) -> CVPlan:
 
 
 def one_vs_all(labels, target) -> np.ndarray:
-    """+1 for the target class, -1 for the rest."""
+    """+1 where the label is the target class as a whole, -1 elsewhere."""
     y = np.asarray(labels)
-    mask = y == np.asarray(target, dtype=y.dtype)
+    mask = y == (str(target) if y.dtype.kind == "U" else np.asarray(target, dtype=y.dtype))
     if not mask.any():
         raise InvalidClass(f"class {target!r} does not occur in the labels")
     return np.where(mask, 1.0, -1.0)

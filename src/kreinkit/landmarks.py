@@ -24,6 +24,7 @@ from .errors import (
     InvalidInput,
 )
 from .kernels import GramSource
+from .learners import build_feature_map
 from .nystroem import LandmarkSet, NystroemFactor, OneShotEigen, fit, one_shot_eigen
 
 __all__ = [
@@ -101,9 +102,9 @@ def uniform_landmarks(n: int, m: int, rng: np.random.Generator) -> LandmarkSet:
 
 def build_sketch(source: GramSource, m0: int, rng: np.random.Generator,
                  pinv_tol: float | None = None) -> Sketch:
-    """One-shot eigendecomposition from m0 uniform landmarks."""
+    """One-shot eigendecomposition of the features of m0 uniform landmarks."""
     factor = landmark_factor(source, "uniform", m0, rng, pinv_tol)
-    eig = one_shot_eigen(factor, source.cross_all(factor.landmarks.indices))
+    eig = one_shot_eigen(factor, build_feature_map(factor, source).phi)
     return Sketch(eig=eig, sketch_size=m0)
 
 
@@ -215,9 +216,9 @@ def landmark_factor(source: GramSource, sampler: str, budget: int,
     """Landmarks from ``select_landmarks`` and the signed factor of their
     block, which records them.
 
-    No n x m cross block is formed here.  The feature map takes it one row
-    block at a time (`build_feature_map` over ``source.cross``); only the
-    eigendecomposition routes, which need it whole, take
+    No n x m cross block is formed here.  `build_feature_map(factor, source)`
+    fills the features of the learners and of `one_shot_eigen` one row block
+    at a time; only the baseline `sgt_one_shot` takes the whole block,
     ``source.cross_all(factor.landmarks.indices)``.
     """
     marks = select_landmarks(sampler, source, budget, rng, pinv_tol)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidInput, ParseError, RankDeficient, ShapeError, SolverError
-from .kernels import KernelSpec, format_kernel_spec, parse_kernel_spec
+from .kernels import GramSource, KernelSpec, format_kernel_spec, parse_kernel_spec
 from .linalg import SignedEigenSystem, SymMatrix, factor_sphere_qp, row_blocks, solve_sphere_qp
 from .nystroem import LandmarkSet, NystroemFactor
 
@@ -154,23 +154,21 @@ def feature_rows(factor: NystroemFactor, K_rows, out: np.ndarray | None = None) 
     return rows[0] if single else rows
 
 
-def build_feature_map(factor: NystroemFactor, K_XZ, n: int | None = None) -> FeatureMap:
-    """Signed features of the n training points, filled one block of the
-    `linalg.row_blocks` grid at a time into one n x r array.
-
-    ``K_XZ`` is either the n x m cross block against the landmarks or a
-    function ``rows(start, stop)`` returning its rows start:stop, with n
-    given; in the second case no n x m array is ever whole.  Either way the
-    map holds the bits `feature_rows` gives for the whole cross block.
+def build_feature_map(factor: NystroemFactor, K_XZ) -> FeatureMap:
+    """Signed features of the n training points in one n x r array, filled
+    one block of the `linalg.row_blocks` grid at a time from ``K_XZ``: the
+    n x m cross block against the landmarks, or the `GramSource` of the
+    training points, whose rows against the landmarks of ``factor`` are then
+    formed block by block, so that no n x m array is ever whole.  Either way
+    the map holds the bits `feature_rows` gives for the whole cross block.
     """
-    if callable(K_XZ):
-        rows = K_XZ
-    else:
-        k = np.asarray(K_XZ, dtype=float)
-        n, rows = k.shape[0], lambda start, stop: k[start:stop]
-    phi = np.empty((n, factor.effective_rank))
-    for start, stop in row_blocks(n, factor.m):
-        feature_rows(factor, rows(start, stop), out=phi[start:stop])
+    if isinstance(K_XZ, GramSource):
+        marks = factor.landmarks.indices
+        phi = np.empty((K_XZ.n, factor.effective_rank))
+        for start, stop in row_blocks(K_XZ.n, factor.m):
+            feature_rows(factor, K_XZ.cross(np.arange(start, stop), marks), out=phi[start:stop])
+    else:  # feature_rows walks the same grid
+        phi = feature_rows(factor, K_XZ)
     return FeatureMap(phi=phi, signs=np.array(factor.s_r), factor=factor)
 
 

@@ -2,10 +2,10 @@
 
 Eigendecompositions carry an explicit sign vector so that indefinite matrices
 can be inverted, spectrum-flipped, and projected without losing track of the
-negative directions.  The module also houses the thin-SVD wrapper, the
-globally optimal sphere-constrained quadratic solver used by the
-variance-constrained least squares learner, and the grid of row blocks that
-every pass over n rows walks.
+negative directions.  The module also houses a thin-SVD wrapper, the
+globally optimal sphere-constrained quadratic solver of the variance-
+constrained least squares learner (whose SVD is `learners.FeatureMap.svd`),
+and the grid of row blocks that the passes over n rows walk.
 """
 
 from __future__ import annotations
@@ -36,16 +36,15 @@ __all__ = [
 # asymmetry tolerated at construction, relative to max(1, |M|_max)
 ASYM_TOL = 1e-8
 
-# Every pass over n rows (the feature fill, predictions, the Newton Hessian
-# and approx's residual scoring) walks blocks of this many elements over the
-# row width, rounded down to a multiple of 64 rows and at least 64: 4 MiB of
-# scratch per block at any n, for rows of up to 8192 elements.  The blocks
-# also fix the order of every row-blocked sum, so changing the budget moves
-# the features, the Newton iterates and the scored errors at round-off level.
-# Since every product is taken on this grid, a row's features are the same
-# bits whichever array it arrives in; with OpenBLAS, blocks of a multiple of
-# 64 rows also sum a matrix-vector product as the whole array does, so
-# blocked predictions match phi @ z exactly.
+# The passes over n rows (the feature fill, which also feeds the one-shot
+# eigen routes, the Newton Hessian and its row updates, and approx's residual
+# scoring) walk blocks of this many elements over the row width, rounded
+# down to a multiple of 64 rows and at least 64: 4 MiB of scratch per block
+# at any n, for rows of up to 8192 elements.  The blocks also fix the order
+# of every row-blocked sum, so changing the budget moves the features, the
+# Newton iterates and the scored errors at round-off level.  Since every
+# feature product is taken on this grid, a row's features are the same bits
+# whichever array it arrives in.
 _ROW_BLOCK_ELEMENTS = 1 << 19
 
 

@@ -181,22 +181,26 @@ def approximate(factor: NystroemFactor, K_XZ) -> SymMatrix:
     return SymMatrix((c / factor.d_r) @ c.T)
 
 
-def one_shot_eigen(factor: NystroemFactor, K_XZ) -> OneShotEigen:
-    """Approximate eigendecomposition in a single pass.
+def one_shot_eigen(factor: NystroemFactor, phi) -> OneShotEigen:
+    """Approximate eigendecomposition in a single pass over the n x r signed
+    features Phi = K_XZ U_r |d_r|^{-1/2} diag(s_r) of ``factor``, which
+    `learners.build_feature_map` fills.
 
-    Builds the signed square-root features L = K_XZ U |d|^{-1/2} and
-    orthonormalizes them through their Gram matrix G = L'L: an eigensystem of
-    G yields T with T'GT = I, so A = LT has orthonormal columns and
-    M = (GT)' diag(s) (GT) is the approximation expressed in that basis.
-    Eigendecomposing M and rotating gives U and lam with U'U = I and
-    U diag(lam) U' equal to the low-rank approximation up to floating point
-    error.  Every n-scale operation is one of three dense matrix products
-    (L, G, and the final rotation), which keeps the wall-clock cost at the
-    3 m^2 n + O(m^3) level the flop model advertises.
+    Phi is orthonormalized through its Gram matrix G = Phi'Phi: an
+    eigensystem of G yields T with T'GT = I, so A = Phi T has orthonormal
+    columns and M = (GT)' diag(s_r) (GT) is the approximation
+    Phi diag(s_r) Phi' in that basis.  Eigendecomposing M and rotating gives
+    U and lam with U'U = I and U diag(lam) U' equal to the approximation up
+    to round-off.  Forming Phi, G and the final rotation are the 3 m^2 n of
+    the flop model.  Directions of sign zero have zero feature columns and
+    drop out of the rank.
     """
-    k = _check_cross(factor, K_XZ)
-    L = k @ (factor.U_r / np.sqrt(np.abs(factor.d_r)))
-    G = L.T @ L
+    phi = np.asarray(phi, dtype=float)
+    if phi.ndim != 2 or phi.shape[1] != factor.effective_rank:
+        raise ShapeError(f"features must have {factor.effective_rank} columns, got {phi.shape}")
+    G = phi.T @ phi
+    if not np.all(np.isfinite(G)):
+        raise InvalidInput("feature entries must be finite")
     G = 0.5 * (G + G.T)
     w, V = np.linalg.eigh(G)
     wmax = w[-1] if w.size else 0.0
@@ -221,7 +225,7 @@ def one_shot_eigen(factor: NystroemFactor, K_XZ) -> OneShotEigen:
     H = G @ T
     M = H.T @ (factor.s_r[:, None] * H)
     rot = sym_eigen(SymMatrix(0.5 * (M + M.T)))
-    return OneShotEigen(U=L @ (T @ rot.U), lam=rot.d, warning=warning)
+    return OneShotEigen(U=phi @ (T @ rot.U), lam=rot.d, warning=warning)
 
 
 def sgt_one_shot(factor: NystroemFactor, K_XZ) -> OneShotEigen:

@@ -94,7 +94,7 @@ def test_c02_one_shot_orthonormal_and_reconstructs(acceptance_report):
         block = SymMatrix(0.5 * (K[np.ix_(idx, idx)] + K[np.ix_(idx, idx)].T))
         K_XZ = K[:, idx]
         f = fit(block)
-        eig = one_shot_eigen(f, K_XZ)
+        eig = one_shot_eigen(f, build_feature_map(f, K_XZ).phi)
         worst_ortho = max(worst_ortho,
                           float(np.abs(eig.U.T @ eig.U - np.eye(eig.rank)).max()))
         target = approximate(f, K_XZ).values
@@ -118,7 +118,7 @@ def test_c03_squared_route_equivalence(acceptance_report):
             if f.effective_rank == m:
                 break
         K_XZ = K[:, idx]
-        a = one_shot_eigen(f, K_XZ)
+        a = one_shot_eigen(f, build_feature_map(f, K_XZ).phi)
         b = sgt_one_shot(f, K_XZ)
         assert a.rank == b.rank
         ra = (a.U * a.lam) @ a.U.T
@@ -161,7 +161,8 @@ def test_c04_flop_model_and_wall_clock(acceptance_report):
             reps.append(time.perf_counter() - t)
         return float(np.median(reps))
 
-    med_one = median_seconds(one_shot_eigen)
+    # the one_shot route forms its features from the cross block first
+    med_one = median_seconds(lambda f, k: one_shot_eigen(f, build_feature_map(f, k).phi))
     med_sgt = median_seconds(sgt_one_shot)
     elapsed = time.perf_counter() - t0
     ok = med_one <= 1.1 * med_sgt and elapsed < 120.0

@@ -11,6 +11,7 @@ from kreinkit import (
     RegPair,
     SymMatrix,
     approximate,
+    build_feature_map,
     feature_rows,
     frobenius_error,
     gaussian_diff,
@@ -29,7 +30,7 @@ from kreinkit import (
     write_matrix,
 )
 from kreinkit import learners, linalg
-from kreinkit.cli import _feature_map, _parse_ranks, main
+from kreinkit.cli import _parse_ranks, main
 
 
 def read_csv(path):
@@ -251,21 +252,27 @@ def _truncated_eigen_matches_dense(tmp_path, monkeypatch, method):
     import kreinkit.nystroem
 
     route = "one_shot_eigen" if method == "one_shot" else "sgt_one_shot"
-    seen = []
+    seen, sources = [], []
     original = getattr(kreinkit.cli, route)
+    load_inputs = kreinkit.cli.load_inputs
 
-    def truncated(factor, cross):
-        seen.append((factor, cross, truncate_eigen(original(factor, cross), 4)))
-        return seen[-1][2]
+    def truncated(factor, features_or_cross):
+        seen.append((factor, truncate_eigen(original(factor, features_or_cross), 4)))
+        return seen[-1][1]
+
+    def loaded(*args, **kwargs):
+        sources.append(load_inputs(*args, **kwargs)[0])
+        return sources[-1], None
 
     monkeypatch.setattr(kreinkit.cli, route, truncated)
+    monkeypatch.setattr(kreinkit.cli, "load_inputs", loaded)
     refuse_order(monkeypatch, kreinkit.nystroem, 80)
     out = tmp_path / "eig"
     assert main(["eigen", *synthetic_args(), "--m", "12", "--method", method, "--seed", "3",
                  "--out", str(out)]) == 0
-    [(factor, cross, eig)] = seen
+    [(factor, eig)], [source] = seen, sources
     monkeypatch.undo()  # the dense reference below forms the n x n matrices
-    approx = approximate(factor, cross)
+    approx = approximate(factor, source.cross_all(factor.landmarks.indices))
     expected = frobenius_error(approx, reconstruct(eig)) / np.linalg.norm(approx.values)
     assert expected > 1e-3  # a truncation error, not round-off
     result = json.loads((out / "result.json").read_text())
@@ -423,14 +430,59 @@ def test_train_forms_no_whole_data_matrix(tmp_path, monkeypatch, learner):
                  "--seed", "4", "--out", str(tmp_path / "model")]) == 0
 
 
-@pytest.mark.parametrize("learner", ["lsm", "vclsm", "shsvm"])
-def test_train_takes_the_cross_block_by_rows(tmp_path, monkeypatch, learner):
+@pytest.mark.parametrize("argv", [
+    *(pytest.param(["train", "--m", "12", "--learner", learner], id=learner)
+      for learner in ("lsm", "vclsm", "shsvm")),
+    pytest.param(["approx", "--samplers", "uniform,leverage,kmeanspp", "--ranks", "5,10",
+                  "--reps", "1"], id="approx"),
+    *(pytest.param(["eigen", "--m", "12", "--method", "one_shot", "--sampler", sampler],
+                   id=f"eigen-{sampler}") for sampler in ("uniform", "kmeanspp")),
+    *(pytest.param(["sample", "--m", "12", "--sampler", sampler], id=f"sample-{sampler}")
+      for sampler in ("leverage", "kmeanspp")),
+    pytest.param(["cv", "--learners", "lsm,vclsm,shsvm", "--ranks", "5", "--folds", "2",
+                  "--inner-folds", "2", "--lambdas", "0.1,1", "--sampler", "leverage"],
+                 id="cv"),
+])
+def test_train_takes_the_cross_block_by_rows(tmp_path, monkeypatch, argv):
+    # the features and the one-shot eigensystems, sketches included, are all
+    # filled from row blocks of the cross block; only sgt takes it whole
     def whole(*args, **kwargs):
         raise AssertionError("took the whole n x m cross block")
 
     monkeypatch.setattr(GramSource, "cross_all", whole)
-    assert main(["train", *synthetic_args(n=60), "--m", "12", "--learner", learner,
-                 "--seed", "4", "--out", str(tmp_path / "model")]) == 0
+    assert main([argv[0], *synthetic_args(n=60), *argv[1:], "--seed", "4",
+                 "--out", str(tmp_path / "run")]) == 0
+
+
+def test_eigen_sgt_takes_the_whole_cross_block_once(tmp_path, monkeypatch):
+    # the baseline and its residual's features share one cross block
+    calls = []
+    cross_all = GramSource.cross_all
+
+    def counted(self, indices):
+        calls.append(len(indices))
+        return cross_all(self, indices)
+
+    monkeypatch.setattr(GramSource, "cross_all", counted)
+    assert main(["eigen", *synthetic_args(n=60), "--m", "12", "--method", "sgt",
+                 "--seed", "4", "--out", str(tmp_path / "eig")]) == 0
+    assert calls == [12]
+
+
+def test_leverage_sketch_peaks_below_three_cross_blocks(tmp_path, peak_bytes):
+    # the sketch's features are filled from row blocks, so the n x m0 cross
+    # block is never whole: the features and the eigenvectors they rotate
+    # into are the two n x m0 arrays
+    n, m = 20000, 130
+    m0 = 3 * m
+    out = tmp_path / "marks"
+    argv = ["sample", "--synthetic", "two_gaussians", "--n", str(n), "--p", "16",
+            "--kernel", "kernel=gaussdiff sigma1=4.0 sigma2=8.0", "--m", str(m),
+            "--sampler", "leverage", "--seed", "1", "--out", str(out)]
+    codes = []
+    peak = peak_bytes(lambda: codes.append(main(argv)))
+    assert codes == [0]
+    assert peak <= 2.6 * n * m0 * 8
 
 
 @pytest.mark.parametrize("learner", ["lsm", "shsvm", "vclsm"])
@@ -479,7 +531,7 @@ def test_features_and_predictions_by_row_blocks(monkeypatch, kernel, tol):
     one_product = cross @ (factor.U_r / np.sqrt(np.abs(factor.d_r)) * factor.s_r)
     monkeypatch.setattr(linalg, "_ROW_BLOCK_ELEMENTS", 64 * factor.m)
     assert len(list(linalg.row_blocks(source.n, factor.m))) == 5
-    fmap = _feature_map(source, factor)
+    fmap = build_feature_map(factor, source)
     # the whole cross block goes through the same row blocks, so the rows
     # agree as far as the kernel rows do; one product of the whole block may
     # sum the last rows of a block in another order
@@ -503,7 +555,7 @@ def test_one_budget_blocks_every_n_scale_pass(monkeypatch):
                                   rng.normal(size=(300, 4)))
     factor = landmark_factor(source, "uniform", 20, make_rng(5), None)
     cross = source.cross_all(factor.landmarks.indices)
-    eig = truncate_eigen(one_shot_eigen(factor, cross), 10)
+    eig = truncate_eigen(one_shot_eigen(factor, build_feature_map(factor, cross).phi), 10)
     y = np.where(rng.random(300) < 0.5, -1.0, 1.0)
     blocks = {}  # the most blocks any call of each pass walked
 
@@ -518,7 +570,7 @@ def test_one_budget_blocks_every_n_scale_pass(monkeypatch):
 
     def passes():
         blocks.clear()
-        fmap = _feature_map(source, factor)
+        fmap = build_feature_map(factor, source)
         model = learner_path("lsm", fmap, y)[1](RegPair(0.1, 0.1))
         active = y * (fmap.phi @ model.z) < 1.0
         return (fmap.phi, model.predict(cross), learners._active_gram(fmap.phi, active),
@@ -1046,7 +1098,11 @@ def test_exit_code_data_errors(tmp_path, capsys):
     write_matrix(good, np.eye(3))
     assert main(["cv", "--matrix", str(good), "--labels", str(labels),
                  "--learners", "lsm", "--ranks", "2", "--folds", "2"]) == 3
-    capsys.readouterr()
+    # a target class is one of the labels as a whole, not a prefix of one
+    labels.write_text("1\n2\n1\n")
+    assert main(["train", "--matrix", str(good), "--labels", str(labels),
+                 "--target-class", "10", "--m", "2"]) == 3
+    assert "class '10' does not occur" in capsys.readouterr().err
 
 
 def test_exit_code_solver_errors(tmp_path, capsys):

@@ -189,6 +189,10 @@ def test_one_vs_all():
     assert y.tolist() == [1.0, -1.0, 1.0, -1.0]
     with pytest.raises(InvalidClass):
         one_vs_all(["a", "b"], "z")
+    # the target is not cut to the width of the labels
+    with pytest.raises(InvalidClass):
+        one_vs_all(np.asarray(["1", "2"]), "10")
+    assert one_vs_all(np.asarray(["10", "1"]), "1").tolist() == [-1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from kreinkit import (
     InvalidBudget,
     InvalidInput,
     SymMatrix,
+    build_feature_map,
     build_sketch,
     default_sketch_size,
     fit,
@@ -90,7 +91,7 @@ def fixture_source(n=40, seed=0):
 
 def test_leverage_scores_rank_one_example():
     factor = fit(SymMatrix(np.array([[2.0]])))
-    eig = one_shot_eigen(factor, np.array([[2.0], [4.0]]))
+    eig = one_shot_eigen(factor, build_feature_map(factor, np.array([[2.0], [4.0]])).phi)
     assert_allclose(leverage_scores(eig), [0.2, 0.8], atol=1e-12)
 
 

@@ -9,6 +9,7 @@ from kreinkit import (
     SingularLandmarkBlock,
     SymMatrix,
     approximate,
+    build_feature_map,
     fit,
     flop_count,
     frobenius_error,
@@ -29,6 +30,11 @@ def random_indefinite(rng, n, rank=None):
     signs = np.ones(r)
     signs[: max(1, r // 3)] = -1.0
     return SymMatrix((x * signs) @ x.T)
+
+
+def one_shot(factor, cross):
+    """`one_shot_eigen` of the signed features filled from a cross block."""
+    return one_shot_eigen(factor, build_feature_map(factor, cross).phi)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +121,7 @@ def test_feature_rows_extend_the_approximation():
 
 def test_one_shot_rank_one_frozen():
     factor = fit(SymMatrix(np.array([[2.0]])))
-    eig = one_shot_eigen(factor, np.array([[2.0], [4.0]]))
+    eig = one_shot(factor, np.array([[2.0], [4.0]]))
     assert_allclose(eig.lam, [10.0], atol=1e-12)
     assert_allclose(np.abs(eig.U[:, 0]), [1 / np.sqrt(5), 2 / np.sqrt(5)], atol=1e-12)
 
@@ -129,7 +135,7 @@ def test_one_shot_orthonormal_and_reconstructs():
         idx = rng.choice(n, size=m, replace=False)
         factor = fit(SymMatrix(k.values[np.ix_(idx, idx)]))
         cross = k.values[:, idx]
-        eig = one_shot_eigen(factor, cross)
+        eig = one_shot(factor, cross)
         assert_allclose(eig.U.T @ eig.U, np.eye(eig.rank), atol=1e-10)
         assert_allclose(reconstruct(eig).values, approximate(factor, cross).values,
                         atol=1e-9)
@@ -142,9 +148,45 @@ def test_one_shot_deterministic():
     k = random_indefinite(rng, 25)
     idx = np.arange(5)
     factor = fit(SymMatrix(k.values[np.ix_(idx, idx)]))
-    a = one_shot_eigen(factor, k.values[:, idx])
-    b = one_shot_eigen(factor, k.values[:, idx])
+    a = one_shot(factor, k.values[:, idx])
+    b = one_shot(factor, k.values[:, idx])
     assert np.array_equal(a.U, b.U) and np.array_equal(a.lam, b.lam)
+
+
+def test_one_shot_checks_its_features():
+    rng = np.random.default_rng(7)
+    k = random_indefinite(rng, 20, rank=4)
+    idx = np.arange(6)
+    factor = fit(SymMatrix(k.values[np.ix_(idx, idx)]))
+    assert factor.effective_rank == 4
+    # the cross block is not the features: it has m = 6 > r columns
+    with pytest.raises(ShapeError):
+        one_shot_eigen(factor, k.values[:, idx])
+    phi = build_feature_map(factor, k.values[:, idx]).phi
+    with pytest.raises(ShapeError):
+        one_shot_eigen(factor, phi[:, :3])
+    for bad in (np.nan, np.inf):
+        broken = phi.copy()
+        broken[5, 2] = bad
+        with pytest.raises(InvalidInput):
+            one_shot_eigen(factor, broken)
+
+
+def test_one_shot_drops_directions_of_sign_zero():
+    # a rank-6 kernel on 8 landmarks: with no cutoff the block keeps its two
+    # round-off eigenvalues, which lie below tau_zero and get sign zero, so
+    # their feature columns are zero and the orthonormalization drops them
+    rng = np.random.default_rng(8)
+    k = random_indefinite(rng, 30, rank=6)
+    idx = rng.choice(30, size=8, replace=False)
+    factor = fit(SymMatrix(k.values[np.ix_(idx, idx)]), pinv_tol=0.0)
+    assert factor.effective_rank == 8
+    assert np.count_nonzero(factor.s_r) == 6
+    eig = one_shot(factor, k.values[:, idx])
+    assert eig.rank == 6
+    assert_allclose(eig.U.T @ eig.U, np.eye(6), atol=1e-12)
+    target = approximate(factor, k.values[:, idx]).values
+    assert np.abs(reconstruct(eig).values - target).max() <= 1e-12 * np.abs(target).max()
 
 
 def test_sgt_matches_one_shot():
@@ -156,7 +198,7 @@ def test_sgt_matches_one_shot():
         idx = rng.choice(n, size=m, replace=False)
         factor = fit(SymMatrix(k.values[np.ix_(idx, idx)]))
         cross = k.values[:, idx]
-        ours = one_shot_eigen(factor, cross)
+        ours = one_shot(factor, cross)
         theirs = sgt_one_shot(factor, cross)
         scale = 1.0 + np.linalg.norm(reconstruct(ours).values, "fro")
         gap = np.linalg.norm(reconstruct(ours).values - reconstruct(theirs).values, "fro")
@@ -174,7 +216,7 @@ def test_truncation():
     cut = truncate_factor(factor, 3)
     assert cut.effective_rank == 3
     assert_allclose(cut.U_r, factor.U_r[:, :3])
-    eig = one_shot_eigen(factor, k.values[:, idx])
+    eig = one_shot(factor, k.values[:, idx])
     small = truncate_eigen(eig, 4)
     assert small.rank == 4
     assert_allclose(small.lam, eig.lam[:4])
