@@ -90,10 +90,12 @@ class FeatureMap:
     landmark eigendirection; ``signs`` are the matching eigenvalue signs, so
     phi diag(signs) phi' reproduces the low-rank kernel approximation.
     ``svd`` is (sigma, B), phi's singular values (descending) and right
-    singular vectors, from the SVD of its r x r R factor; it and ``gram`` are
-    computed on first use and shared by every learner and penalty trained on
-    this map.  ``mean`` is the training mean subtracted from every row by
-    `center_features`, None for raw features.
+    singular vectors, from the SVD of its r x r R factor.  ``gram`` is
+    phi' phi, summed over the blocks of the `linalg.row_blocks` grid: lsm
+    solves with it, and every shsvm Newton step takes its Hessian from it.
+    Both are computed on first use and shared by every learner and penalty
+    trained on this map.  ``mean`` is the training mean subtracted from every
+    row by `center_features`, None for raw features.
     """
 
     phi: np.ndarray
@@ -119,7 +121,7 @@ class FeatureMap:
 
     @functools.cached_property
     def gram(self) -> np.ndarray:
-        return self.phi.T @ self.phi
+        return _row_gram(self.phi)
 
     def rows(self, K_rows) -> np.ndarray:
         """Feature rows of arbitrary points, centred as the training rows are."""
@@ -299,14 +301,13 @@ def _as_binary(y, n: int) -> np.ndarray:
     return y
 
 
-def krein_krr_lowrank(fmap: FeatureMap, y, reg: RegPair, phi_y=None) -> LowRankModel:
-    """Ridge regression in the signed feature space (closed form).  ``phi_y``
-    is Phi' y, formed here unless the caller passes it."""
+def krein_krr_lowrank(fmap: FeatureMap, y, reg: RegPair) -> LowRankModel:
+    """Ridge regression in the signed feature space (closed form)."""
     y = _as_labels(y, fmap.n)
     n = fmap.n
     lam = _lambda_diag(reg, fmap.signs)
     system = fmap.gram + n * np.diag(lam)
-    rhs = fmap.phi.T @ y if phi_y is None else phi_y
+    rhs = fmap.phi.T @ y
     try:
         z = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
@@ -319,56 +320,52 @@ def krein_krr_lowrank(fmap: FeatureMap, y, reg: RegPair, phi_y=None) -> LowRankM
                         diagnostics={"residual": residual})
 
 
-def vc_lsm_path(fmap: FeatureMap, y, reg: RegPair, phi_y=None,
-                factors: dict | None = None) -> Callable[[float], LowRankModel]:
-    """Variance-constrained least squares for one penalty pair, as a function
-    of the variance target r.
+def vc_lsm_path(fmap: FeatureMap, y) -> Callable[[RegPair, float], LowRankModel]:
+    """Variance-constrained least squares on one map and one y, as the
+    function ``solve(reg, r)`` of the penalty pair and the variance target.
 
     Minimizes n lam_pos ||z_+||^2 + n lam_neg ||z_-||^2 - 2 z' Phi' y subject
     to ||Phi z|| = r.  The caller centres the features (`center_features`).
-    With Phi = A diag(sigma) B' (`FeatureMap.svd`, from Phi's R factor) it is
-    a sphere QP in gamma = diag(sigma) B' z with linear term A' y =
-    (B / sigma)' Phi' y, solved globally on the directions with sigma >
-    1e-10 max(sigma): z lies in the row space of Phi, so a rank-deficient Phi
-    trains on its range, and only an all-zero Phi raises RankDeficient.
-    Everything but the secular solve, eigh(W) included, is built here once
-    and shared by every r passed to the returned function.
+    With Phi = A diag(sigma) B' (`FeatureMap.svd`, from Phi's R factor, formed
+    at the first solve) it is a sphere QP in gamma = diag(sigma) B' z with
+    linear term A' y = (B / sigma)' Phi' y, solved globally on the directions
+    with sigma > 1e-10 max(sigma): z lies in the row space of Phi, so a
+    rank-deficient Phi trains on its range, and only an all-zero Phi raises
+    RankDeficient, after r is checked.
 
-    ``phi_y`` is Phi' y, formed here unless the caller passes it.
-    ``factors``, a dict the caller keeps for one map and one y, shares the
-    factorisation across penalty pairs: W is linear in (lam_pos, lam_neg), so
-    the pairs of one ratio (lam_pos, lam_neg) / s, s = max(lam_pos, lam_neg),
-    share W's eigenvectors and b, and their eigenvalues scale with s.  The
-    first pair of a ratio factors its own W, as without ``factors``, and is
-    kept with its s0; a later pair of that ratio scales the kept eigenvalues
-    by s / s0 (Moré and Sorensen's trust-region view of the sphere QP),
-    unless s / s0 overflows.  A factorisation that raises is not kept, and
-    s = 0 is a ratio of its own.
+    The sphere-QP factorisations are shared by the calls.  W is linear in
+    (lam_pos, lam_neg), so the pairs of one ratio (lam_pos, lam_neg) / s,
+    s = max(lam_pos, lam_neg), share W's eigenvectors and b, and their
+    eigenvalues scale with s.  The first pair of a ratio factors its own W,
+    eigh(W) included, and it is kept with its s0; a later pair of that ratio
+    scales the kept eigenvalues by s / s0 (Moré and Sorensen's trust-region
+    view of the sphere QP), unless s / s0 overflows.  A factorisation that
+    raises is not kept, and s = 0 is a ratio of its own.
     """
     y = _as_labels(y, fmap.n)
-    sigma, B = fmap.svd
-    keep = sigma > 1e-10 * sigma.max(initial=0.0)
-    if not keep.any():
-        raise RankDeficient("feature matrix is zero; no weights meet the variance target")
     n = fmap.n
-    lam = _lambda_diag(reg, fmap.signs)
-    scaled = B[:, keep] / sigma[keep]  # columns map gamma -> z
-    if phi_y is None:
-        phi_y = fmap.phi.T @ y
-    scale = max(reg.lam_pos, reg.lam_neg)
-    ratio = (reg.lam_pos / scale, reg.lam_neg / scale) if scale > 0.0 else (0.0, 0.0)
-    kept = None if factors is None else factors.get(ratio)
-    grow = 1.0 if kept is None or scale == kept[0] else scale / kept[0]
-    if kept is None or not math.isfinite(grow):
-        W = n * (scaled.T * lam[None, :]) @ scaled
-        qp = factor_sphere_qp(W, scaled.T @ phi_y)
-        if factors is not None and kept is None:
-            factors[ratio] = (scale, qp)
-    else:
-        qp = replace(kept[1], lam=kept[1].lam * grow)
+    phi_y = fmap.phi.T @ y
+    factors = {}  # penalty ratio -> (s0, factorisation)
 
-    def solve(r: float) -> LowRankModel:
-        _check_radius(r)
+    def solve(reg: RegPair, r: float) -> LowRankModel:
+        if not (math.isfinite(r) and r > 0.0):  # before the rank check: the caller's error
+            raise InvalidInput("the variance target r must be positive")
+        sigma, B = fmap.svd
+        keep = sigma > 1e-10 * sigma.max(initial=0.0)
+        if not keep.any():
+            raise RankDeficient("feature matrix is zero; no weights meet the variance target")
+        lam = _lambda_diag(reg, fmap.signs)
+        scaled = B[:, keep] / sigma[keep]  # columns map gamma -> z
+        scale = max(reg.lam_pos, reg.lam_neg)
+        ratio = (reg.lam_pos / scale, reg.lam_neg / scale) if scale > 0.0 else (0.0, 0.0)
+        kept = factors.get(ratio)
+        grow = 1.0 if kept is None or scale == kept[0] else scale / kept[0]
+        if kept is None or not math.isfinite(grow):
+            W = n * (scaled.T * lam[None, :]) @ scaled
+            qp = factor_sphere_qp(W, scaled.T @ phi_y)
+            factors.setdefault(ratio, (scale, qp))  # an overflow keeps the first
+        else:
+            qp = replace(kept[1], lam=kept[1].lam * grow)
         z = scaled @ solve_sphere_qp(qp, r, tol=1e-12)
         fitted_norm = float(np.linalg.norm(fmap.phi @ z))
         objective = float(n * lam @ (z * z) - 2.0 * (z @ phi_y))
@@ -381,14 +378,8 @@ def vc_lsm_path(fmap: FeatureMap, y, reg: RegPair, phi_y=None,
 
 
 def vc_lsm_lowrank(fmap: FeatureMap, y, reg: RegPair, r: float) -> LowRankModel:
-    """`vc_lsm_path` at the single variance target r."""
-    _check_radius(r)  # before the rank check, as a bad r is the caller's error
-    return vc_lsm_path(fmap, y, reg)(r)
-
-
-def _check_radius(r: float) -> None:
-    if not (math.isfinite(r) and r > 0.0):
-        raise InvalidInput("the variance target r must be positive")
+    """`vc_lsm_path` at the single penalty pair reg and variance target r."""
+    return vc_lsm_path(fmap, y)(reg, r)
 
 
 def squared_hinge_objective(features, y, lam_diag, n_scale, z) -> float:
@@ -411,48 +402,33 @@ def _hinge_gradient(features, y, margin, lam_diag, n_scale, z) -> np.ndarray:
     return grad + 2.0 * n_scale * lam_diag * z
 
 
-def _active_gram(features, active) -> np.ndarray:
-    """F_A' F_A over the rows where ``active`` holds, summed over the blocks
-    of the `linalg.row_blocks` grid, so its scratch is one block at any n.
+def _row_gram(features, rows=None, less=None) -> np.ndarray:
+    """F_R' F_R over the rows R where the mask ``rows`` holds (every row by
+    default), or ``less`` - F_R' F_R if ``less`` is given, summed over the
+    blocks of the `linalg.row_blocks` grid, so its scratch is one block at
+    any n.
 
-    A block whose rows are all active enters as a view, any other as a copy
-    of its active rows; either way ``rows.T @ rows`` reads one buffer twice,
+    A block whose rows all count enters as a view, any other as a copy of
+    its counted rows; either way ``block.T @ block`` reads one buffer twice,
     which NumPy hands to SYRK.
     """
-    m = features.shape[1]
-    gram = np.zeros((m, m))
+    gram = np.zeros((features.shape[1],) * 2) if less is None else less.copy()
+    combine = np.add if less is None else np.subtract
     for start, stop in row_blocks(*features.shape):
-        rows = features[start:stop]
-        keep = active[start:stop]
-        if not keep.all():
+        block = features[start:stop]  # frees the last block's copy first
+        if rows is not None:
+            keep = rows[start:stop]
             if not keep.any():
                 continue
-            rows = rows[keep]
-        gram += rows.T @ rows
+            if not keep.all():
+                block = block[keep]
+        combine(gram, block.T @ block, out=gram)
     return gram
 
 
-def _update_gram(gram, features, entered, left) -> None:
-    """gram += F_E' F_E - F_L' F_L in place, over the rows where ``entered``
-    and ``left`` hold, block by block on the grid `_active_gram` walks, so
-    its scratch is one block at any n."""
-    for start, stop in row_blocks(*features.shape):
-        for rows_of, combine in ((entered, np.add), (left, np.subtract)):
-            keep = rows_of[start:stop]
-            if keep.any():
-                rows = features[start:stop][keep]
-                combine(gram, rows.T @ rows, out=gram)
-                del rows  # before the next copy, so that two are never alive
-
-
-# the Hessian follows the rows that change status while fewer than this share
-# of the active count change; past it, it is formed again
-_GRAM_UPDATE_SHARE = 0.5
-
-
-def _newton_squared_hinge(features, y, lam_diag, n_scale, start=None):
+def _newton_squared_hinge(features, gram, y, lam_diag, n_scale, start=None):
     """Damped Newton for the squared-hinge objective, from ``start`` (by
-    default z = 0).
+    default z = 0); ``gram`` is F' F.
 
     The active-set Hessian 2 F_A' F_A + 2 n diag(lam) is positive definite
     whenever the penalties are positive, so the Newton direction always
@@ -465,22 +441,15 @@ def _newton_squared_hinge(features, y, lam_diag, n_scale, start=None):
     final one, so Newton needs fewer steps (Chapelle, "Training a Support
     Vector Machine in the Primal", 2007).
 
-    Near the solution few rows change status between steps, so the raw Gram
-    F_A' F_A of the last step is kept with its active set A, and the next
-    step's Gram is that one plus phi phi' for each row that entered the
-    active set and minus it for each that left (`_update_gram`).  This holds
-    only while fewer rows changed than half the new active count: past that
-    the Gram is formed again by `_active_gram`, as on the first step, which
-    bounds the cancellation the subtractions can build up and keeps an
-    update no dearer than a recompute.  The Hessian is a scaled and
-    regularised copy, so the kept Gram is never scaled.
+    Each step sums whichever side of the active set A holds fewer rows:
+    F_A' F_A from zero, or F' F - F_I' F_I over the inactive rows I, so a
+    step costs O(min(|A|, |I|) r^2) and keeps no state from the last one.
     """
     n, m = features.shape
     z = np.zeros(m) if start is None else np.array(start, dtype=float)
     gtol = 1e-8 * max(1.0, float(n))
     margin = 1.0 - y * (features @ z)
     obj = _hinge_objective(margin, lam_diag, n_scale, z)
-    gram = kept = None
     max_iter = 100
     for iteration in range(max_iter):
         grad = _hinge_gradient(features, y, margin, lam_diag, n_scale, z)
@@ -488,13 +457,10 @@ def _newton_squared_hinge(features, y, lam_diag, n_scale, start=None):
         if gnorm <= gtol:
             return z, {"iterations": iteration, "objective": obj, "grad_norm": gnorm}
         active = margin > 0.0
-        if kept is not None and (np.count_nonzero(active != kept)
-                                 < _GRAM_UPDATE_SHARE * np.count_nonzero(active)):
-            _update_gram(gram, features, active & ~kept, kept & ~active)
+        if 2 * np.count_nonzero(active) <= n:
+            hess = 2.0 * _row_gram(features, active)
         else:
-            gram = _active_gram(features, active)
-        kept = active
-        hess = 2.0 * gram
+            hess = 2.0 * _row_gram(features, ~active, less=gram)
         hess.flat[::m + 1] += 2.0 * n_scale * lam_diag
         try:
             direction = np.linalg.solve(hess, -grad)
@@ -545,7 +511,7 @@ def sh_svm_lowrank(fmap: FeatureMap, y, reg: RegPair, start=None) -> LowRankMode
     if start is not None and np.shape(start) != (fmap.rank,):
         raise ShapeError(f"expected start weights of length {fmap.rank}, got {np.shape(start)}")
     lam = _lambda_diag(reg, fmap.signs)
-    z, info = _newton_squared_hinge(fmap.phi, y, lam, float(fmap.n), start)
+    z, info = _newton_squared_hinge(fmap.phi, fmap.gram, y, lam, float(fmap.n), start)
     return LowRankModel(z=z, map=fmap, learner="shsvm", reg=reg, diagnostics=info)
 
 
@@ -567,14 +533,13 @@ def learner_path(learner: str, fmap: FeatureMap, y) -> tuple[FeatureMap, Callabl
     range if centring costs a rank, at the variance target r, by default
     `variance_target(y)`.
 
-    What no penalty pair changes is built once per path and shared by its
-    solves: Phi' y for lsm and vclsm, and for vclsm the map's R factor and
-    one sphere-QP factorisation per penalty ratio (see `vc_lsm_path`), with
-    one `vc_lsm_path` per pair serving every r.  A pair whose factorisation
-    raised is tried again on its next use.  shsvm starts each Newton solve
-    from the weights of the path's last successful solve, so a path's first
-    solve is the cold one `sh_svm_lowrank` makes, and the later solves of a
-    grid walked pair by pair are warm.
+    What no penalty pair changes is built once per map and shared by its
+    solves: for lsm and shsvm the map's Gram phi' phi (`FeatureMap.gram`),
+    for vclsm the centred map's R factor and one sphere-QP factorisation per
+    penalty ratio (see `vc_lsm_path`).  shsvm starts each Newton solve from
+    the weights of the path's last successful solve, so a path's first solve
+    is the cold one `sh_svm_lowrank` makes, and the later solves of a grid
+    walked pair by pair are warm.
     """
     if learner == "shsvm":
         start = None
@@ -586,25 +551,13 @@ def learner_path(learner: str, fmap: FeatureMap, y) -> tuple[FeatureMap, Callabl
             return model
 
         return fmap, solve_shsvm
-    if learner not in LEARNERS:
-        raise InvalidInput(f"unknown learner {learner!r}; use one of {', '.join(LEARNERS)}")
-    y = _as_labels(y, fmap.n)
     if learner == "lsm":
-        phi_y = fmap.phi.T @ y
-        return fmap, lambda reg, r=None: krein_krr_lowrank(fmap, y, reg, phi_y)
+        return fmap, lambda reg, r=None: krein_krr_lowrank(fmap, y, reg)
+    if learner != "vclsm":
+        raise InvalidInput(f"unknown learner {learner!r}; use one of {', '.join(LEARNERS)}")
     fmap = center_features(fmap)
-    phi_y = fmap.phi.T @ y
-    paths = {}
-    factors = {}
-
-    def solve(reg: RegPair, r: float | None = None) -> LowRankModel:
-        r = variance_target(y) if r is None else r
-        _check_radius(r)  # before the rank check, as a bad r is the caller's error
-        if reg not in paths:
-            paths[reg] = vc_lsm_path(fmap, y, reg, phi_y, factors)
-        return paths[reg](r)
-
-    return fmap, solve
+    solve = vc_lsm_path(fmap, y)
+    return fmap, lambda reg, r=None: solve(reg, variance_target(y) if r is None else r)
 
 
 def flip_shsvm_baseline(fmap: FeatureMap, y, lam: float) -> LowRankModel:
@@ -620,7 +573,7 @@ def flip_shsvm_baseline(fmap: FeatureMap, y, lam: float) -> LowRankModel:
         raise InvalidInput("lam must be positive")
     unsigned = fmap.phi * fmap.signs[None, :]
     lam_diag = np.full(fmap.rank, float(lam))
-    w, info = _newton_squared_hinge(unsigned, y, lam_diag, float(fmap.n))
+    w, info = _newton_squared_hinge(unsigned, _row_gram(unsigned), y, lam_diag, float(fmap.n))
     return LowRankModel(z=fmap.signs * w, map=fmap, learner="flip-shsvm",
                         reg=RegPair(lam, lam), diagnostics=info)
 
@@ -654,7 +607,11 @@ def sf_lsm_path(K: SymMatrix, y) -> Callable[[float], SimilarityLSModel]:
             raise InvalidInput("lam must be positive")
         system = gram.copy()
         system.flat[::n + 1] += lam
-        w = np.linalg.solve(system, rhs)
+        try:
+            w = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"ridge system is singular: {exc}",
+                              diagnostics={"lam": float(lam)}) from exc
         return SimilarityLSModel(w=w, lam=float(lam))
 
     return solve

@@ -37,14 +37,14 @@ __all__ = [
 ASYM_TOL = 1e-8
 
 # The passes over n rows (the feature fill, which also feeds the one-shot
-# eigen routes, the Newton Hessian and its row updates, and approx's residual
-# scoring) walk blocks of this many elements over the row width, rounded
-# down to a multiple of 64 rows and at least 64: 4 MiB of scratch per block
-# at any n, for rows of up to 8192 elements.  The blocks also fix the order
-# of every row-blocked sum, so changing the budget moves the features, the
-# Newton iterates and the scored errors at round-off level.  Since every
-# feature product is taken on this grid, a row's features are the same bits
-# whichever array it arrives in.
+# eigen routes, the feature map's Gram, the Newton Hessian, and approx's
+# residual scoring) walk blocks of this many elements over the row width,
+# rounded down to a multiple of 64 rows and at least 64: 4 MiB of scratch per
+# block at any n, for rows of up to 8192 elements.  The blocks also fix the
+# order of every row-blocked sum, so changing the budget moves the features,
+# the Gram and the lsm weights, the Newton iterates and the scored errors at
+# round-off level.  Since every feature product is taken on this grid, a
+# row's features are the same bits whichever array it arrives in.
 _ROW_BLOCK_ELEMENTS = 1 << 19
 
 

@@ -568,25 +568,28 @@ def test_one_budget_blocks_every_n_scale_pass(monkeypatch):
     monkeypatch.setattr(learners, "row_blocks", counted)
     monkeypatch.setattr(kreinkit.cli, "row_blocks", counted)
 
+    # one model, so that its predictions compare across the budgets
+    model = learner_path("lsm", build_feature_map(factor, cross), y)[1](RegPair(0.1, 0.1))
+    active = y * (model.map.phi @ model.z) < 1.0
+
     def passes():
         blocks.clear()
         fmap = build_feature_map(factor, source)
-        model = learner_path("lsm", fmap, y)[1](RegPair(0.1, 0.1))
-        active = y * (fmap.phi @ model.z) < 1.0
-        return (fmap.phi, model.predict(cross), learners._active_gram(fmap.phi, active),
-                kreinkit.cli._residual_norms(source, [eig]))
+        return (fmap.phi, model.predict(cross), fmap.gram,
+                learners._row_gram(fmap.phi, active), kreinkit.cli._residual_norms(source, [eig]))
 
-    phi, pred, hess, [resid] = passes()
-    outer = ("build_feature_map", "_active_gram", "_residual_norms")
+    phi, pred, gram, hess, [resid] = passes()
+    outer = ("build_feature_map", "_row_gram", "_residual_norms")
     assert {blocks[name] for name in outer} == {1}
     monkeypatch.setattr(linalg, "_ROW_BLOCK_ELEMENTS", 1)  # 64 rows at any width
-    phi_b, pred_b, hess_b, [resid_b] = passes()
+    phi_b, pred_b, gram_b, hess_b, [resid_b] = passes()
     assert {blocks[name] for name in outer} == {5}
     # at this size the 64-row products are the bits of one product (OpenBLAS);
-    # the Hessian and the residual are sums, taken in another order;
+    # the Gram, the Hessian and the residual are sums, taken in another order;
     # predict walks no grid
     assert "predict" not in blocks
     assert np.array_equal(phi_b, phi) and np.array_equal(pred_b, pred)
+    assert_allclose(gram_b, gram, rtol=1e-12, atol=0)
     assert_allclose(hess_b, hess, rtol=1e-12, atol=0)
     assert resid_b == pytest.approx(resid, rel=1e-12)
 
@@ -806,9 +809,14 @@ def test_cv_failing_vclsm_factorisation_fails_every_radius(tmp_path, monkeypatch
     original_factor = kreinkit.learners.factor_sphere_qp
     original_pick = kreinkit.cli._pick_hyper
 
-    def recorded_path(fmap, y, reg, *args):
-        current.append(reg)
-        return original_path(fmap, y, reg, *args)
+    def recorded_path(fmap, y):
+        solve = original_path(fmap, y)
+
+        def recorded(reg, r):
+            current.append(reg)
+            return solve(reg, r)
+
+        return recorded
 
     def failing_factor(W, b):
         attempts.append(current[-1])
@@ -841,9 +849,9 @@ def test_cv_grid_shares_factorisations_and_warm_starts(tmp_path, monkeypatch):
     import kreinkit.learners
 
     eighs = []
-    grams = []
+    gram_rows = []
     original_eigh = np.linalg.eigh
-    original_gram = kreinkit.learners._active_gram
+    original_gram = kreinkit.learners._row_gram
     original_newton = kreinkit.learners._newton_squared_hinge
 
     def counted_eigh(a, *args, **kwargs):
@@ -854,26 +862,26 @@ def test_cv_grid_shares_factorisations_and_warm_starts(tmp_path, monkeypatch):
             eighs.append(a.shape)
         return original_eigh(a, *args, **kwargs)
 
-    def counted_gram(features, active):  # a Newton step that forms its Gram again
-        grams.append(features.shape)
-        return original_gram(features, active)
+    def counted_gram(features, rows=None, less=None):  # the rows each Gram sums
+        gram_rows.append(len(features) if rows is None else np.count_nonzero(rows))
+        return original_gram(features, rows, less)
 
-    def cold(features, y, lam_diag, n_scale, start=None):
-        return original_newton(features, y, lam_diag, n_scale)
+    def cold(features, gram, y, lam_diag, n_scale, start=None):
+        return original_newton(features, gram, y, lam_diag, n_scale)
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    monkeypatch.setattr(kreinkit.learners, "_active_gram", counted_gram)
+    monkeypatch.setattr(kreinkit.learners, "_row_gram", counted_gram)
     folds, inner_folds = 3, 3
     argv = ["cv", *synthetic_args(n=48), "--learners", "vclsm,shsvm", "--ranks", "8",
             "--folds", str(folds), "--inner-folds", str(inner_folds), "--seed", "17"]
     assert main([*argv, "--out", str(tmp_path / "warm")]) == 0
     # the default 7 x 7 penalty grid holds 15 ratios in floating point
     assert len(eighs) <= folds * (inner_folds * 15 + 1)
-    warm_grams = len(grams)
-    del grams[:]
+    warm_rows = sum(gram_rows)
+    del gram_rows[:]
     monkeypatch.setattr(kreinkit.learners, "_newton_squared_hinge", cold)
     assert main([*argv, "--out", str(tmp_path / "cold")]) == 0
-    assert warm_grams < len(grams)
+    assert warm_rows < sum(gram_rows)
 
 
 _NEAR_CANCELLING = "kernel=gaussdiff sigma1=1.0 sigma2=1.0000001"
@@ -886,6 +894,10 @@ DEGENERATE_CASES = [
     pytest.param({}, None, ["--lambdas", "1e-300"],
                  ["--lambda-pos", "1e-300", "--lambda-neg", "1e-300"], (), id="lambda-1e-300"),
     pytest.param({"duplicated": True}, None, [], [], (), id="duplicates"),
+    # the sf-lsm ridge system of the duplicated points is singular
+    pytest.param({"duplicated": True}, None, ["--lambdas", "1e-300"],
+                 ["--lambda-pos", "1e-300", "--lambda-neg", "1e-300"], (),
+                 id="duplicates-lambda-1e-300"),
     # the centred vclsm features lose a rank; vclsm trains on their range
     pytest.param({}, None, ["--ranks", "40"], ["--m", "40"], ("vclsm",), id="m-equals-n"),
     pytest.param({}, None, ["--ranks", "1"], ["--m", "1"], (), id="m-1"),

@@ -405,9 +405,18 @@ def test_active_gram_sums_full_partial_and_empty_blocks(monkeypatch):
     active[:64] = True
     active[64:128] = False
     rows = phi[active]
-    assert_allclose(learners._active_gram(phi, active), rows.T @ rows, rtol=1e-12, atol=0)
-    empty = learners._active_gram(phi, np.zeros(223, dtype=bool))
+    assert_allclose(learners._row_gram(phi, active), rows.T @ rows, rtol=1e-12, atol=0)
+    assert_allclose(learners._row_gram(phi), phi.T @ phi, rtol=1e-12, atol=0)
+    empty = learners._row_gram(phi, np.zeros(223, dtype=bool))
     assert np.array_equal(empty, np.zeros((7, 7)))
+
+
+def _dense_gram(features, rows=None, less=None):
+    """What `learners._row_gram` sums, in one product and from zero: with
+    ``less`` = F' F, less - F_R' F_R is the sum over the other rows."""
+    if rows is not None:
+        features = features[rows if less is None else ~rows]
+    return features.T @ features
 
 
 def test_shsvm_newton_sums_the_hessian_over_row_blocks(monkeypatch):
@@ -427,13 +436,7 @@ def test_shsvm_newton_sums_the_hessian_over_row_blocks(monkeypatch):
     blocks = [active[start:start + step] for start in range(0, n, step)]
     assert len(blocks) >= 4 and blocks[0].all()
     assert sum(not b.all() and b.any() for b in blocks) >= 3
-
-    def dense(features, keep):
-        rows = features[keep]
-        return rows.T @ rows
-
-    monkeypatch.setattr(learners, "_active_gram", dense)
-    monkeypatch.setattr(learners, "_GRAM_UPDATE_SHARE", 0.0)  # a dense Gram every step
+    monkeypatch.setattr(learners, "_row_gram", _dense_gram)  # a dense Gram every step
     reference = sh_svm_lowrank(fmap, y, reg)
     assert model.diagnostics["iterations"] == reference.diagnostics["iterations"]
     assert_allclose(model.z, reference.z, rtol=1e-12, atol=0)
@@ -448,25 +451,23 @@ def test_shsvm_scratch_is_bounded(peak_bytes):
     assert peak_bytes(lambda: sh_svm_lowrank(fmap, y, RegPair(1e-3, 1e-3))) <= 0.5 * phi.nbytes
 
 
-def test_update_gram_adds_entering_and_subtracts_leaving_rows(monkeypatch):
+def test_row_gram_subtracts_rows_from_the_gram(monkeypatch):
     rng = np.random.default_rng(53)
     phi = rng.normal(size=(223, 7))
     monkeypatch.setattr(linalg, "_ROW_BLOCK_ELEMENTS", 64 * 7)  # 64 rows
-    kept = rng.random(223) < 0.6
-    kept[64:128] = False  # a block with no kept row
-    flip = rng.random(223) < 0.2
-    for kind, entered, left in (("none", np.zeros(223, bool), np.zeros(223, bool)),
-                                ("enter", flip & ~kept, np.zeros(223, bool)),
-                                ("leave", np.zeros(223, bool), flip & kept),
-                                ("both", flip & ~kept, flip & kept)):
-        gram = learners._active_gram(phi, kept)
-        before = gram.copy()
-        learners._update_gram(gram, phi, entered, left)
-        if kind == "none":
-            assert np.array_equal(gram, before)
-        assert np.array_equal(gram, gram.T)
-        assert_allclose(gram, learners._active_gram(phi, (kept | entered) & ~left),
-                        rtol=0, atol=1e-12 * np.abs(before).max())
+    gram = learners._row_gram(phi)
+    before = gram.copy()
+    some = rng.random(223) < 0.3
+    some[64:128] = False  # a block with no row to subtract
+    some[128:192] = True  # a block whose rows are all subtracted
+    for rows in (np.zeros(223, bool), some, np.ones(223, bool)):
+        less = learners._row_gram(phi, rows, less=gram)
+        assert np.array_equal(gram, before)  # the Gram is read, never written
+        if not rows.any():
+            assert np.array_equal(less, gram)
+        assert np.array_equal(less, less.T)
+        assert_allclose(less, learners._row_gram(phi, ~rows), rtol=0,
+                        atol=1e-12 * np.abs(gram).max())
 
 
 def _newton_case(seed):
@@ -490,65 +491,64 @@ def _cold_case():
     return phi, y, np.full(20, 1e-2), None
 
 
-def _hessian_steps(monkeypatch):
-    """Per Newton step: its active set, and whether its Gram was formed
-    again (True) or updated (False)."""
-    steps = []
-    gram, update = learners._active_gram, learners._update_gram
-
-    def counted_gram(features, active):
-        steps.append((active.copy(), True))
-        return gram(features, active)
-
-    def counted_update(kept_gram, features, entered, left):
-        steps.append(((steps[-1][0] | entered) & ~left, False))
-        update(kept_gram, features, entered, left)
-
-    monkeypatch.setattr(learners, "_active_gram", counted_gram)
-    monkeypatch.setattr(learners, "_update_gram", counted_update)
-    return steps
-
-
 def test_shsvm_hessian_updates_match_recomputes(monkeypatch):
-    steps = _hessian_steps(monkeypatch)
-    kinds = set()
+    steps = []  # per Newton step: its active set, and whether F' F was reduced
+    original = learners._row_gram
+
+    def recorded(features, rows=None, less=None):
+        gram = original(features, rows, less)
+        active = rows if less is None else ~rows
+        steps.append((active, less is not None))
+        # either side of the active set gives its Gram from zero to round-off
+        assert_allclose(gram, _dense_gram(features, active), rtol=0,
+                        atol=1e-12 * np.abs(less if less is not None else gram).max())
+        return gram
+
+    kinds, sides = set(), set()
     # rows only leave from a cold start; 1 has rows only enter, 4 both; 676 and
     # 1441 each take a step after which no row has changed status
     for phi, y, lam, start in [_cold_case(), *map(_newton_case, (1, 4, 676, 1441))]:
+        monkeypatch.setattr(learners, "_row_gram", recorded)
         del steps[:]
-        z, info = learners._newton_squared_hinge(phi, y, lam, float(len(y)), start)
-        for (before, _), (after, recomputed) in zip(steps, steps[1:]):
-            if not recomputed:
-                entered, left = (after & ~before).any(), (before & ~after).any()
-                kinds.add({(True, False): "enter", (False, True): "leave",
-                           (True, True): "both", (False, False): "none"}[entered, left])
-        with monkeypatch.context() as off:
-            off.setattr(learners, "_GRAM_UPDATE_SHARE", 0.0)
-            reference, reference_info = learners._newton_squared_hinge(
-                phi, y, lam, float(len(y)), start)
+        z, info = learners._newton_squared_hinge(phi, original(phi), y, lam, float(len(y)), start)
+        sides.update(reduced for _, reduced in steps)
+        for (before, _), (after, _) in zip(steps, steps[1:]):
+            entered, left = (after & ~before).any(), (before & ~after).any()
+            kinds.add({(True, False): "enter", (False, True): "leave",
+                       (True, True): "both", (False, False): "none"}[entered, left])
+        monkeypatch.setattr(learners, "_row_gram", _dense_gram)  # a dense Gram every step
+        reference, reference_info = learners._newton_squared_hinge(
+            phi, phi.T @ phi, y, lam, float(len(y)), start)
         assert info["iterations"] == reference_info["iterations"]
         assert_allclose(z, reference, rtol=1e-12, atol=0)
-    assert kinds == {"enter", "leave", "both", "none"}
+    assert kinds == {"enter", "leave", "both", "none"} and sides == {True, False}
 
 
-def test_shsvm_newton_recomputes_the_hessian_once_half_the_rows_change(monkeypatch):
-    steps = _hessian_steps(monkeypatch)
-    phi, y, lam, start = _cold_case()
-    _, info = learners._newton_squared_hinge(phi, y, lam, 2000.0, start)
-    # few rows change after the first step: one Gram, updated from then on
-    assert info["iterations"] >= 3
-    assert [recomputed for _, recomputed in steps] == [True] + [False] * (info["iterations"] - 1)
-    recomputes = 0
-    for seed in (676, 1441):
-        del steps[:]
-        phi, y, lam, start = _newton_case(seed)
-        learners._newton_squared_hinge(phi, y, lam, float(len(y)), start)
-        assert steps[0][1]
-        for (before, _), (after, recomputed) in zip(steps, steps[1:]):
-            changed = np.count_nonzero(before != after)
-            assert recomputed == (2 * changed >= np.count_nonzero(after))
-            recomputes += recomputed
-    assert recomputes >= 2
+def test_shsvm_grid_forms_the_gram_once_and_sums_the_smaller_side(monkeypatch):
+    rng = np.random.default_rng(75)
+    n = 60
+    fmap = landmark_feature_map(random_indefinite(rng, n), 40)
+    y = binary_labels(rng, n)
+    sums = []  # per call: the rows it sums, and the Gram it reduces
+    original = learners._row_gram
+
+    def counted(features, rows=None, less=None):
+        sums.append((n if rows is None else np.count_nonzero(rows), less))
+        return original(features, rows, less)
+
+    monkeypatch.setattr(learners, "_row_gram", counted)
+    _, solve = learner_path("shsvm", fmap, y)
+    models = [solve(RegPair(lp, ln)) for lp in _GRID for ln in _GRID]
+    # Phi' Phi over all n rows once, by the grid's first solve, then one sum
+    # per Newton step
+    assert sums[0] == (n, None)
+    steps = sums[1:]
+    assert len(steps) == sum(model.diagnostics["iterations"] for model in models)
+    assert all(less is None or less is fmap.gram for _, less in steps)
+    # a step sums min(|A|, |I|) rows: the active ones from zero, or the
+    # inactive ones out of Phi' Phi
+    assert all(2 * summed <= n for summed, _ in steps)
+    assert {less is None for _, less in steps} == {True, False}
 
 
 def test_hessian_update_scratch_is_one_block(peak_bytes, monkeypatch):
@@ -557,21 +557,19 @@ def test_hessian_update_scratch_is_one_block(peak_bytes, monkeypatch):
     phi = rng.normal(size=(n, m))
     monkeypatch.setattr(linalg, "_ROW_BLOCK_ELEMENTS", 1024 * m)  # 1024 rows
     one_block = 1024 * m * 8
-    kept = np.ones(n, dtype=bool)
-    kept[1024:2048] = False
-    # the whole first block leaves and the whole second enters, next to each
-    # other, and further rows leave up to just under half the active count
-    entered, left = ~kept, kept & (rng.random(n) < 0.3)
-    left[:1024] = True
-    active = (kept | entered) & ~left
-    changed = np.count_nonzero(entered | left)
-    assert 0.45 * np.count_nonzero(active) < changed < 0.5 * np.count_nonzero(active)
-    gram = learners._active_gram(phi, kept)
-    # one block's changed rows at a time: no two blocks' copies at once, and
-    # not all the changed rows, 0.49 phi
-    assert peak_bytes(lambda: learners._update_gram(gram, phi, entered, left)) <= 1.25 * one_block
-    assert_allclose(gram, learners._active_gram(phi, active), rtol=0,
-                    atol=1e-12 * np.abs(gram).max())
+    gram = learners._row_gram(phi)
+    # a whole block of inactive rows next to a block of active rows only, and
+    # further inactive rows up to just under half the rows
+    inactive = rng.random(n) < 0.49
+    inactive[:1024] = True
+    inactive[1024:2048] = False
+    assert 0.45 * n < np.count_nonzero(inactive) < 0.5 * n
+    # one block's rows at a time: no two blocks' copies at once, and not all
+    # the summed rows, 0.49 phi; whichever side is summed
+    for less in (gram, None):
+        assert peak_bytes(lambda: learners._row_gram(phi, inactive, less)) <= 1.25 * one_block
+    assert_allclose(learners._row_gram(phi, inactive, gram), learners._row_gram(phi, ~inactive),
+                    rtol=0, atol=1e-12 * np.abs(gram).max())
 
 
 def test_shsvm_newton_forms_each_candidates_margins_once():
@@ -590,8 +588,9 @@ def test_shsvm_newton_forms_each_candidates_margins_once():
                 products.append(np.array(other))
             return np.asarray(self) @ other
 
-    z, info = learners._newton_squared_hinge(phi.view(Counted), y, lam, float(n))
-    reference, reference_info = learners._newton_squared_hinge(phi, y, lam, float(n))
+    gram = learners._row_gram(phi)
+    z, info = learners._newton_squared_hinge(phi.view(Counted), gram, y, lam, float(n))
+    reference, reference_info = learners._newton_squared_hinge(phi, gram, y, lam, float(n))
     assert np.array_equal(z, reference) and info == reference_info
     assert info["iterations"] >= 3
     # the start point, then one product per line-search candidate and none for
@@ -931,7 +930,7 @@ def test_vclsm_path_matches_a_fresh_solve_per_radius():
                                  k.values[:, idx])
         y = binary_labels(rng, n)
         reg = RegPair(float(rng.uniform(1e-3, 1.0)), float(rng.uniform(1e-3, 1.0)))
-        solve = vc_lsm_path(fmap, y, reg)
+        solve = vc_lsm_path(fmap, y)
         sigma, B = fmap.svd
         # the SVD of phi, taken from its R factor
         dense = np.linalg.svd(fmap.phi, compute_uv=False)
@@ -946,7 +945,7 @@ def test_vclsm_path_matches_a_fresh_solve_per_radius():
             b = scaled.T @ (fmap.phi.T @ y)  # A' y with A = phi B / sigma
             gamma = sphere_constrained_qp(SphereQP(W=W, b=b, r=r), tol=1e-12)
             z = scaled @ gamma
-            model = solve(r)
+            model = solve(reg, r)
             assert np.array_equal(model.z, z)
             assert np.array_equal(vc_lsm_lowrank(fmap, y, reg, r).z, z)
             assert model.diagnostics["objective"] == float(
@@ -987,11 +986,11 @@ def test_vclsm_path_factors_once_per_penalty_ratio(monkeypatch):
         for lp in _GRID:
             for ln in _GRID:
                 reg = RegPair(lp, ln)
-                fresh = vc_lsm_path(centred, y, reg)
+                fresh = vc_lsm_path(centred, y)  # this pair's own factorisation
                 first = _ratio(reg) not in seen
                 seen.add(_ratio(reg))
                 for r in (0.5, 1.0, 2.0):
-                    model, reference = solve(reg, r), fresh(r)
+                    model, reference = solve(reg, r), fresh(reg, r)
                     objective = model.diagnostics["objective"]
                     expected = reference.diagnostics["objective"]
                     if first:  # factored here, from this pair's own W
@@ -1013,19 +1012,22 @@ def test_vclsm_path_factors_zero_and_overflowing_scales_itself(monkeypatch):
     n = 16
     fmap = center_features(landmark_feature_map(random_indefinite(rng, n), 9))
     y = rng.normal(size=n)
-    factors = {}
+    solve = vc_lsm_path(fmap, y)
     regs = [RegPair(1e-300, 1e-300), RegPair(0.0, 0.0), RegPair(0.0, 0.0), RegPair(0.0, 0.25),
             RegPair(0.5, 0.5), RegPair(1e10, 1e10)]
+    models = []
     for reg in regs:
-        model, fresh = vc_lsm_path(fmap, y, reg, None, factors)(1.5), vc_lsm_path(fmap, y, reg)(1.5)
+        models.append(solve(reg, 1.5))
+        fresh = vc_lsm_path(fmap, y)(reg, 1.5)
         if reg != RegPair(0.5, 0.5):  # the only pair scaled from a kept ratio
-            assert np.array_equal(model.z, fresh.z)
-        assert np.linalg.norm(model.z - fresh.z) <= 1e-12 * np.linalg.norm(fresh.z)
-    # (0, 0) is a ratio of its own; 1e10 / 1e-300 overflows, so (1e10, 1e10)
-    # factors its own W and leaves the first factorisation of (1, 1) kept
-    assert set(factors) == {(1.0, 1.0), (0.0, 0.0), (0.0, 1.0)}
-    assert factors[(0.0, 0.0)][0] == 0.0 and factors[(1.0, 1.0)][0] == 1e-300
+            assert np.array_equal(models[-1].z, fresh.z)
+        assert np.linalg.norm(models[-1].z - fresh.z) <= 1e-12 * np.linalg.norm(fresh.z)
+    # (0, 0) is a ratio of its own, factored once; 1e10 / 1e-300 overflows
     assert len(calls) == 4 + len(regs)  # one per ratio and overflow, one per fresh path
+    # so (1e10, 1e10) factors its own W and leaves the first factorisation of
+    # (1, 1), at s0 = 1e-300, kept: that pair solves again from it, unscaled
+    assert np.array_equal(solve(regs[0], 1.5).z, models[0].z)
+    assert len(calls) == 4 + len(regs)
 
 
 def test_vclsm_path_factors_again_after_a_raise(monkeypatch):
@@ -1048,7 +1050,7 @@ def test_vclsm_path_factors_again_after_a_raise(monkeypatch):
         solve(RegPair(0.1, 0.2))
     # the same ratio: the raise was not kept, so this pair factors its own W
     reg = RegPair(0.2, 0.4)
-    assert np.array_equal(solve(reg, 1.0).z, vc_lsm_path(centred, y, reg)(1.0).z)
+    assert np.array_equal(solve(reg, 1.0).z, vc_lsm_path(centred, y)(reg, 1.0).z)
     assert len(calls) == 3
     # and the pair that raised factors again on its next use, now from the
     # ratio's kept factorisation
@@ -1062,11 +1064,11 @@ def _newton_starts(monkeypatch, fail_at=()):
     starts = []
     original = learners._newton_squared_hinge
 
-    def recorded(features, y, lam_diag, n_scale, start=None):
+    def recorded(features, gram, y, lam_diag, n_scale, start=None):
         starts.append(None if start is None else np.array(start))
         if len(starts) in fail_at:
             raise SolverError("injected Newton failure")
-        return original(features, y, lam_diag, n_scale, start)
+        return original(features, gram, y, lam_diag, n_scale, start)
 
     monkeypatch.setattr(learners, "_newton_squared_hinge", recorded)
     return starts
