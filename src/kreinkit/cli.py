@@ -572,7 +572,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     source, y = load_inputs(args, need_labels=True)
     factor = landmark_factor(source, args.sampler, args.m,
                              spawn_rng(args.seed, _DOMAIN_SINGLE), args.pinv_tol)
-    fmap, solve = learner_path(args.learner, build_feature_map(factor, source), y)
+    fmap, solve, _ = learner_path(args.learner, build_feature_map(factor, source), y)
     model = solve(RegPair(args.lambda_pos, args.lambda_neg), args.radius)
     training_error = misclassification(np.sign(fmap.phi @ model.z), y) \
         if set(np.unique(y).tolist()) <= {-1.0, 1.0} else None
@@ -609,39 +609,56 @@ def _hyper_grid(args: argparse.Namespace, learner: str):
 
 def _split_predictor(learner: str, source: GramSource, y, train, test, rank, budget,
                      args: argparse.Namespace, rng: np.random.Generator):
-    """Held-out scores of one (train, test) split as a function of the
-    hyperparameters; what no grid point changes is built once, here.
+    """Held-out decisions of one (train, test) split as a function of a list
+    of hyperparameter points; what no grid point changes is built once, here.
 
-    Only the low-rank learners read ``rank`` and ``budget``; they factor the
-    training fold through ``landmark_factor`` and train through `learner_path`.
+    The function returns the P x n_test decisions and the mask of the points
+    whose solve failed.  Only the low-rank learners read ``rank`` and
+    ``budget``; they factor the training fold through ``landmark_factor``
+    and solve the points through the ``grid`` of `learner_path`, so the
+    decisions are one product of the test features with the r x P weights.
     """
     y_train = y[train]
     if learner == "constant":
         value = 1.0 if float(np.sum(y_train > 0)) * 2 >= train.size else -1.0
-        return lambda hyper: np.full(test.size, value)
+        return lambda hypers: (np.full((len(hypers), test.size), value),
+                               np.zeros(len(hypers), dtype=bool))
     if learner == "sf-lsm":
         solve = sf_lsm_path(source.block(train), y_train)
         cross = source.cross(test, train)
-        return lambda lam: solve(lam).predict(cross)
+
+        def predict_sf(lams):
+            decisions = np.zeros((len(lams), test.size))
+            failed = np.zeros(len(lams), dtype=bool)
+            for p, lam in enumerate(lams):
+                try:
+                    decisions[p] = solve(lam).predict(cross)
+                except SolverError:
+                    failed[p] = True
+            return decisions, failed
+
+        return predict_sf
     fold = source.subset(train)
     factor = landmark_factor(fold, args.sampler, min(budget, train.size), rng, args.pinv_tol)
     factor = truncate_factor(factor, rank)
-    fmap, solve = learner_path(learner, build_feature_map(factor, fold), y_train)
+    fmap, _, grid = learner_path(learner, build_feature_map(factor, fold), y_train)
     phi_test = fmap.rows(source.cross(test, train[factor.landmarks.indices]))
     # vclsm's variance target per radius factor; the other learners read None
     targets = {f: variance_target(y_train, f) for f in args.radius_factors} \
         if learner == "vclsm" else {}
 
-    def predict(hyper):
-        reg, radius_factor = hyper
-        return phi_test @ solve(reg, targets.get(radius_factor)).z
+    def predict(hypers):
+        Z, failed = grid([(reg, targets.get(radius_factor)) for reg, radius_factor in hypers])
+        return (phi_test @ Z).T, failed
 
     return predict
 
 
 def _pick_hyper(learner, source, y, train, rank, budget, args, key):
     """Inner cross-validation over the hyperparameter grid; deterministic
-    tie-break toward the earliest grid entry."""
+    tie-break toward the earliest grid entry.  Each inner split solves the
+    whole grid in walk order and scores it as one array; a failing point
+    scores 1.0, so it never wins."""
     grid = _hyper_grid(args, learner)
     if len(grid) == 1:
         return grid[0]
@@ -655,11 +672,8 @@ def _pick_hyper(learner, source, y, train, rank, budget, args, key):
     for fi, (itr, ite) in enumerate(inner.splits()):
         predict = _split_predictor(learner, source, y, train[itr], train[ite], rank,
                                    budget, args, spawn_rng(args.seed, _DOMAIN_CV, *key, fi))
-        for gi in walk:
-            try:
-                scores[gi] += misclassification(np.sign(predict(grid[gi])), y[train[ite]])
-            except (SolverError, RankDeficient):
-                scores[gi] += 1.0  # a failing combination never wins
+        decisions, failed = predict([grid[gi] for gi in walk])
+        scores[walk] += np.where(failed, 1.0, misclassification(decisions, y[train[ite]]))
     return grid[int(np.argmin(scores))]
 
 
@@ -684,13 +698,11 @@ def run_cv(source: GramSource, y, args: argparse.Namespace):
             start = time.perf_counter()
             predict = _split_predictor(learner, source, y, train, test, k, l, args,
                                        spawn_rng(args.seed, _DOMAIN_REFIT, *key, fi))
-            try:
-                preds = predict(hyper)
-            except (SolverError, RankDeficient):
-                preds = None  # scored as a failing inner grid point is
+            (decisions,), (refit_failed,) = predict([hyper])
             refit_s += time.perf_counter() - start
-            failed += preds is None
-            rate = 1.0 if preds is None else misclassification(np.sign(preds), y[test])
+            failed += bool(refit_failed)
+            # scored as a failing inner grid point is
+            rate = 1.0 if refit_failed else misclassification(decisions, y[test])
             rates.append(rate)
             fold_rows.append((learner, k, l, fi, rate))
         timings = {"refit_seconds": refit_s} if learner in LEARNERS else {}

@@ -264,19 +264,21 @@ def one_vs_all(labels, target) -> np.ndarray:
     return np.where(mask, 1.0, -1.0)
 
 
-def misclassification(predictions, y) -> float:
-    """Error rate of sign(prediction) against -1/+1 labels.
+def misclassification(predictions, y) -> float | np.ndarray:
+    """Error rate of sign(prediction) against -1/+1 labels, or one rate per
+    row of a 2-d array of predictions.
 
-    A prediction of exactly zero never matches either class, so it counts as
-    a misclassification.
+    Every prediction f without y f > 0 is an error: one of exactly zero
+    matches neither class, and a NaN matches nothing.
     """
     pred = np.asarray(predictions, dtype=float)
     labels = np.asarray(y, dtype=float)
-    if pred.shape != labels.shape or pred.ndim != 1:
+    if pred.ndim not in (1, 2) or pred.shape[-1:] != labels.shape:
         raise ShapeError(f"shape mismatch: {pred.shape} vs {labels.shape}")
     if not np.all((labels == 1.0) | (labels == -1.0)):
         raise InvalidInput("labels must be -1/+1")
-    return float(np.mean(labels * pred <= 0.0))
+    rates = np.mean(~(labels * pred > 0.0), axis=-1)
+    return float(rates) if pred.ndim == 1 else rates
 
 
 def make_synthetic(kind: str, n: int, p: int, rng: np.random.Generator,

@@ -18,7 +18,7 @@ import functools
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,6 +80,13 @@ class RegPair:
 def _lambda_diag(reg: RegPair, signs: np.ndarray) -> np.ndarray:
     # lam_pos on +1 directions, lam_neg on -1; a zero sign averages the two
     return reg.lam_pos * (signs + 1.0) / 2.0 + reg.lam_neg * np.abs(signs - 1.0) / 2.0
+
+
+def _check_penalty_scale(reg: RegPair, n: int) -> None:
+    """The n-scaled penalties must be finite: SolverError otherwise."""
+    if not math.isfinite(n * max(reg.lam_pos, reg.lam_neg)):
+        raise SolverError("the penalty n * lambda overflows",
+                          diagnostics={"lam_pos": reg.lam_pos, "lam_neg": reg.lam_neg})
 
 
 @dataclass(frozen=True)
@@ -293,10 +300,10 @@ def _as_labels(y, n: int) -> np.ndarray:
 
 def _as_binary(y, n: int) -> np.ndarray:
     y = _as_labels(y, n)
-    classes = set(np.unique(y).tolist())
-    if not classes <= {-1.0, 1.0}:
+    positive = y == 1.0
+    if not np.all(positive | (y == -1.0)):
         raise InvalidInput("labels must be -1/+1")
-    if len(classes) < 2:
+    if positive.all() or not positive.any():
         raise InvalidInput("both classes must be present")
     return y
 
@@ -305,6 +312,7 @@ def krein_krr_lowrank(fmap: FeatureMap, y, reg: RegPair) -> LowRankModel:
     """Ridge regression in the signed feature space (closed form)."""
     y = _as_labels(y, fmap.n)
     n = fmap.n
+    _check_penalty_scale(reg, n)
     lam = _lambda_diag(reg, fmap.signs)
     system = fmap.gram + n * np.diag(lam)
     rhs = fmap.phi.T @ y
@@ -320,9 +328,11 @@ def krein_krr_lowrank(fmap: FeatureMap, y, reg: RegPair) -> LowRankModel:
                         diagnostics={"residual": residual})
 
 
-def vc_lsm_path(fmap: FeatureMap, y) -> Callable[[RegPair, float], LowRankModel]:
-    """Variance-constrained least squares on one map and one y, as the
-    function ``solve(reg, r)`` of the penalty pair and the variance target.
+def vc_lsm_path(fmap: FeatureMap, y) -> tuple[Callable, Callable]:
+    """Variance-constrained least squares on one map and one y, as the pair
+    ``(solve, grid)``: ``solve(reg, r)``, the `LowRankModel` at the penalty
+    pair reg and the variance target r, and ``grid(hypers)``, the weights of
+    a list of (reg, r) points solved together.
 
     Minimizes n lam_pos ||z_+||^2 + n lam_neg ||z_-||^2 - 2 z' Phi' y subject
     to ||Phi z|| = r.  The caller centres the features (`center_features`).
@@ -331,7 +341,8 @@ def vc_lsm_path(fmap: FeatureMap, y) -> Callable[[RegPair, float], LowRankModel]
     linear term A' y = (B / sigma)' Phi' y, solved globally on the directions
     with sigma > 1e-10 max(sigma): z lies in the row space of Phi, so a
     rank-deficient Phi trains on its range, and only an all-zero Phi raises
-    RankDeficient, after r is checked.
+    RankDeficient, after r is checked.  A pair whose n lam or whose W
+    overflows raises SolverError.
 
     The sphere-QP factorisations are shared by the calls.  W is linear in
     (lam_pos, lam_neg), so the pairs of one ratio (lam_pos, lam_neg) / s,
@@ -341,32 +352,51 @@ def vc_lsm_path(fmap: FeatureMap, y) -> Callable[[RegPair, float], LowRankModel]
     scales the kept eigenvalues by s / s0 (Moré and Sorensen's trust-region
     view of the sphere QP), unless s / s0 overflows.  A factorisation that
     raises is not kept, and s = 0 is a ratio of its own.
+
+    ``grid`` factors its points' pairs in the order of their first
+    appearance and solves every pair and radius that share a factorisation
+    in one call of `solve_sphere_qp`.  It returns the rank x P weights and
+    the mask of the points that failed, whose columns are zero: a pair whose
+    factorisation raises fails all its radii, and a problem that does not
+    converge fails alone.
     """
     y = _as_labels(y, fmap.n)
     n = fmap.n
     phi_y = fmap.phi.T @ y
     factors = {}  # penalty ratio -> (s0, factorisation)
 
-    def solve(reg: RegPair, r: float) -> LowRankModel:
-        if not (math.isfinite(r) and r > 0.0):  # before the rank check: the caller's error
-            raise InvalidInput("the variance target r must be positive")
+    def basis() -> np.ndarray:  # its columns map gamma -> z
         sigma, B = fmap.svd
         keep = sigma > 1e-10 * sigma.max(initial=0.0)
         if not keep.any():
             raise RankDeficient("feature matrix is zero; no weights meet the variance target")
-        lam = _lambda_diag(reg, fmap.signs)
-        scaled = B[:, keep] / sigma[keep]  # columns map gamma -> z
+        return B[:, keep] / sigma[keep]
+
+    def factored(reg: RegPair, scaled: np.ndarray):
+        """reg's sphere-QP factorisation and the scale of its eigenvalues."""
+        _check_penalty_scale(reg, n)
         scale = max(reg.lam_pos, reg.lam_neg)
         ratio = (reg.lam_pos / scale, reg.lam_neg / scale) if scale > 0.0 else (0.0, 0.0)
         kept = factors.get(ratio)
         grow = 1.0 if kept is None or scale == kept[0] else scale / kept[0]
-        if kept is None or not math.isfinite(grow):
-            W = n * (scaled.T * lam[None, :]) @ scaled
-            qp = factor_sphere_qp(W, scaled.T @ phi_y)
-            factors.setdefault(ratio, (scale, qp))  # an overflow keeps the first
-        else:
-            qp = replace(kept[1], lam=kept[1].lam * grow)
-        z = scaled @ solve_sphere_qp(qp, r, tol=1e-12)
+        if kept is not None and math.isfinite(grow):
+            return kept[1], grow
+        with np.errstate(over="ignore"):
+            W = n * (scaled.T * _lambda_diag(reg, fmap.signs)[None, :]) @ scaled
+        if not np.all(np.isfinite(W)):
+            raise SolverError("the sphere-QP matrix W overflows",
+                              diagnostics={"lam_pos": reg.lam_pos, "lam_neg": reg.lam_neg})
+        qp = factor_sphere_qp(W, scaled.T @ phi_y)
+        factors.setdefault(ratio, (scale, qp))  # an overflow keeps the first
+        return qp, 1.0
+
+    def solve(reg: RegPair, r: float) -> LowRankModel:
+        if not (math.isfinite(r) and r > 0.0):  # before the rank check: the caller's error
+            raise InvalidInput("the variance target r must be positive")
+        scaled = basis()
+        qp, grow = factored(reg, scaled)
+        z = scaled @ solve_sphere_qp(qp, r, scale=grow)
+        lam = _lambda_diag(reg, fmap.signs)
         fitted_norm = float(np.linalg.norm(fmap.phi @ z))
         objective = float(n * lam @ (z * z) - 2.0 * (z @ phi_y))
         return LowRankModel(
@@ -374,12 +404,45 @@ def vc_lsm_path(fmap: FeatureMap, y) -> Callable[[RegPair, float], LowRankModel]
             diagnostics={"constraint_residual": abs(fitted_norm - r), "objective": objective},
         )
 
-    return solve
+    def grid(hypers) -> tuple[np.ndarray, np.ndarray]:
+        radii = np.array([r for _, r in hypers], dtype=float)
+        if not np.all(np.isfinite(radii) & (radii > 0.0)):
+            raise InvalidInput("the variance target r must be positive")
+        Z = np.zeros((fmap.rank, len(hypers)))
+        failed = np.ones(len(hypers), dtype=bool)
+        try:
+            scaled = basis()
+        except RankDeficient:
+            return Z, failed
+        points = {}  # pair -> its grid positions, pairs in order of appearance
+        for p, (reg, _) in enumerate(hypers):
+            points.setdefault(reg, []).append(p)
+        batches = {}  # id of a factorisation -> (it, grid positions, eigenvalue scales)
+        for reg, where in points.items():
+            try:
+                qp, grow = factored(reg, scaled)
+            except SolverError:
+                continue
+            _, at, grows = batches.setdefault(id(qp), (qp, [], []))
+            at += where
+            grows += [grow] * len(where)
+        for qp, at, grows in batches.values():
+            try:
+                gamma = solve_sphere_qp(qp, radii[at], scale=grows)
+            except SolverError:  # a raise fails the whole batch
+                continue
+            ok = ~np.isnan(gamma[:, 0])
+            cols = np.array(at)[ok]
+            Z[:, cols] = scaled @ gamma[ok].T
+            failed[cols] = False
+        return Z, failed
+
+    return solve, grid
 
 
 def vc_lsm_lowrank(fmap: FeatureMap, y, reg: RegPair, r: float) -> LowRankModel:
     """`vc_lsm_path` at the single penalty pair reg and variance target r."""
-    return vc_lsm_path(fmap, y)(reg, r)
+    return vc_lsm_path(fmap, y)[0](reg, r)
 
 
 def squared_hinge_objective(features, y, lam_diag, n_scale, z) -> float:
@@ -508,6 +571,7 @@ def sh_svm_lowrank(fmap: FeatureMap, y, reg: RegPair, start=None) -> LowRankMode
     y = _as_binary(y, fmap.n)
     if reg.lam_pos <= 0.0 or reg.lam_neg <= 0.0:
         raise InvalidInput("the squared-hinge solver needs strictly positive penalties")
+    _check_penalty_scale(reg, fmap.n)
     if start is not None and np.shape(start) != (fmap.rank,):
         raise ShapeError(f"expected start weights of length {fmap.rank}, got {np.shape(start)}")
     lam = _lambda_diag(reg, fmap.signs)
@@ -523,22 +587,26 @@ def variance_target(y, factor: float = 1.0) -> float:
     return float(factor * np.sqrt(len(y)) * np.std(y))
 
 
-def learner_path(learner: str, fmap: FeatureMap, y) -> tuple[FeatureMap, Callable]:
+def learner_path(learner: str, fmap: FeatureMap, y) -> tuple[FeatureMap, Callable, Callable]:
     """How ``learner`` trains on the signed features ``fmap`` of targets y.
 
-    Returns ``(map, solve)``: the map the learner trains on, whose ``rows``
-    also score new points, and ``solve(reg, r=None)``, the `LowRankModel` for
-    the penalty pair ``reg``.  lsm and shsvm train on ``fmap`` itself and
-    ignore r.  vclsm trains on the centred map (`center_features`), on its
-    range if centring costs a rank, at the variance target r, by default
-    `variance_target(y)`.
+    Returns ``(map, solve, grid)``: the map the learner trains on, whose
+    ``rows`` also score new points; ``solve(reg, r=None)``, the `LowRankModel`
+    for the penalty pair ``reg``; and ``grid(hypers)``, the weights of a list
+    of (reg, r) points as the columns of a rank x P array, plus the mask of
+    the points whose solve raised SolverError or RankDeficient (their columns
+    are zero).  lsm and shsvm train on ``fmap`` itself and ignore r.  vclsm
+    trains on the centred map (`center_features`), on its range if centring
+    costs a rank, at the variance target r, by default `variance_target(y)`.
 
     What no penalty pair changes is built once per map and shared by its
     solves: for lsm and shsvm the map's Gram phi' phi (`FeatureMap.gram`),
     for vclsm the centred map's R factor and one sphere-QP factorisation per
-    penalty ratio (see `vc_lsm_path`).  shsvm starts each Newton solve from
-    the weights of the path's last successful solve, so a path's first solve
-    is the cold one `sh_svm_lowrank` makes, and the later solves of a grid
+    penalty ratio (see `vc_lsm_path`), whose grid solves every pair and
+    radius of a ratio in one secular iteration.  lsm and shsvm solve a grid
+    point by point, in its order.  shsvm starts each Newton solve from the
+    weights of the path's last successful solve, so a path's first solve is
+    the cold one `sh_svm_lowrank` makes, and the later solves of a grid
     walked pair by pair are warm.
     """
     if learner == "shsvm":
@@ -550,14 +618,34 @@ def learner_path(learner: str, fmap: FeatureMap, y) -> tuple[FeatureMap, Callabl
             start = model.z
             return model
 
-        return fmap, solve_shsvm
+        return fmap, solve_shsvm, _pointwise_grid(fmap, solve_shsvm)
     if learner == "lsm":
-        return fmap, lambda reg, r=None: krein_krr_lowrank(fmap, y, reg)
+        def solve_lsm(reg: RegPair, r: float | None = None) -> LowRankModel:
+            return krein_krr_lowrank(fmap, y, reg)
+
+        return fmap, solve_lsm, _pointwise_grid(fmap, solve_lsm)
     if learner != "vclsm":
         raise InvalidInput(f"unknown learner {learner!r}; use one of {', '.join(LEARNERS)}")
     fmap = center_features(fmap)
-    solve = vc_lsm_path(fmap, y)
-    return fmap, lambda reg, r=None: solve(reg, variance_target(y) if r is None else r)
+    solve, grid = vc_lsm_path(fmap, y)
+    target = variance_target(y)
+    return (fmap, lambda reg, r=None: solve(reg, target if r is None else r),
+            lambda hypers: grid([(reg, target if r is None else r) for reg, r in hypers]))
+
+
+def _pointwise_grid(fmap: FeatureMap, solve: Callable) -> Callable:
+    """The ``grid`` of `learner_path` that calls ``solve`` once per point."""
+    def grid(hypers) -> tuple[np.ndarray, np.ndarray]:
+        Z = np.zeros((fmap.rank, len(hypers)))
+        failed = np.zeros(len(hypers), dtype=bool)
+        for p, (reg, r) in enumerate(hypers):
+            try:
+                Z[:, p] = solve(reg, r).z
+            except (SolverError, RankDeficient):
+                failed[p] = True
+        return Z, failed
+
+    return grid
 
 
 def flip_shsvm_baseline(fmap: FeatureMap, y, lam: float) -> LowRankModel:

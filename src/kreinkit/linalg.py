@@ -258,73 +258,87 @@ def sphere_constrained_qp(q: SphereQP, tol: float = 1e-12) -> np.ndarray:
 
     Factors W once and runs the secular solve of `solve_sphere_qp`; callers
     that need several radii for one (W, b) factor once with
-    `factor_sphere_qp` and solve per radius.
+    `factor_sphere_qp` and solve them together.
     """
     return solve_sphere_qp(factor_sphere_qp(q.W, q.b), q.r, tol)
 
 
-def solve_sphere_qp(f: SphereQPFactor, r: float, tol: float = 1e-12) -> np.ndarray:
-    """Global minimizer of gamma' W gamma - 2 b' gamma over ||gamma|| = r,
-    given the factorisation of (W, b).
+def solve_sphere_qp(f: SphereQPFactor, r, tol: float = 1e-12, scale=1.0) -> np.ndarray:
+    """Global minimizers of gamma' (c W) gamma - 2 b' gamma over ||gamma|| = r,
+    given the factorisation of (W, b), for radii ``r`` and eigenvalue scales
+    c = ``scale``, which broadcast against each other: one problem per entry,
+    all solved by one vectorised iteration.  The scales let every penalty
+    pair of one ratio share the factorisation of its first pair.
 
-    Stationary points satisfy (W + nu I) gamma = b; the global minimum is the
-    one with nu >= -lambda_min(W), where phi(nu) = ||(W + nu I)^+ b|| is
-    monotone decreasing.  The secular root phi(nu) = r is bracketed by
+    Stationary points satisfy (c W + nu I) gamma = b; the global minimum is
+    the one with nu >= -lambda_min(c W), where phi(nu) = ||(c W + nu I)^+ b||
+    is monotone decreasing.  The secular root phi(nu) = r is bracketed by
     bisection and polished with safeguarded Newton steps on 1/phi.  The
     iterate is t = nu + lambda_min over the gaps lambda - lambda_min, formed
     once, so lambda + nu keeps its digits however large lambda_min is against
     the bracket width ||b|| / r.  When b is orthogonal to the bottom
     eigenspace and the limit norm falls short of r (the hard case), the
     solution sits at nu = -lambda_min with a bottom eigenvector component
-    added to reach the sphere.
+    added to reach the sphere.  b = 0 is a hard case with no gaps to fill:
+    gamma is r times the bottom eigenvector, whose sign the column convention
+    of `factor_sphere_qp` pins.
 
-    Raises SolverError if the root finder fails within 200 iterations.
+    Returns gamma of shape broadcast(r, scale).shape + (m,).  A problem whose
+    scaled eigenvalues are not finite, or whose root is not found within 200
+    iterations, fails alone: a scalar call raises SolverError, an array call
+    leaves its row NaN.
     """
-    if not (math.isfinite(r) and r > 0.0):
+    r, scale = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(scale, dtype=float))
+    shape = r.shape
+    r, scale = r.ravel(), scale.ravel()
+    if not np.all(np.isfinite(r) & (r > 0.0)):
         raise InvalidInput("radius r must be positive and finite")
-    lam, Q, beta, bnorm = f.lam, f.Q, f.beta, f.bnorm
-    r = float(r)
-    gaps = lam - lam[0]
-
-    # pure Rayleigh minimization: any +/- bottom eigenvector is optimal;
-    # the sign convention above pins the + direction
-    if bnorm == 0.0:
-        return _frozen(r * Q[:, 0])
-
-    span = float(np.abs(lam).max()) if lam.size else 0.0
-    min_mask = gaps <= 1e-10 * max(1.0, span)
-    bottom_small = bool(np.all(np.abs(beta[min_mask]) <= 1e-12 * max(1.0, bnorm)))
-
-    if bottom_small:
+    if not np.all(scale >= 0.0):
+        raise InvalidInput("eigenvalue scales must be non-negative")
+    Q, beta, bnorm = f.Q, f.beta, f.bnorm
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lam = scale[:, None] * f.lam
+        gaps = lam - lam[:, :1]
+        finite = np.isfinite(lam).all(axis=1)
+        span = np.abs(lam).max(axis=1, initial=0.0)
+        min_mask = gaps <= 1e-10 * np.maximum(1.0, span)[:, None]
+        bottom_small = np.all(~min_mask | (np.abs(beta) <= 1e-12 * max(1.0, bnorm)), axis=1)
         coef = np.where(min_mask, 0.0, beta / np.where(min_mask, 1.0, gaps))
-        phi0_sq = float(coef @ coef)
-        if phi0_sq <= r * r:
-            # hard case (or exact boundary root at t = 0)
-            tail = math.sqrt(max(r * r - phi0_sq, 0.0))
-            return _frozen(Q @ coef + tail * Q[:, 0])
+        phi0_sq = np.einsum("ij,ij->i", coef, coef)
+        # hard case (or exact boundary root at t = 0)
+        hard = finite & bottom_small & (phi0_sq <= r * r)
+        tail = np.where(hard, np.sqrt(np.maximum(r * r - phi0_sq, 0.0)), 0.0)
 
-    # secular root t in (0, ||b|| / r]: phi decreases from >= r to <= r
-    lo = 0.0
-    hi = bnorm / r
-    t = 0.5 * hi
-    for iteration in range(200):
-        dn = gaps + t
-        coef = beta / dn
-        phi = float(np.linalg.norm(coef))
-        if abs(phi - r) <= tol * r:
-            return _frozen(Q @ coef)
-        if phi > r:
-            lo = t
-        else:
-            hi = t
-        # Newton on g(t) = 1/phi - 1/r, monotone increasing and nearly linear
-        slope = float(np.sum(beta * beta / dn**3)) / phi**3
-        step = t - (1.0 / phi - 1.0 / r) / slope if slope > 0 else lo - 1.0
-        t = step if lo < step < hi else 0.5 * (lo + hi)
-    dn = gaps + t
-    phi = float(np.linalg.norm(beta / dn))
-    raise SolverError(
-        "sphere-constrained QP root finder did not converge",
-        residual=abs(phi - r),
-        iterations=200,
-    )
+        # secular roots t in (0, ||b|| / r]: phi decreases from >= r to <= r.
+        # Every row iterates until the last converges; each row's arithmetic
+        # is its own, and a row keeps the coef it converged with
+        pending = finite & ~hard
+        inv_r, tol_r = 1.0 / r, tol * r
+        lo = np.zeros_like(r)
+        hi = bnorm * inv_r
+        t = 0.5 * hi
+        for _ in range(200):
+            dn = gaps + t[:, None]
+            trial = beta / dn
+            phi = np.sqrt(np.einsum("ij,ij->i", trial, trial))
+            done = pending & (np.abs(phi - r) <= tol_r)
+            coef[done] = trial[done]
+            pending &= ~done
+            if not pending.any():
+                break
+            above = phi > r
+            lo = np.where(above, t, lo)
+            hi = np.where(above, hi, t)
+            # Newton on g(t) = 1/phi - 1/r, monotone increasing and nearly
+            # linear; a step out of the bracket (or NaN) bisects instead
+            slope = (trial * trial / dn).sum(axis=1) / phi**3
+            step = t - (1.0 / phi - inv_r) / slope
+            t = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+    if shape == () and not finite[0]:
+        raise SolverError("sphere-constrained QP: the scaled eigenvalues are not finite")
+    if shape == () and pending[0]:
+        raise SolverError("sphere-constrained QP root finder did not converge", iterations=200)
+    gamma = coef @ Q.T
+    gamma += tail[:, None] * Q[:, 0]
+    gamma[~finite | pending] = np.nan
+    return _frozen(gamma.reshape(*shape, -1))

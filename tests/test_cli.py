@@ -9,6 +9,7 @@ from kreinkit import (
     ConfigError,
     GramSource,
     RegPair,
+    SolverError,
     SymMatrix,
     approximate,
     build_feature_map,
@@ -383,13 +384,13 @@ def _saved_model_reproduces_training_decisions(tmp_path, monkeypatch, learner, m
     original = kreinkit.cli.learner_path
 
     def kept(name, fmap, y):
-        fmap, solve = original(name, fmap, y)
+        fmap, solve, grid = original(name, fmap, y)
 
         def solved(*args):
             trained.append((fmap, solve(*args)))
             return trained[-1][1]
 
-        return fmap, solved
+        return fmap, solved, grid
 
     monkeypatch.setattr(kreinkit.cli, "learner_path", kept)
     out = tmp_path / "model"
@@ -539,7 +540,7 @@ def test_features_and_predictions_by_row_blocks(monkeypatch, kernel, tol):
     assert _agree(fmap.phi, one_product, 1e-12)
     y = np.where(rng.random(300) < 0.5, -1.0, 1.0)
     for learner in ("lsm", "vclsm"):
-        trained, solve = learner_path(learner, fmap, y)
+        trained, solve, _ = learner_path(learner, fmap, y)
         model = solve(RegPair(0.1, 0.1))
         # predict is the landmark expansion, equal to Phi z to round-off
         assert _agree(model.predict(cross), trained.phi @ model.z, max(tol, 1e-12))
@@ -804,19 +805,25 @@ def test_cv_failing_vclsm_factorisation_fails_every_radius(tmp_path, monkeypatch
     bad = RegPair(0.01, 0.01)
     current = []
     attempts = []
+    grids = []
     picked = []
     original_path = kreinkit.learners.vc_lsm_path
+    original_lambda = kreinkit.learners._lambda_diag
     original_factor = kreinkit.learners.factor_sphere_qp
     original_pick = kreinkit.cli._pick_hyper
 
     def recorded_path(fmap, y):
-        solve = original_path(fmap, y)
+        solve, grid = original_path(fmap, y)
 
-        def recorded(reg, r):
-            current.append(reg)
-            return solve(reg, r)
+        def recorded_grid(hypers):
+            grids.append(len(hypers))
+            return grid(hypers)
 
-        return recorded
+        return solve, recorded_grid
+
+    def recorded_lambda(reg, signs):  # each W is formed from one pair's penalties
+        current.append(reg)
+        return original_lambda(reg, signs)
 
     def failing_factor(W, b):
         attempts.append(current[-1])
@@ -831,6 +838,7 @@ def test_cv_failing_vclsm_factorisation_fails_every_radius(tmp_path, monkeypatch
         return hyper
 
     monkeypatch.setattr(kreinkit.learners, "vc_lsm_path", recorded_path)
+    monkeypatch.setattr(kreinkit.learners, "_lambda_diag", recorded_lambda)
     monkeypatch.setattr(kreinkit.learners, "factor_sphere_qp", failing_factor)
     monkeypatch.setattr(kreinkit.cli, "_pick_hyper", recorded_pick)
     folds, inner_folds, radii = 3, 2, 3
@@ -838,8 +846,13 @@ def test_cv_failing_vclsm_factorisation_fails_every_radius(tmp_path, monkeypatch
                "--folds", str(folds), "--lambdas", "0.01,0.1", "--inner-folds",
                str(inner_folds), "--seed", "13", "--out", str(tmp_path / "cv")])
     assert rc == 0
-    # a raise is not kept as a factorisation: every radius tries again and fails
-    assert attempts.count(bad) == folds * inner_folds * radii
+    # each inner split solves its whole grid in one call, and each outer refit
+    # solves one point
+    assert grids == [4 * radii] * inner_folds + [1] + [4 * radii] * inner_folds + [1] \
+        + [4 * radii] * inner_folds + [1]
+    # a raise is not kept as a factorisation, and the radii of a pair share
+    # its one attempt: every inner split tries the bad pair once, and fails it
+    assert attempts.count(bad) == folds * inner_folds
     assert len(picked) == folds and all(reg != bad for reg, _ in picked)
 
 
@@ -884,6 +897,69 @@ def test_cv_grid_shares_factorisations_and_warm_starts(tmp_path, monkeypatch):
     assert warm_rows < sum(gram_rows)
 
 
+@pytest.mark.parametrize("learner", ["lsm", "vclsm", "shsvm"])
+def test_pick_hyper_scores_each_point_as_its_single_solve(monkeypatch, learner):
+    import kreinkit.cli as cli
+
+    args = cli.build_parser().parse_args(
+        ["cv", *synthetic_args(n=60), "--learners", learner, "--ranks", "8",
+         "--lambdas", "1e-3,0.1,1e308", "--inner-folds", "3", "--seed", "7"])
+    cli.validate_config(args)
+    source, y = cli.load_inputs(args, need_labels=True)
+    splits = []  # per inner split: test rows, labels, grid points, a fresh path
+    original_path = cli.learner_path
+    original_rows = learners.FeatureMap.rows
+    original_rates = cli.misclassification
+    rates = []
+
+    def recorded_path(name, fmap, y_train):
+        trained_on, solve, grid = original_path(name, fmap, y_train)
+        split = {"single": original_path(name, fmap, y_train)[1]}
+        splits.append(split)
+
+        def recorded_grid(hypers):
+            split["hypers"] = hypers
+            return grid(hypers)
+
+        return trained_on, solve, recorded_grid
+
+    def recorded_rows(self, K_rows):
+        splits[-1]["phi_test"] = original_rows(self, K_rows)
+        return splits[-1]["phi_test"]
+
+    def recorded_rates(decisions, labels):
+        rates.append(original_rates(decisions, labels))
+        splits[len(rates) - 1]["labels"] = labels
+        return rates[-1]
+
+    monkeypatch.setattr(cli, "learner_path", recorded_path)
+    monkeypatch.setattr(learners.FeatureMap, "rows", recorded_rows)
+    monkeypatch.setattr(cli, "misclassification", recorded_rates)
+    grid = cli._hyper_grid(args, learner)
+    picked = cli._pick_hyper(learner, source, y, np.arange(source.n), 8, 8, args, (0, 0))
+    assert len(splits) == len(rates) == args.inner_folds
+    scores = np.zeros(len(splits[0]["hypers"]))  # in walk order
+    for split, split_rates in zip(splits, rates):
+        expected = []
+        for reg, r in split["hypers"]:
+            try:
+                z = split["single"](reg, r).z
+            except SolverError:
+                expected.append(1.0)
+                continue
+            expected.append(misclassification(np.sign(split["phi_test"] @ z), split["labels"]))
+        failed = [reg.lam_pos > 1e300 or reg.lam_neg > 1e300 for reg, _ in split["hypers"]]
+        assert np.array_equal(np.where(failed, 1.0, split_rates), expected)
+        assert 1.0 in expected
+        scores += expected
+    # the walk visits the lambda+ rows of the grid serpentine-wise
+    width = len(grid) // len(args.lambdas)
+    walk = [gi for ri in range(len(args.lambdas))
+            for gi in (range(ri * width, (ri + 1) * width)[::-1 if ri % 2 else 1])]
+    best = min(walk, key=lambda gi: (scores[walk.index(gi)], gi))
+    assert picked == grid[best]
+
+
 _NEAR_CANCELLING = "kernel=gaussdiff sigma1=1.0 sigma2=1.0000001"
 
 # (points, kernel, cv flags, train flags, runs that must succeed); later
@@ -893,6 +969,9 @@ DEGENERATE_CASES = [
                  (), id="lambda-0"),
     pytest.param({}, None, ["--lambdas", "1e-300"],
                  ["--lambda-pos", "1e-300", "--lambda-neg", "1e-300"], (), id="lambda-1e-300"),
+    # n lambda overflows: the pairs holding 1e308 fail as solver errors
+    pytest.param({}, None, ["--lambdas", "1e308,1"], ["--lambda-pos", "1e308"], ("cv",),
+                 id="lambda-1e308"),
     pytest.param({"duplicated": True}, None, [], [], (), id="duplicates"),
     # the sf-lsm ridge system of the duplicated points is singular
     pytest.param({"duplicated": True}, None, ["--lambdas", "1e-300"],
@@ -945,6 +1024,22 @@ def test_cv_and_train_on_degenerate_inputs(tmp_path, capsys, points, kernel, cv_
             assert np.all(np.isfinite(model.z))
             result = json.loads((out / "result.json").read_text())
             assert np.isfinite(result["training_error"])
+
+
+def test_overflowing_penalties_fail_as_solver_errors(tmp_path, capsys):
+    rc = main(["cv", *synthetic_args(n=60), "--learners", "lsm,vclsm,shsvm", "--ranks", "8",
+               "--folds", "3", "--lambdas", "1e308,1", "--seed", "1",
+               "--out", str(tmp_path / "cv")])
+    assert rc == 0
+    result = json.loads((tmp_path / "cv" / "result.json").read_text())
+    # every refit ran at (1, 1), the only pair that does not overflow
+    assert all(row["failed_refits"] == 0 for row in result["summaries"])
+    for learner in ("lsm", "vclsm", "shsvm"):
+        out = tmp_path / learner
+        assert main(["train", *synthetic_args(n=60), "--learner", learner, "--m", "8",
+                     "--lambda-pos", "1e308", "--out", str(out)]) == 4
+        assert "n * lambda overflows" in capsys.readouterr().err
+        assert not (out / "result.json").exists()
 
 
 # (points, kernel, landmark budget); each runs every sampler and eigen method

@@ -280,6 +280,26 @@ def test_misclassification_counts_zero_as_error():
     assert rate == pytest.approx(1.0 / 3.0)
 
 
+def test_misclassification_counts_nan_as_error():
+    # a NaN decision has no y f > 0, so it matches neither class
+    assert misclassification([np.nan, np.nan], [1.0, -1.0]) == 1.0
+    assert misclassification([np.nan, 2.0, -1.0, 0.0], [1.0, 1.0, 1.0, -1.0]) == 0.75
+
+
+def test_misclassification_scores_each_row_of_a_grid():
+    rng = np.random.default_rng(3)
+    labels = np.where(rng.random(9) < 0.5, -1.0, 1.0)
+    preds = rng.normal(size=(5, 9))
+    preds[1, 2], preds[3, :] = 0.0, np.nan
+    rates = misclassification(preds, labels)
+    assert rates.shape == (5,)
+    assert rates.tolist() == [misclassification(row, labels) for row in preds]
+    with pytest.raises(ShapeError):
+        misclassification(preds, labels[:-1])
+    with pytest.raises(ShapeError):
+        misclassification(preds[None], labels)
+
+
 def test_misclassification_validation():
     with pytest.raises(ShapeError):
         misclassification([1.0], [1.0, -1.0])

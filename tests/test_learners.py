@@ -537,7 +537,7 @@ def test_shsvm_grid_forms_the_gram_once_and_sums_the_smaller_side(monkeypatch):
         return original(features, rows, less)
 
     monkeypatch.setattr(learners, "_row_gram", counted)
-    _, solve = learner_path("shsvm", fmap, y)
+    _, solve, _ = learner_path("shsvm", fmap, y)
     models = [solve(RegPair(lp, ln)) for lp in _GRID for ln in _GRID]
     # Phi' Phi over all n rows once, by the grid's first solve, then one sum
     # per Newton step
@@ -900,11 +900,11 @@ def test_learner_path_trains_as_the_solvers_do():
     y = binary_labels(rng, n)
     reg = RegPair(0.05, 0.2)
     for learner, solver in (("lsm", krein_krr_lowrank), ("shsvm", sh_svm_lowrank)):
-        trained_on, solve = learner_path(learner, fmap, y)
+        trained_on, solve, _ = learner_path(learner, fmap, y)
         assert trained_on is fmap
         for r in (None, 2.5):  # ignored
             assert np.array_equal(solve(reg, r).z, solver(fmap, y, reg).z)
-    centred, solve = learner_path("vclsm", fmap, y)
+    centred, solve, _ = learner_path("vclsm", fmap, y)
     assert np.array_equal(centred.phi, center_features(fmap).phi)
     assert np.array_equal(centred.mean, center_features(fmap).mean)
     for r in (2.5, None):
@@ -930,7 +930,7 @@ def test_vclsm_path_matches_a_fresh_solve_per_radius():
                                  k.values[:, idx])
         y = binary_labels(rng, n)
         reg = RegPair(float(rng.uniform(1e-3, 1.0)), float(rng.uniform(1e-3, 1.0)))
-        solve = vc_lsm_path(fmap, y)
+        solve, _ = vc_lsm_path(fmap, y)
         sigma, B = fmap.svd
         # the SVD of phi, taken from its R factor
         dense = np.linalg.svd(fmap.phi, compute_uv=False)
@@ -980,13 +980,13 @@ def test_vclsm_path_factors_once_per_penalty_ratio(monkeypatch):
         n = int(rng.integers(10, 30))
         fmap = landmark_feature_map(random_indefinite(rng, n), n // 2 + 1)
         y = rng.normal(size=n)
-        centred, solve = learner_path("vclsm", fmap, y)
+        centred, solve, _ = learner_path("vclsm", fmap, y)
         del calls[:]
         seen = set()
         for lp in _GRID:
             for ln in _GRID:
                 reg = RegPair(lp, ln)
-                fresh = vc_lsm_path(centred, y)  # this pair's own factorisation
+                fresh, _ = vc_lsm_path(centred, y)  # this pair's own factorisation
                 first = _ratio(reg) not in seen
                 seen.add(_ratio(reg))
                 for r in (0.5, 1.0, 2.0):
@@ -1012,13 +1012,13 @@ def test_vclsm_path_factors_zero_and_overflowing_scales_itself(monkeypatch):
     n = 16
     fmap = center_features(landmark_feature_map(random_indefinite(rng, n), 9))
     y = rng.normal(size=n)
-    solve = vc_lsm_path(fmap, y)
+    solve, _ = vc_lsm_path(fmap, y)
     regs = [RegPair(1e-300, 1e-300), RegPair(0.0, 0.0), RegPair(0.0, 0.0), RegPair(0.0, 0.25),
             RegPair(0.5, 0.5), RegPair(1e10, 1e10)]
     models = []
     for reg in regs:
         models.append(solve(reg, 1.5))
-        fresh = vc_lsm_path(fmap, y)(reg, 1.5)
+        fresh = vc_lsm_path(fmap, y)[0](reg, 1.5)
         if reg != RegPair(0.5, 0.5):  # the only pair scaled from a kept ratio
             assert np.array_equal(models[-1].z, fresh.z)
         assert np.linalg.norm(models[-1].z - fresh.z) <= 1e-12 * np.linalg.norm(fresh.z)
@@ -1035,7 +1035,7 @@ def test_vclsm_path_factors_again_after_a_raise(monkeypatch):
     n = 14
     fmap = landmark_feature_map(random_indefinite(rng, n), 8)
     y = rng.normal(size=n)
-    centred, solve = learner_path("vclsm", fmap, y)
+    centred, solve, _ = learner_path("vclsm", fmap, y)
     calls = []
     original = learners.factor_sphere_qp
 
@@ -1050,7 +1050,7 @@ def test_vclsm_path_factors_again_after_a_raise(monkeypatch):
         solve(RegPair(0.1, 0.2))
     # the same ratio: the raise was not kept, so this pair factors its own W
     reg = RegPair(0.2, 0.4)
-    assert np.array_equal(solve(reg, 1.0).z, vc_lsm_path(centred, y)(reg, 1.0).z)
+    assert np.array_equal(solve(reg, 1.0).z, vc_lsm_path(centred, y)[0](reg, 1.0).z)
     assert len(calls) == 3
     # and the pair that raised factors again on its next use, now from the
     # ratio's kept factorisation
@@ -1083,7 +1083,7 @@ def test_shsvm_path_warm_starts_along_the_grid(monkeypatch):
         cold = {RegPair(lp, ln): sh_svm_lowrank(fmap, y, RegPair(lp, ln))
                 for lp in _GRID for ln in _GRID}
         starts = _newton_starts(monkeypatch)
-        _, solve = learner_path("shsvm", fmap, y)
+        _, solve, _ = learner_path("shsvm", fmap, y)
         warm = [solve(reg) for reg in cold]  # the grid in cv's order
         assert starts[0] is None
         for i, (model, reference) in enumerate(zip(warm, cold.values())):
@@ -1106,7 +1106,7 @@ def test_shsvm_path_warm_starts_from_the_last_success(monkeypatch):
     fmap = landmark_feature_map(random_indefinite(rng, n), 12)
     y = binary_labels(rng, n)
     starts = _newton_starts(monkeypatch, fail_at=(2,))
-    _, solve = learner_path("shsvm", fmap, y)
+    _, solve, _ = learner_path("shsvm", fmap, y)
     first = solve(RegPair(0.1, 0.1))
     with pytest.raises(SolverError):
         solve(RegPair(1.0, 0.1))
@@ -1138,3 +1138,83 @@ def test_sf_lsm_path_matches_the_normal_equations_per_penalty():
         assert np.array_equal(sf_lsm_baseline(k, y, lam).w, w)
     with pytest.raises(InvalidInput):
         solve(0.0)
+
+
+# ---------------------------------------------------------------------------
+# a grid of points solved together, against the same points solved one by one
+
+
+@pytest.mark.parametrize("learner", ["lsm", "vclsm", "shsvm"])
+def test_learner_grid_matches_single_solves(learner):
+    rng = np.random.default_rng(83)
+    n = 40
+    fmap = landmark_feature_map(random_indefinite(rng, n), 12)
+    y = binary_labels(rng, n)
+    lambdas = [1e-3, 0.1, 10.0, 1e308]  # the last overflows n lambda
+    radii = [0.5, 2.0, None] if learner == "vclsm" else [None]
+    hypers = [(RegPair(lp, ln), r) for lp in lambdas for ln in lambdas for r in radii]
+    trained_on, _, grid = learner_path(learner, fmap, y)
+    Z, failed = grid(hypers)
+    assert Z.shape == (trained_on.rank, len(hypers)) and failed.shape == (len(hypers),)
+    _, single, _ = learner_path(learner, fmap, y)  # a fresh path, in the grid's order
+    for p, (reg, r) in enumerate(hypers):
+        try:
+            z = single(reg, r).z
+        except SolverError:
+            assert failed[p] and not Z[:, p].any()
+            continue
+        assert not failed[p]
+        if learner == "vclsm":  # one secular iteration for a ratio's problems
+            assert np.linalg.norm(Z[:, p] - z) <= 1e-12 * np.linalg.norm(z)
+        else:
+            assert np.array_equal(Z[:, p], z)
+    assert failed.any() and not failed.all()
+
+
+def test_vclsm_grid_fails_every_radius_of_a_raising_factorisation(monkeypatch):
+    rng = np.random.default_rng(89)
+    n = 20
+    fmap = center_features(landmark_feature_map(random_indefinite(rng, n), 10))
+    y = rng.normal(size=n)
+    original = learners.factor_sphere_qp
+    calls = []
+
+    def fails_first(W, b):
+        calls.append(W)
+        if len(calls) == 1:
+            raise SolverError("injected factorisation failure")
+        return original(W, b)
+
+    monkeypatch.setattr(learners, "factor_sphere_qp", fails_first)
+    _, grid = vc_lsm_path(fmap, y)
+    first, mate = RegPair(0.1, 0.2), RegPair(1.0, 2.0)  # one ratio
+    hypers = [(first, 0.5), (first, 1.0), (mate, 0.5), (mate, 1.0), (first, 2.0)]
+    Z, failed = grid(hypers)
+    # the first pair's one attempt failed all its radii; its ratio mate
+    # factored its own W, which the ratio keeps
+    assert failed.tolist() == [True, True, False, False, True]
+    assert len(calls) == 2
+    monkeypatch.undo()
+    for p in (2, 3):
+        z = vc_lsm_lowrank(fmap, y, *hypers[p]).z
+        assert np.linalg.norm(Z[:, p] - z) <= 1e-12 * np.linalg.norm(z)
+    # a radius is checked before the rank
+    with pytest.raises(InvalidInput):
+        grid([(first, 1.0), (mate, 0.0)])
+
+
+def test_overflowing_penalties_are_solver_errors():
+    rng = np.random.default_rng(97)
+    n = 20
+    fmap = landmark_feature_map(random_indefinite(rng, n), 10)
+    y = binary_labels(rng, n)
+    for reg in (RegPair(1e308, 1.0), RegPair(1.0, 1e308)):
+        for solve in (lambda: krein_krr_lowrank(fmap, y, reg),
+                      lambda: vc_lsm_lowrank(center_features(fmap), y, reg, 1.0),
+                      lambda: sh_svm_lowrank(fmap, y, reg)):
+            with pytest.raises(SolverError):
+                solve()
+    # n lambda is finite, but W = n (B / sigma)' diag(lambda) (B / sigma) is not
+    tiny = FeatureMap(phi=1e-160 * fmap.phi, signs=fmap.signs, factor=fmap.factor)
+    with pytest.raises(SolverError):
+        vc_lsm_lowrank(tiny, y, RegPair(1.0, 1.0), 1.0)

@@ -287,3 +287,52 @@ def test_sphere_qp_is_shift_invariant():
         plain = solve_sphere_qp(factor_sphere_qp(w, b), r)
         shifted = solve_sphere_qp(factor_sphere_qp(w + 1e5 * np.eye(n), b), r)
         assert np.abs(shifted - plain).max() <= 1e-8 * r
+
+
+def test_sphere_qp_grid_matches_one_solve_at_a_time():
+    rng = np.random.default_rng(47)
+    problems = [(SymMatrix(np.diag([1.0, 2.0, 5.0])), np.array([0.0, 1.0, 1.0])),  # hard case
+                (random_symmetric(rng, 4), np.zeros(4))]                           # b = 0
+    problems += [(random_symmetric(rng, n), rng.normal(size=n)) for n in (1, 3, 8, 8)]
+    # radii of either side of the hard case's limit norm 1.03, scales that
+    # keep the bottom gap, close it to round-off, or zero it
+    scales = np.array([[1.0], [1e-3], [1e-13], [0.0], [7.5]])
+    radii = np.array([0.3, 1.0, 2.0, 40.0])
+    for w, b in problems:
+        f = factor_sphere_qp(w, b)
+        grid = solve_sphere_qp(f, radii, scale=scales)
+        assert grid.shape == (len(scales), len(radii), len(b))
+        for (i, j), (c, r) in zip(np.ndindex(grid.shape[:2]),
+                                  np.broadcast(scales[:, 0, None], radii)):
+            alone = solve_sphere_qp(f, r, scale=c)
+            assert alone.shape == (len(b),)
+            assert np.abs(grid[i, j] - alone).max() <= 1e-12 * r
+            assert np.linalg.norm(alone) == pytest.approx(r, rel=1e-9)
+            # as good as the problem of W scaled by c, factored on its own (the
+            # minimiser need not be unique: c = 0 and b = 0 leave any one)
+            prob = SphereQP(W=c * w.values, b=b, r=r)
+            best = sphere_qp_objective(prob, sphere_constrained_qp(prob))
+            assert sphere_qp_objective(prob, alone) <= best + 1e-9 * max(1.0, abs(best))
+    with pytest.raises(InvalidInput):
+        solve_sphere_qp(f, [1.0, 0.0])
+    with pytest.raises(InvalidInput):
+        solve_sphere_qp(f, 1.0, scale=[1.0, -1.0])
+
+
+def test_sphere_qp_grid_problem_fails_alone():
+    f = factor_sphere_qp(np.diag([1.0, 2.0, 5.0]), np.array([0.0, 1.0, 1.0]))
+    radii = np.array([2.0, 0.5, 3.0])
+    # no secular root meets a negative tolerance, so the problem at r = 0.5
+    # runs out of iterations, while the hard cases at r = 2 and 3 need none
+    with pytest.raises(SolverError):
+        solve_sphere_qp(f, 0.5, tol=-1.0)
+    grid = solve_sphere_qp(f, radii, tol=-1.0)
+    assert np.isnan(grid[1]).all()
+    for i in (0, 2):
+        assert np.array_equal(grid[i], solve_sphere_qp(f, radii[i]))
+    # a scale that overflows the eigenvalues fails its own problem alone
+    grid = solve_sphere_qp(f, 0.5, scale=[1.0, 1e308])
+    assert np.isnan(grid[1]).all()
+    assert np.array_equal(grid[0], solve_sphere_qp(f, 0.5))
+    with pytest.raises(SolverError):
+        solve_sphere_qp(f, 0.5, scale=1e308)
