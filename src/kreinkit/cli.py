@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -314,9 +315,9 @@ def validate_config(args: argparse.Namespace) -> None:
         elif args.radius_factors is not None:
             raise ConfigError("--radius-factors acts only with --learners naming vclsm")
     if args.command == "train":
-        # zero penalties are allowed; shsvm itself rejects them
+        # zero penalties are allowed but for the squared-hinge solver
         _check_finite("--lambda-pos/--lambda-neg", [args.lambda_pos, args.lambda_neg],
-                      zero_ok=True)
+                      zero_ok=args.learner != "shsvm")
         _check_finite("--radius", [args.radius])
         if args.radius is not None and args.learner != "vclsm":
             raise ConfigError("--radius acts only with --learner vclsm")
@@ -613,10 +614,10 @@ def _split_predictor(learner: str, source: GramSource, y, train, test, rank, bud
     of hyperparameter points; what no grid point changes is built once, here.
 
     The function returns the P x n_test decisions and the mask of the points
-    whose solve failed.  Only the low-rank learners read ``rank`` and
-    ``budget``; they factor the training fold through ``landmark_factor``
-    and solve the points through the ``grid`` of `learner_path`, so the
-    decisions are one product of the test features with the r x P weights.
+    whose solve failed.  sf-lsm and the learners solve the points through
+    their path's grid and score its weights in one product, of the test
+    rows' similarities (sf-lsm) or through `FeatureMap.decisions`.  Only the
+    learners read ``rank`` and ``budget``, to factor the training fold.
     """
     y_train = y[train]
     if learner == "constant":
@@ -624,32 +625,27 @@ def _split_predictor(learner: str, source: GramSource, y, train, test, rank, bud
         return lambda hypers: (np.full((len(hypers), test.size), value),
                                np.zeros(len(hypers), dtype=bool))
     if learner == "sf-lsm":
-        solve = sf_lsm_path(source.block(train), y_train)
-        cross = source.cross(test, train)
+        _, grid = sf_lsm_path(source.block(train), y_train)
+        decide = functools.partial(np.matmul, source.cross(test, train))
+    else:
+        fold = source.subset(train)
+        factor = landmark_factor(fold, args.sampler, min(budget, train.size), rng,
+                                 args.pinv_tol)
+        factor = truncate_factor(factor, rank)
+        fmap, _, learner_grid = learner_path(learner, build_feature_map(factor, fold), y_train)
+        k_test = source.cross(test, train[factor.landmarks.indices])
+        # vclsm's variance target per radius factor; the other learners read None
+        targets = {f: variance_target(y_train, f) for f in args.radius_factors} \
+            if learner == "vclsm" else {}
 
-        def predict_sf(lams):
-            decisions = np.zeros((len(lams), test.size))
-            failed = np.zeros(len(lams), dtype=bool)
-            for p, lam in enumerate(lams):
-                try:
-                    decisions[p] = solve(lam).predict(cross)
-                except SolverError:
-                    failed[p] = True
-            return decisions, failed
+        def grid(hypers):
+            return learner_grid([(reg, targets.get(f)) for reg, f in hypers])
 
-        return predict_sf
-    fold = source.subset(train)
-    factor = landmark_factor(fold, args.sampler, min(budget, train.size), rng, args.pinv_tol)
-    factor = truncate_factor(factor, rank)
-    fmap, _, grid = learner_path(learner, build_feature_map(factor, fold), y_train)
-    phi_test = fmap.rows(source.cross(test, train[factor.landmarks.indices]))
-    # vclsm's variance target per radius factor; the other learners read None
-    targets = {f: variance_target(y_train, f) for f in args.radius_factors} \
-        if learner == "vclsm" else {}
+        decide = functools.partial(fmap.decisions, k_test)
 
     def predict(hypers):
-        Z, failed = grid([(reg, targets.get(radius_factor)) for reg, radius_factor in hypers])
-        return (phi_test @ Z).T, failed
+        Z, failed = grid(hypers)
+        return decide(Z).T, failed
 
     return predict
 

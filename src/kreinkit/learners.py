@@ -130,12 +130,24 @@ class FeatureMap:
     def gram(self) -> np.ndarray:
         return _row_gram(self.phi)
 
-    def rows(self, K_rows) -> np.ndarray:
-        """Feature rows of arbitrary points, centred as the training rows are."""
-        rows = feature_rows(self.factor, K_rows)
+    def decisions(self, K_rows, Z) -> np.ndarray | float:
+        """Decision values of points from their kernel rows k against the
+        landmarks, for one weight vector z or the r x P weights Z of a grid
+        (one column per grid point), as the landmark expansion
+        k' (P Z) - mu' Z over the m x r `NystroemFactor.projection` P and
+        the centring mean mu (0 for raw features): Phi Z to round-off,
+        without a feature row, in O(m) per point and weight vector.  For one
+        z, einsum adds each row's products in an order set by the row alone,
+        unlike a BLAS GEMV, so a row's value is the same bits whether it is
+        scored alone, in a block or in the whole array."""
+        k = np.asarray(K_rows, dtype=float)
+        if k.ndim not in (1, 2) or k.shape[-1] != self.factor.m:
+            raise ShapeError(f"expected kernel rows of length {self.factor.m}, got {k.shape}")
+        alpha = self.factor.projection @ Z
+        out = np.einsum("...j,j->...", k, alpha) if alpha.ndim == 1 else k @ alpha
         if self.mean is not None:
-            rows -= self.mean  # rows is a fresh array
-        return rows
+            out -= self.mean @ Z
+        return out
 
 
 def feature_rows(factor: NystroemFactor, K_rows, out: np.ndarray | None = None) -> np.ndarray:
@@ -271,22 +283,9 @@ class LowRankModel:
 
     def predict(self, k_rows) -> np.ndarray | float:
         """Decision values of points from their kernel rows k against the
-        landmarks, as the landmark expansion k' alpha - c in O(m) per point.
-
-        alpha = P z over the m x r `NystroemFactor.projection` P, and
-        c = mu' z for a map centred at mu (0 for raw features), so the values
-        are Phi z to round-off without forming a feature row; the only array
-        formed is the output.  einsum adds each row's products in an order
-        set by the row's length and memory layout alone, unlike a BLAS GEMV,
-        so a row's value is the same bits whether it is scored alone, in a
-        block or in the whole array."""
-        k = np.asarray(k_rows, dtype=float)
-        if k.ndim not in (1, 2) or k.shape[-1] != self.map.factor.m:
-            raise ShapeError(f"expected kernel rows of length {self.map.factor.m}, got {k.shape}")
-        out = np.einsum("...j,j->...", k, self.map.factor.projection @ self.z)
-        if self.map.mean is not None:
-            out -= self.map.mean @ self.z
-        return out
+        landmarks (`FeatureMap.decisions` of z); the only array formed is
+        the output."""
+        return self.map.decisions(k_rows, self.z)
 
 
 def _as_labels(y, n: int) -> np.ndarray:
@@ -309,23 +308,9 @@ def _as_binary(y, n: int) -> np.ndarray:
 
 
 def krein_krr_lowrank(fmap: FeatureMap, y, reg: RegPair) -> LowRankModel:
-    """Ridge regression in the signed feature space (closed form)."""
-    y = _as_labels(y, fmap.n)
-    n = fmap.n
-    _check_penalty_scale(reg, n)
-    lam = _lambda_diag(reg, fmap.signs)
-    system = fmap.gram + n * np.diag(lam)
-    rhs = fmap.phi.T @ y
-    try:
-        z = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            f"ridge system is singular: {exc}",
-            diagnostics={"lam_pos": reg.lam_pos, "lam_neg": reg.lam_neg},
-        ) from exc
-    residual = float(np.linalg.norm(system @ z - rhs))
-    return LowRankModel(z=z, map=fmap, learner="lsm", reg=reg,
-                        diagnostics={"residual": residual})
+    """Ridge regression in the signed feature space (closed form): the lsm
+    path of `learner_path` at the single penalty pair reg."""
+    return learner_path("lsm", fmap, y)[1](reg)
 
 
 def vc_lsm_path(fmap: FeatureMap, y) -> tuple[Callable, Callable]:
@@ -591,56 +576,72 @@ def learner_path(learner: str, fmap: FeatureMap, y) -> tuple[FeatureMap, Callabl
     """How ``learner`` trains on the signed features ``fmap`` of targets y.
 
     Returns ``(map, solve, grid)``: the map the learner trains on, whose
-    ``rows`` also score new points; ``solve(reg, r=None)``, the `LowRankModel`
-    for the penalty pair ``reg``; and ``grid(hypers)``, the weights of a list
-    of (reg, r) points as the columns of a rank x P array, plus the mask of
-    the points whose solve raised SolverError or RankDeficient (their columns
-    are zero).  lsm and shsvm train on ``fmap`` itself and ignore r.  vclsm
-    trains on the centred map (`center_features`), on its range if centring
-    costs a rank, at the variance target r, by default `variance_target(y)`.
+    `FeatureMap.decisions` score new points; ``solve(reg, r=None)``, the
+    `LowRankModel` for the penalty pair ``reg``; and ``grid(hypers)``, the
+    weights of a list of (reg, r) points as the columns of a rank x P array,
+    plus the mask of the points whose solve raised SolverError or
+    RankDeficient (their columns are zero).  lsm and shsvm train on ``fmap``
+    itself and ignore r.  vclsm trains on the centred map (`center_features`),
+    on its range if centring costs a rank, at the variance target r, by
+    default `variance_target(y)`.
 
     What no penalty pair changes is built once per map and shared by its
-    solves: for lsm and shsvm the map's Gram phi' phi (`FeatureMap.gram`),
-    for vclsm the centred map's R factor and one sphere-QP factorisation per
-    penalty ratio (see `vc_lsm_path`), whose grid solves every pair and
-    radius of a ratio in one secular iteration.  lsm and shsvm solve a grid
-    point by point, in its order.  shsvm starts each Newton solve from the
-    weights of the path's last successful solve, so a path's first solve is
-    the cold one `sh_svm_lowrank` makes, and the later solves of a grid
-    walked pair by pair are warm.
+    solves: for lsm phi' y, for lsm and shsvm the Gram phi' phi
+    (`FeatureMap.gram`), for vclsm the centred map's R factor and one
+    sphere-QP factorisation per penalty ratio (see `vc_lsm_path`), whose
+    grid solves every pair and radius of a ratio in one secular iteration.
+    lsm (one ridge solve per pair) and shsvm solve a grid point by point, in
+    its order.  shsvm starts each Newton solve from the weights of the
+    path's last successful solve, so a path's first solve is the cold one
+    `sh_svm_lowrank` makes, and the later solves of a grid walked pair by
+    pair are warm.
     """
+    if learner == "vclsm":
+        fmap = center_features(fmap)
+        solve, grid = vc_lsm_path(fmap, y)
+        target = variance_target(y)
+        return (fmap, lambda reg, r=None: solve(reg, target if r is None else r),
+                lambda hypers: grid([(reg, target if r is None else r) for reg, r in hypers]))
     if learner == "shsvm":
         start = None
 
-        def solve_shsvm(reg: RegPair, r: float | None = None) -> LowRankModel:
+        def solve(reg: RegPair, r: float | None = None) -> LowRankModel:
             nonlocal start
             model = sh_svm_lowrank(fmap, y, reg, start)
             start = model.z
             return model
+    elif learner == "lsm":
+        y = _as_labels(y, fmap.n)
+        n = fmap.n
+        rhs = fmap.phi.T @ y
 
-        return fmap, solve_shsvm, _pointwise_grid(fmap, solve_shsvm)
-    if learner == "lsm":
-        def solve_lsm(reg: RegPair, r: float | None = None) -> LowRankModel:
-            return krein_krr_lowrank(fmap, y, reg)
-
-        return fmap, solve_lsm, _pointwise_grid(fmap, solve_lsm)
-    if learner != "vclsm":
-        raise InvalidInput(f"unknown learner {learner!r}; use one of {', '.join(LEARNERS)}")
-    fmap = center_features(fmap)
-    solve, grid = vc_lsm_path(fmap, y)
-    target = variance_target(y)
-    return (fmap, lambda reg, r=None: solve(reg, target if r is None else r),
-            lambda hypers: grid([(reg, target if r is None else r) for reg, r in hypers]))
-
-
-def _pointwise_grid(fmap: FeatureMap, solve: Callable) -> Callable:
-    """The ``grid`` of `learner_path` that calls ``solve`` once per point."""
-    def grid(hypers) -> tuple[np.ndarray, np.ndarray]:
-        Z = np.zeros((fmap.rank, len(hypers)))
-        failed = np.zeros(len(hypers), dtype=bool)
-        for p, (reg, r) in enumerate(hypers):
+        def solve(reg: RegPair, r: float | None = None) -> LowRankModel:
+            _check_penalty_scale(reg, n)
+            system = fmap.gram + n * np.diag(_lambda_diag(reg, fmap.signs))
             try:
-                Z[:, p] = solve(reg, r).z
+                z = np.linalg.solve(system, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(
+                    f"ridge system is singular: {exc}",
+                    diagnostics={"lam_pos": reg.lam_pos, "lam_neg": reg.lam_neg},
+                ) from exc
+            residual = float(np.linalg.norm(system @ z - rhs))
+            return LowRankModel(z=z, map=fmap, learner="lsm", reg=reg,
+                                diagnostics={"residual": residual})
+    else:
+        raise InvalidInput(f"unknown learner {learner!r}; use one of {', '.join(LEARNERS)}")
+    return fmap, solve, _pointwise_grid(fmap.rank, lambda point: solve(*point).z)
+
+
+def _pointwise_grid(size: int, weights: Callable) -> Callable:
+    """A ``grid`` that calls ``weights`` once per point, in its order, for
+    the point's ``size`` weights; a point whose call raises fails alone."""
+    def grid(points) -> tuple[np.ndarray, np.ndarray]:
+        Z = np.zeros((size, len(points)))
+        failed = np.zeros(len(points), dtype=bool)
+        for p, point in enumerate(points):
+            try:
+                Z[:, p] = weights(point)
             except (SolverError, RankDeficient):
                 failed[p] = True
         return Z, failed
@@ -677,9 +678,11 @@ class SimilarityLSModel:
         return np.asarray(feature_rows_, dtype=float) @ self.w
 
 
-def sf_lsm_path(K: SymMatrix, y) -> Callable[[float], SimilarityLSModel]:
-    """Similarities-as-features least squares with a plain ridge penalty, as a
-    function of the penalty lam.
+def sf_lsm_path(K: SymMatrix, y) -> tuple[Callable, Callable]:
+    """Similarities-as-features least squares with a plain ridge penalty, as
+    the pair ``(solve, grid)``: ``solve(lam)``, the `SimilarityLSModel` at
+    the penalty lam, and ``grid(lams)``, the n x P weights of a list of
+    penalties and the mask of those whose solve failed, as in `learner_path`.
 
     Note the penalty here is lam, not n lam: this baseline is standard ridge
     on feature vectors k(x, .), so the common textbook scaling applies.  The
@@ -702,12 +705,12 @@ def sf_lsm_path(K: SymMatrix, y) -> Callable[[float], SimilarityLSModel]:
                               diagnostics={"lam": float(lam)}) from exc
         return SimilarityLSModel(w=w, lam=float(lam))
 
-    return solve
+    return solve, _pointwise_grid(n, lambda lam: solve(lam).w)
 
 
 def sf_lsm_baseline(K: SymMatrix, y, lam: float) -> SimilarityLSModel:
     """`sf_lsm_path` at the single penalty lam."""
-    return sf_lsm_path(K, y)(lam)
+    return sf_lsm_path(K, y)[0](lam)
 
 
 # ---------------------------------------------------------------------------

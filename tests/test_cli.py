@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from kreinkit import (
     ConfigError,
     GramSource,
+    LowRankModel,
     RegPair,
     SolverError,
     SymMatrix,
@@ -732,7 +733,7 @@ def test_cv_builds_each_sf_lsm_block_once(tmp_path, monkeypatch):
     import kreinkit.kernels
 
     made = []
-    solved = []
+    solved = []  # the block of each grid point solved
     original_sym = kreinkit.kernels.SymMatrix
     original_sf = kreinkit.cli.sf_lsm_path
 
@@ -741,13 +742,13 @@ def test_cv_builds_each_sf_lsm_block_once(tmp_path, monkeypatch):
         return made[-1]
 
     def counted_sf(block, y):
-        solve = original_sf(block, y)
+        solve, grid = original_sf(block, y)
 
-        def counted_solve(lam):
-            solved.append(id(block))
-            return solve(lam)
+        def counted_grid(lams):
+            solved.extend([id(block)] * len(lams))
+            return grid(lams)
 
-        return counted_solve
+        return solve, counted_grid
 
     monkeypatch.setattr(kreinkit.kernels, "SymMatrix", counted_sym)
     monkeypatch.setattr(kreinkit.cli, "sf_lsm_path", counted_sf)
@@ -908,7 +909,7 @@ def test_pick_hyper_scores_each_point_as_its_single_solve(monkeypatch, learner):
     source, y = cli.load_inputs(args, need_labels=True)
     splits = []  # per inner split: test rows, labels, grid points, a fresh path
     original_path = cli.learner_path
-    original_rows = learners.FeatureMap.rows
+    original_decisions = learners.FeatureMap.decisions
     original_rates = cli.misclassification
     rates = []
 
@@ -923,9 +924,9 @@ def test_pick_hyper_scores_each_point_as_its_single_solve(monkeypatch, learner):
 
         return trained_on, solve, recorded_grid
 
-    def recorded_rows(self, K_rows):
-        splits[-1]["phi_test"] = original_rows(self, K_rows)
-        return splits[-1]["phi_test"]
+    def recorded_decisions(self, K_rows, Z):
+        splits[-1]["k_test"] = K_rows
+        return original_decisions(self, K_rows, Z)
 
     def recorded_rates(decisions, labels):
         rates.append(original_rates(decisions, labels))
@@ -933,21 +934,23 @@ def test_pick_hyper_scores_each_point_as_its_single_solve(monkeypatch, learner):
         return rates[-1]
 
     monkeypatch.setattr(cli, "learner_path", recorded_path)
-    monkeypatch.setattr(learners.FeatureMap, "rows", recorded_rows)
+    monkeypatch.setattr(learners.FeatureMap, "decisions", recorded_decisions)
     monkeypatch.setattr(cli, "misclassification", recorded_rates)
     grid = cli._hyper_grid(args, learner)
     picked = cli._pick_hyper(learner, source, y, np.arange(source.n), 8, 8, args, (0, 0))
+    monkeypatch.undo()  # the single solves' predictions below are not recorded
     assert len(splits) == len(rates) == args.inner_folds
     scores = np.zeros(len(splits[0]["hypers"]))  # in walk order
     for split, split_rates in zip(splits, rates):
         expected = []
         for reg, r in split["hypers"]:
             try:
-                z = split["single"](reg, r).z
+                model = split["single"](reg, r)
             except SolverError:
                 expected.append(1.0)
                 continue
-            expected.append(misclassification(np.sign(split["phi_test"] @ z), split["labels"]))
+            expected.append(misclassification(np.sign(model.predict(split["k_test"])),
+                                              split["labels"]))
         failed = [reg.lam_pos > 1e300 or reg.lam_neg > 1e300 for reg, _ in split["hypers"]]
         assert np.array_equal(np.where(failed, 1.0, split_rates), expected)
         assert 1.0 in expected
@@ -958,6 +961,47 @@ def test_pick_hyper_scores_each_point_as_its_single_solve(monkeypatch, learner):
             for gi in (range(ri * width, (ri + 1) * width)[::-1 if ri % 2 else 1])]
     best = min(walk, key=lambda gi: (scores[walk.index(gi)], gi))
     assert picked == grid[best]
+
+
+@pytest.mark.parametrize("learner", ["lsm", "vclsm", "shsvm"])
+def test_split_decisions_are_each_column_models_predictions(monkeypatch, learner):
+    import kreinkit.cli as cli
+
+    args = cli.build_parser().parse_args(
+        ["cv", *synthetic_args(n=60), "--learners", learner, "--ranks", "8",
+         "--lambdas", "1e-3,0.1,1e308", "--seed", "7"])
+    cli.validate_config(args)
+    source, y = cli.load_inputs(args, need_labels=True)
+    seen = {}
+    original_path = cli.learner_path
+
+    def recorded_path(name, fmap, y_train):
+        trained_on, solve, grid = original_path(name, fmap, y_train)
+        seen["map"] = trained_on
+
+        def recorded_grid(hypers):
+            seen["hypers"] = hypers
+            seen["Z"], failed = grid(hypers)
+            return seen["Z"], failed
+
+        return trained_on, solve, recorded_grid
+
+    monkeypatch.setattr(cli, "learner_path", recorded_path)
+    test = np.arange(0, source.n, 4)
+    train = np.setdiff1d(np.arange(source.n), test)
+    predict = cli._split_predictor(learner, source, y, train, test, 8, 8, args, make_rng(7))
+    decisions, failed = predict(cli._hyper_grid(args, learner))
+    fmap = seen["map"]
+    k_test = source.cross(test, train[fmap.factor.landmarks.indices])
+    assert decisions.shape == (len(seen["hypers"]), test.size)
+    for p, (reg, r) in enumerate(seen["hypers"]):
+        if failed[p]:
+            continue
+        model = LowRankModel(z=seen["Z"][:, p], map=fmap, learner=learner, reg=reg,
+                             r_constraint=r)
+        expected = model.predict(k_test)
+        assert np.abs(decisions[p] - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert failed.any() and not failed.all()
 
 
 _NEAR_CANCELLING = "kernel=gaussdiff sigma1=1.0 sigma2=1.0000001"
@@ -1237,8 +1281,11 @@ def test_exit_code_solver_errors(tmp_path, capsys):
     ("train", ["--radius", "-1"], 2),
     ("train", ["--radius", "0"], 2),
     ("train", ["--radius", "nan"], 2),
-    # zero penalties pass the check and reach the (missing) data
+    # zero penalties pass the check for lsm and reach the (missing) data;
+    # the squared-hinge solver needs positive ones
     ("train", ["--lambda-pos", "0", "--lambda-neg", "0"], 3),
+    ("train", ["--learner", "shsvm", "--lambda-pos", "0"], 2),
+    ("train", ["--learner", "shsvm", "--lambda-neg", "0"], 2),
 ])
 def test_hyperparameters_are_checked_before_any_io(tmp_path, capsys, command, flags, code):
     # the input files do not exist, so reading them exits 3

@@ -165,8 +165,12 @@ def test_feature_rows_fold_the_signs_exactly():
     assert np.array_equal(feature_rows(factor, cross[7]), product_then_signs(cross[7]))
     fmap = center_features(build_feature_map(factor, cross))
     assert np.array_equal(fmap.phi, product_then_signs(cross) - fmap.mean)
-    assert np.array_equal(fmap.rows(cross), fmap.phi)
-    assert np.array_equal(fmap.rows(cross[7]), product_then_signs(cross[7]) - fmap.mean)
+    # held-out rows are centred as the training rows are: the decisions of the
+    # unit weight vectors are the centred feature rows
+    unit = np.eye(fmap.rank)
+    assert np.array_equal(fmap.decisions(cross, unit), fmap.phi)
+    assert np.array_equal(fmap.decisions(cross[7], unit),
+                          product_then_signs(cross[7]) - fmap.mean)
 
 
 def test_feature_rows_allocate_only_their_output(peak_bytes):
@@ -890,7 +894,8 @@ def test_centred_features_centre_the_kernel_at_full_landmarks():
     assert_allclose((fmap.phi * fmap.signs) @ fmap.phi.T, center_kernel(k).values,
                     rtol=0, atol=1e-12)
     # other rows are shifted by the training mean, so the training rows return
-    assert np.array_equal(fmap.rows(k.values), fmap.phi)
+    # as the decisions of the unit weight vectors
+    assert np.array_equal(fmap.decisions(k.values, np.eye(fmap.rank)), fmap.phi)
 
 
 def test_learner_path_trains_as_the_solvers_do():
@@ -1126,18 +1131,65 @@ def test_lsm_cached_gram_matches_the_normal_equations_per_penalty():
         assert np.array_equal(krein_krr_lowrank(fmap, y, RegPair(lp, ln)).z, z)
 
 
+def test_lsm_path_forms_phi_y_once():
+    # count the products of the transposed features with a vector: Phi' y
+    rng = np.random.default_rng(101)
+    n = 30
+    base = landmark_feature_map(random_indefinite(rng, n), 10)
+    y = rng.normal(size=n)
+    products = []
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            if np.ndim(other) == 1 and self.shape == (base.rank, n):
+                products.append(np.array(other))
+            return np.asarray(self) @ other
+
+    fmap = FeatureMap(phi=base.phi.view(Counted), signs=base.signs, factor=base.factor)
+    lambdas = [1e-3, 0.1, 10.0]
+    for hypers in ([(RegPair(0.1, 0.1), None)],
+                   [(RegPair(lp, ln), None) for lp in lambdas for ln in lambdas]):
+        del products[:]
+        _, solve, grid = learner_path("lsm", fmap, y)
+        Z, failed = grid(hypers)
+        solve(RegPair(1.0, 2.0))
+        assert len(products) == 1 and np.array_equal(products[0], y)
+        assert not failed.any()
+        for p, (reg, _) in enumerate(hypers):
+            assert np.array_equal(Z[:, p], krein_krr_lowrank(base, y, reg).z)
+
+
 def test_sf_lsm_path_matches_the_normal_equations_per_penalty():
     rng = np.random.default_rng(41)
     k = random_indefinite(rng, 12)
     y = rng.normal(size=12)
     f = k.values
-    solve = sf_lsm_path(k, y)
+    solve, _ = sf_lsm_path(k, y)
     for lam in (1e-4, 1e-2, 1.0, 100.0):
         w = np.linalg.solve(f.T @ f + lam * np.eye(12), f.T @ y)
         assert np.array_equal(solve(lam).w, w)
         assert np.array_equal(sf_lsm_baseline(k, y, lam).w, w)
     with pytest.raises(InvalidInput):
         solve(0.0)
+
+
+def test_sf_lsm_grid_returns_each_penalty_weights_and_fails_alone():
+    rng = np.random.default_rng(103)
+    k = random_indefinite(rng, 12)
+    y = rng.normal(size=12)
+    solve, grid = sf_lsm_path(k, y)
+    lams = [1e-4, 1.0, 100.0]
+    W, failed = grid(lams)
+    assert W.shape == (12, len(lams)) and not failed.any()
+    for p, lam in enumerate(lams):
+        assert np.array_equal(W[:, p], solve(lam).w)
+    # K'K + lam I of a rank-one K is exactly singular at lam = 1e-300
+    solve, grid = sf_lsm_path(SymMatrix(np.ones((4, 4))), np.array([1.0, -1.0, 1.0, -1.0]))
+    with pytest.raises(SolverError):
+        solve(1e-300)
+    W, failed = grid([1.0, 1e-300, 2.0])
+    assert failed.tolist() == [False, True, False] and not W[:, 1].any()
+    assert np.array_equal(W[:, 0], solve(1.0).w) and np.array_equal(W[:, 2], solve(2.0).w)
 
 
 # ---------------------------------------------------------------------------
