@@ -629,8 +629,7 @@ def _split_predictor(learner: str, source: GramSource, y, train, test, rank, bud
         decide = functools.partial(np.matmul, source.cross(test, train))
     else:
         fold = source.subset(train)
-        factor = landmark_factor(fold, args.sampler, min(budget, train.size), rng,
-                                 args.pinv_tol)
+        factor = landmark_factor(fold, args.sampler, min(budget, train.size), rng, args.pinv_tol)
         factor = truncate_factor(factor, rank)
         fmap, _, learner_grid = learner_path(learner, build_feature_map(factor, fold), y_train)
         k_test = source.cross(test, train[factor.landmarks.indices])

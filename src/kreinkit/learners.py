@@ -152,8 +152,7 @@ class FeatureMap:
 
 def feature_rows(factor: NystroemFactor, K_rows, out: np.ndarray | None = None) -> np.ndarray:
     """Signed feature rows for arbitrary points given their kernel values
-    against the landmarks.  Training and `cv`'s held-out scoring share this
-    path, so a training row's features are the bits the map was built from.
+    against the landmarks, the rows `build_feature_map` fills the map with.
 
     The signs are folded into the m x r `NystroemFactor.projection`, formed
     once per factor, rather than applied to the n x r product: scaling by +-1
