@@ -7,151 +7,16 @@ and trains regularized learners directly in the resulting signed coordinate
 system -- without ever flipping or clipping negative spectrum away.
 """
 
-from .errors import (
-    ConfigError,
-    ConstantFeatureWarning,
-    DegenerateScores,
-    DegenerateSpectrum,
-    DuplicateCollapseWarning,
-    FoldError,
-    InvalidBudget,
-    InvalidClass,
-    InvalidInput,
-    KreinKitError,
-    ParseError,
-    RankDeficient,
-    ShapeError,
-    SingularLandmarkBlock,
-    SolverError,
-)
-from .linalg import (
-    SignedEigenSystem,
-    SphereQP,
-    SphereQPFactor,
-    SymMatrix,
-    SVDFactors,
-    factor_sphere_qp,
-    indefiniteness,
-    solve_sphere_qp,
-    sphere_constrained_qp,
-    sphere_qp_objective,
-    sym_eigen,
-    thin_svd,
-)
-from .kernels import (
-    GramSource,
-    KernelSpec,
-    Standardizer,
-    center_kernel,
-    epanechnikov,
-    format_kernel_spec,
-    gaussian,
-    gaussian_diff,
-    gram,
-    gram_cross,
-    linear,
-    parse_kernel_spec,
-    rl_sigmoid_preset,
-    standardize,
-    tanh_sigmoid,
-)
-from .nystroem import (
-    LandmarkSet,
-    NystroemFactor,
-    OneShotEigen,
-    approximate,
-    fit,
-    flop_count,
-    frobenius_error,
-    one_shot_eigen,
-    reconstruct,
-    sgt_one_shot,
-    truncate_eigen,
-    truncate_factor,
-)
-from .landmarks import (
-    Sketch,
-    build_sketch,
-    default_sketch_size,
-    kmeanspp_landmarks,
-    landmark_factor,
-    leverage_scores,
-    make_rng,
-    sample_leverage,
-    select_landmarks,
-    spawn_rng,
-    uniform_landmarks,
-)
-from .learners import (
-    LEARNERS,
-    FeatureMap,
-    FlipKRRModel,
-    FullRankModel,
-    LowRankModel,
-    RegPair,
-    SimilarityLSModel,
-    build_feature_map,
-    center_features,
-    feature_rows,
-    flip_krr_baseline,
-    flip_shsvm_baseline,
-    krein_krr_full,
-    krein_krr_lowrank,
-    learner_path,
-    load_model,
-    model_from_dict,
-    model_to_dict,
-    save_model,
-    sf_lsm_baseline,
-    sf_lsm_path,
-    sh_svm_lowrank,
-    squared_hinge_gradient,
-    squared_hinge_objective,
-    variance_target,
-    vc_lsm_lowrank,
-    vc_lsm_path,
-)
-from .data import (
-    CVPlan,
-    DissimilarityMatrix,
-    double_center_neg,
-    load_labels,
-    load_matrix,
-    load_table,
-    make_synthetic,
-    misclassification,
-    one_vs_all,
-    stratified_kfold,
-    write_matrix,
-)
+from . import errors, linalg, kernels, nystroem, landmarks, learners, data
+from .errors import *
+from .linalg import *
+from .kernels import *
+from .nystroem import *
+from .landmarks import *
+from .learners import *
+from .data import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError", "ConstantFeatureWarning", "DegenerateScores", "DegenerateSpectrum",
-    "DuplicateCollapseWarning", "FoldError", "InvalidBudget", "InvalidClass",
-    "InvalidInput", "KreinKitError", "ParseError", "RankDeficient", "ShapeError",
-    "SingularLandmarkBlock", "SolverError",
-    "SignedEigenSystem", "SphereQP", "SphereQPFactor", "SymMatrix", "SVDFactors",
-    "factor_sphere_qp", "indefiniteness", "solve_sphere_qp", "sphere_constrained_qp",
-    "sphere_qp_objective", "sym_eigen", "thin_svd",
-    "GramSource", "KernelSpec", "Standardizer", "center_kernel",
-    "epanechnikov", "format_kernel_spec", "gaussian", "gaussian_diff", "gram",
-    "gram_cross", "linear", "parse_kernel_spec", "rl_sigmoid_preset",
-    "standardize", "tanh_sigmoid",
-    "LandmarkSet", "NystroemFactor", "OneShotEigen", "approximate", "fit", "flop_count",
-    "frobenius_error", "one_shot_eigen", "reconstruct", "sgt_one_shot", "truncate_eigen",
-    "truncate_factor",
-    "Sketch", "build_sketch", "default_sketch_size", "kmeanspp_landmarks",
-    "landmark_factor", "leverage_scores", "make_rng", "sample_leverage",
-    "select_landmarks", "spawn_rng", "uniform_landmarks",
-    "LEARNERS", "FeatureMap", "FlipKRRModel", "FullRankModel", "LowRankModel", "RegPair",
-    "SimilarityLSModel", "build_feature_map", "center_features", "feature_rows",
-    "flip_krr_baseline", "flip_shsvm_baseline", "krein_krr_full", "krein_krr_lowrank",
-    "learner_path", "load_model", "model_from_dict", "model_to_dict", "save_model",
-    "sf_lsm_baseline", "sf_lsm_path", "sh_svm_lowrank", "squared_hinge_gradient",
-    "squared_hinge_objective", "variance_target", "vc_lsm_lowrank", "vc_lsm_path",
-    "CVPlan", "DissimilarityMatrix", "double_center_neg", "load_labels",
-    "load_matrix", "load_table", "make_synthetic", "misclassification", "one_vs_all",
-    "stratified_kfold", "write_matrix",
-]
+__all__ = [*errors.__all__, *linalg.__all__, *kernels.__all__, *nystroem.__all__,
+           *landmarks.__all__, *learners.__all__, *data.__all__]

@@ -156,6 +156,12 @@ def _parse_int_list(text: str, flag: str) -> list:
     return [int(v) for v in values]
 
 
+def _parse_seed(text: str) -> int:
+    if not text.isdecimal():  # digits alone: no sign
+        raise ConfigError(f"--seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_name_list(text: str, allowed, flag: str) -> list:
     names = [tok for tok in text.split(",") if tok]
     for name in names:
@@ -171,7 +177,7 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p", type=int, help="feature count of generated points (default 4)")
     parser.add_argument("--kernel", help='e.g. "kernel=gaussdiff sigma1=1.0 sigma2=3.0"')
     parser.add_argument("--pinv-tol", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_parse_seed, default=0)
     parser.add_argument("--out", help="output directory (default: print summary only)")
 
 
@@ -433,13 +439,6 @@ def _write_result(args: argparse.Namespace, payload: dict) -> None:
         json.dump(body, handle, indent=1, default=str)
 
 
-def _outdir(args: argparse.Namespace) -> bool:
-    """Whether the command writes files; if so, makes the --out directory."""
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-    return bool(args.out)
-
-
 # ---------------------------------------------------------------------------
 # approx
 
@@ -498,7 +497,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
     schedule = resolve_schedule(args, source.n)
     raw, medians = run_approx_sweep(source, args.samplers, schedule, args.reps,
                                     args.seed, args.pinv_tol)
-    if _outdir(args):
+    if args.out:
         _write_csv(f"{args.out}/approx_raw.csv",
                    ["sampler", "k", "l", "repetition", "frobenius_error", "seconds"], raw)
         _write_csv(f"{args.out}/approx_median.csv",
@@ -539,7 +538,7 @@ def cmd_eigen(args: argparse.Namespace) -> int:
     rel = recon_err / scale if scale > 0.0 else 0.0
     negative_mass = float(np.abs(eig.lam[eig.lam < 0]).sum())
     total_mass = float(np.abs(eig.lam).sum())
-    if _outdir(args):
+    if args.out:
         _write_csv(f"{args.out}/eigenvalues.csv", ["index", "eigenvalue"],
                    list(enumerate(eig.lam.tolist())))
         _write_result(args, {
@@ -562,7 +561,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     mult = marks.multiplicity if marks.multiplicity is not None else \
         np.ones(marks.m, dtype=int)
     rows = [(i, int(idx), int(c)) for i, (idx, c) in enumerate(zip(marks.indices, mult))]
-    if _outdir(args):
+    if args.out:
         _write_csv(f"{args.out}/landmarks.csv", ["position", "index", "multiplicity"], rows)
         _write_result(args, {"requested": marks.requested, "effective": marks.m})
     print(f"sampler={args.sampler} requested={marks.requested} effective={marks.m}")
@@ -577,7 +576,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     model = solve(RegPair(args.lambda_pos, args.lambda_neg), args.radius)
     training_error = misclassification(np.sign(fmap.phi @ model.z), y) \
         if set(np.unique(y).tolist()) <= {-1.0, 1.0} else None
-    if _outdir(args):
+    if args.out:
         spec = parse_kernel_spec(args.kernel) if args.kernel else None
         save_model(f"{args.out}/model.json", model, spec)
         _write_result(args, {
@@ -710,7 +709,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     fold_rows, summaries = run_cv(source, y, args)
     summary_rows = [(learner, k, l, float(np.mean(rates)), float(np.std(rates)),
                      float(np.median(rates))) for learner, k, l, rates, _, _ in summaries]
-    if _outdir(args):
+    if args.out:
         _write_csv(f"{args.out}/cv_folds.csv",
                    ["learner", "k", "l", "fold", "error"], fold_rows)
         _write_csv(f"{args.out}/cv_summary.csv",
@@ -783,7 +782,7 @@ def run_bench(args: argparse.Namespace):
 
 def cmd_bench(args: argparse.Namespace) -> int:
     rows, summary, slopes = run_bench(args)
-    if _outdir(args):
+    if args.out:
         _write_csv(f"{args.out}/bench_raw.csv",
                    ["n", "m", "method", "repetition", "seconds", "flops"], rows)
         _write_csv(f"{args.out}/bench_summary.csv",
@@ -803,7 +802,7 @@ def cmd_flops(args: argparse.Namespace) -> int:
             one = flop_count("one_shot", n, m)
             sgt = flop_count("sgt", n, m)
             rows.append((n, m, one, sgt, sgt - one))
-    if _outdir(args):
+    if args.out:
         _write_csv(f"{args.out}/flops.csv",
                    ["n", "m", "one_shot", "sgt", "savings"], rows)
         _write_result(args, {"rows": [list(r) for r in rows]})
@@ -833,8 +832,13 @@ _SOLVER_ERRORS = (SolverError, SingularLandmarkBlock, RankDeficient)
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)  # the list flags raise ConfigError
+        args = build_parser().parse_args(argv)  # the list flags and --seed raise ConfigError
         validate_config(args)
+        if args.out:
+            try:
+                os.makedirs(args.out, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"--out {args.out!r}: {exc.strerror}") from None
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse: --help, or a malformed flag
         return int(exc.code or 0)

@@ -1,5 +1,12 @@
 """Exception and warning types shared across the package."""
 
+__all__ = [
+    "ConfigError", "ConstantFeatureWarning", "DegenerateScores", "DegenerateSpectrum",
+    "DuplicateCollapseWarning", "FoldError", "InvalidBudget", "InvalidClass",
+    "InvalidInput", "KreinKitError", "ParseError", "RankDeficient", "ShapeError",
+    "SingularLandmarkBlock", "SolverError",
+]
+
 
 class KreinKitError(Exception):
     """Base class for every error raised by this library."""

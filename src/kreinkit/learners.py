@@ -325,29 +325,30 @@ def vc_lsm_path(fmap: FeatureMap, y) -> tuple[Callable, Callable]:
     linear term A' y = (B / sigma)' Phi' y, solved globally on the directions
     with sigma > 1e-10 max(sigma): z lies in the row space of Phi, so a
     rank-deficient Phi trains on its range, and only an all-zero Phi raises
-    RankDeficient, after r is checked.  A pair whose n lam or whose W
-    overflows raises SolverError.
+    RankDeficient, after r is checked.  A pair whose n lam, whose ratio's W
+    or whose scaled eigenvalues overflow raises SolverError.
 
-    The sphere-QP factorisations are shared by the calls.  W is linear in
-    (lam_pos, lam_neg), so the pairs of one ratio (lam_pos, lam_neg) / s,
-    s = max(lam_pos, lam_neg), share W's eigenvectors and b, and their
-    eigenvalues scale with s.  The first pair of a ratio factors its own W,
-    eigh(W) included, and it is kept with its s0; a later pair of that ratio
-    scales the kept eigenvalues by s / s0 (Moré and Sorensen's trust-region
-    view of the sphere QP), unless s / s0 overflows.  A factorisation that
-    raises is not kept, and s = 0 is a ratio of its own.
+    The sphere-QP factorisations are shared by the calls, one per penalty
+    ratio RegPair(lam_pos / s, lam_neg / s), s = max(lam_pos, lam_neg), with
+    (0, 0) a ratio of its own.  W is linear in (lam_pos, lam_neg), so a
+    pair's W is s times its ratio's: the same eigenvectors and b, and
+    eigenvalues scaled by s (Moré and Sorensen's trust-region view of the
+    sphere QP).  One rule: a ratio's W is formed from the ratio's penalties
+    and factored, eigh(W) included, on its first use, and every pair solves
+    with its ratio's eigenvalues scaled by its own s, so a pair's weights do
+    not depend on the pairs solved before it.  A factorisation that raises
+    is not kept.
 
-    ``grid`` factors its points' pairs in the order of their first
-    appearance and solves every pair and radius that share a factorisation
-    in one call of `solve_sphere_qp`.  It returns the rank x P weights and
-    the mask of the points that failed, whose columns are zero: a pair whose
-    factorisation raises fails all its radii, and a problem that does not
-    converge fails alone.
+    ``grid`` groups its points by penalty ratio and solves each group, every
+    pair and radius of it, in one call of `solve_sphere_qp`.  It returns the
+    rank x P weights and the mask of the points that failed, whose columns
+    are zero: a ratio whose factorisation raises fails all its points, and a
+    problem that does not converge fails alone.
     """
     y = _as_labels(y, fmap.n)
     n = fmap.n
     phi_y = fmap.phi.T @ y
-    factors = {}  # penalty ratio -> (s0, factorisation)
+    factors = {}  # penalty ratio -> its sphere-QP factorisation
 
     def basis() -> np.ndarray:  # its columns map gamma -> z
         sigma, B = fmap.svd
@@ -356,30 +357,28 @@ def vc_lsm_path(fmap: FeatureMap, y) -> tuple[Callable, Callable]:
             raise RankDeficient("feature matrix is zero; no weights meet the variance target")
         return B[:, keep] / sigma[keep]
 
-    def factored(reg: RegPair, scaled: np.ndarray):
-        """reg's sphere-QP factorisation and the scale of its eigenvalues."""
+    def ratio(reg: RegPair) -> tuple[RegPair, float]:
+        """reg's penalty ratio and its scale s."""
         _check_penalty_scale(reg, n)
-        scale = max(reg.lam_pos, reg.lam_neg)
-        ratio = (reg.lam_pos / scale, reg.lam_neg / scale) if scale > 0.0 else (0.0, 0.0)
-        kept = factors.get(ratio)
-        grow = 1.0 if kept is None or scale == kept[0] else scale / kept[0]
-        if kept is not None and math.isfinite(grow):
-            return kept[1], grow
-        with np.errstate(over="ignore"):
-            W = n * (scaled.T * _lambda_diag(reg, fmap.signs)[None, :]) @ scaled
-        if not np.all(np.isfinite(W)):
-            raise SolverError("the sphere-QP matrix W overflows",
-                              diagnostics={"lam_pos": reg.lam_pos, "lam_neg": reg.lam_neg})
-        qp = factor_sphere_qp(W, scaled.T @ phi_y)
-        factors.setdefault(ratio, (scale, qp))  # an overflow keeps the first
-        return qp, 1.0
+        s = max(reg.lam_pos, reg.lam_neg)
+        return (RegPair(reg.lam_pos / s, reg.lam_neg / s) if s > 0.0 else reg), s
+
+    def factored(key: RegPair, scaled: np.ndarray):
+        if key not in factors:
+            with np.errstate(over="ignore"):
+                W = n * (scaled.T * _lambda_diag(key, fmap.signs)[None, :]) @ scaled
+            if not np.all(np.isfinite(W)):
+                raise SolverError("the sphere-QP matrix W overflows",
+                                  diagnostics={"lam_pos": key.lam_pos, "lam_neg": key.lam_neg})
+            factors[key] = factor_sphere_qp(W, scaled.T @ phi_y)
+        return factors[key]
 
     def solve(reg: RegPair, r: float) -> LowRankModel:
         if not (math.isfinite(r) and r > 0.0):  # before the rank check: the caller's error
             raise InvalidInput("the variance target r must be positive")
         scaled = basis()
-        qp, grow = factored(reg, scaled)
-        z = scaled @ solve_sphere_qp(qp, r, scale=grow)
+        key, s = ratio(reg)
+        z = scaled @ solve_sphere_qp(factored(key, scaled), r, scale=s)
         lam = _lambda_diag(reg, fmap.signs)
         fitted_norm = float(np.linalg.norm(fmap.phi @ z))
         objective = float(n * lam @ (z * z) - 2.0 * (z @ phi_y))
@@ -398,22 +397,19 @@ def vc_lsm_path(fmap: FeatureMap, y) -> tuple[Callable, Callable]:
             scaled = basis()
         except RankDeficient:
             return Z, failed
-        points = {}  # pair -> its grid positions, pairs in order of appearance
+        groups = {}  # penalty ratio -> (grid positions, eigenvalue scales)
         for p, (reg, _) in enumerate(hypers):
-            points.setdefault(reg, []).append(p)
-        batches = {}  # id of a factorisation -> (it, grid positions, eigenvalue scales)
-        for reg, where in points.items():
             try:
-                qp, grow = factored(reg, scaled)
+                key, s = ratio(reg)
             except SolverError:
                 continue
-            _, at, grows = batches.setdefault(id(qp), (qp, [], []))
-            at += where
-            grows += [grow] * len(where)
-        for qp, at, grows in batches.values():
+            at, scales = groups.setdefault(key, ([], []))
+            at.append(p)
+            scales.append(s)
+        for key, (at, scales) in groups.items():
             try:
-                gamma = solve_sphere_qp(qp, radii[at], scale=grows)
-            except SolverError:  # a raise fails the whole batch
+                gamma = solve_sphere_qp(factored(key, scaled), radii[at], scale=scales)
+            except SolverError:  # a raise fails the whole ratio
                 continue
             ok = ~np.isnan(gamma[:, 0])
             cols = np.array(at)[ok]
@@ -498,11 +494,18 @@ def _newton_squared_hinge(features, gram, y, lam_diag, n_scale, start=None):
     margin = 1.0 - y * (features @ z)
     obj = _hinge_objective(margin, lam_diag, n_scale, z)
     max_iter = 100
-    for iteration in range(max_iter):
+    for iteration in range(max_iter + 1):
         grad = _hinge_gradient(features, y, margin, lam_diag, n_scale, z)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= gtol:
             return z, {"iterations": iteration, "objective": obj, "grad_norm": gnorm}
+        if iteration == max_iter:
+            raise SolverError(
+                "squared-hinge Newton solver did not converge",
+                residual=gnorm,
+                iterations=max_iter,
+                diagnostics={"objective": obj},
+            )
         active = margin > 0.0
         if 2 * np.count_nonzero(active) <= n:
             hess = 2.0 * _row_gram(features, active)
@@ -533,16 +536,6 @@ def _newton_squared_hinge(features, gram, y, lam_diag, n_scale, start=None):
                 diagnostics={"grad_norm": gnorm, "objective": obj},
             )
         z, margin, obj = candidate, trial, value
-    grad = _hinge_gradient(features, y, margin, lam_diag, n_scale, z)
-    gnorm = float(np.linalg.norm(grad))
-    if gnorm <= gtol:
-        return z, {"iterations": max_iter, "objective": obj, "grad_norm": gnorm}
-    raise SolverError(
-        "squared-hinge Newton solver did not converge",
-        residual=gnorm,
-        iterations=max_iter,
-        diagnostics={"objective": obj},
-    )
 
 
 def sh_svm_lowrank(fmap: FeatureMap, y, reg: RegPair, start=None) -> LowRankModel:

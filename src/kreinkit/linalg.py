@@ -268,7 +268,7 @@ def solve_sphere_qp(f: SphereQPFactor, r, tol: float = 1e-12, scale=1.0) -> np.n
     given the factorisation of (W, b), for radii ``r`` and eigenvalue scales
     c = ``scale``, which broadcast against each other: one problem per entry,
     all solved by one vectorised iteration.  The scales let every penalty
-    pair of one ratio share the factorisation of its first pair.
+    pair of one ratio share the factorisation of the ratio's W.
 
     Stationary points satisfy (c W + nu I) gamma = b; the global minimum is
     the one with nu >= -lambda_min(c W), where phi(nu) = ||(c W + nu I)^+ b||

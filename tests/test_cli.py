@@ -801,9 +801,9 @@ def test_cv_failing_vclsm_factorisation_fails_every_radius(tmp_path, monkeypatch
     import kreinkit.learners
     from kreinkit import RegPair, SolverError
 
-    # the first grid entry, so a tie would pick it, and the first pair of its
-    # penalty ratio, so (0.1, 0.1) would reuse its factorisation if it were kept
-    bad = RegPair(0.01, 0.01)
+    # the penalty ratio of the first grid entry (0.01, 0.01), so a tie would
+    # pick it, and of (0.1, 0.1)
+    bad = RegPair(1.0, 1.0)
     current = []
     attempts = []
     grids = []
@@ -822,7 +822,7 @@ def test_cv_failing_vclsm_factorisation_fails_every_radius(tmp_path, monkeypatch
 
         return solve, recorded_grid
 
-    def recorded_lambda(reg, signs):  # each W is formed from one pair's penalties
+    def recorded_lambda(reg, signs):  # each W is formed from one ratio's penalties
         current.append(reg)
         return original_lambda(reg, signs)
 
@@ -851,10 +851,12 @@ def test_cv_failing_vclsm_factorisation_fails_every_radius(tmp_path, monkeypatch
     # solves one point
     assert grids == [4 * radii] * inner_folds + [1] + [4 * radii] * inner_folds + [1] \
         + [4 * radii] * inner_folds + [1]
-    # a raise is not kept as a factorisation, and the radii of a pair share
-    # its one attempt: every inner split tries the bad pair once, and fails it
+    # a raise is not kept as a factorisation, and the pairs and radii of a
+    # ratio share its one attempt: every inner split tries the bad ratio once,
+    # and fails both its pairs
     assert attempts.count(bad) == folds * inner_folds
-    assert len(picked) == folds and all(reg != bad for reg, _ in picked)
+    assert len(picked) == folds
+    assert all(reg not in (RegPair(0.01, 0.01), RegPair(0.1, 0.1)) for reg, _ in picked)
 
 
 def test_cv_grid_shares_factorisations_and_warm_starts(tmp_path, monkeypatch):
@@ -1286,8 +1288,15 @@ def test_exit_code_solver_errors(tmp_path, capsys):
     ("train", ["--lambda-pos", "0", "--lambda-neg", "0"], 3),
     ("train", ["--learner", "shsvm", "--lambda-pos", "0"], 2),
     ("train", ["--learner", "shsvm", "--lambda-neg", "0"], 2),
+    ("train", ["--seed", "-1"], 2),
+    ("cv", ["--seed", "-1"], 2),
+    # an --out that names a file, or a path under one
+    ("train", ["--out", "{file}"], 2),
+    ("cv", ["--out", "{file}/run"], 2),
 ])
 def test_hyperparameters_are_checked_before_any_io(tmp_path, capsys, command, flags, code):
+    (tmp_path / "file").write_text("")
+    flags = [flag.format(file=tmp_path / "file") for flag in flags]
     # the input files do not exist, so reading them exits 3
     inputs = ["--data", str(tmp_path / "x.csv"), "--labels", str(tmp_path / "y.txt"),
               "--kernel", "kernel=linear", *(["--m", "5"] if command == "train" else [])]

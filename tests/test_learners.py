@@ -34,11 +34,11 @@ from kreinkit import (
     model_from_dict,
     model_to_dict,
     save_model,
-    SphereQP,
+    factor_sphere_qp,
     sf_lsm_baseline,
     sf_lsm_path,
     sh_svm_lowrank,
-    sphere_constrained_qp,
+    solve_sphere_qp,
     sym_eigen,
     vc_lsm_lowrank,
     vc_lsm_path,
@@ -943,12 +943,14 @@ def test_vclsm_path_matches_a_fresh_solve_per_radius():
         assert_allclose(B.T @ B, np.eye(fmap.rank), atol=1e-12)
         assert_allclose(np.linalg.norm(fmap.phi @ B, axis=0), sigma, rtol=1e-10)
         for r in (0.5, 1.0, 2.0):
-            # everything rebuilt for this radius alone
+            # everything rebuilt for this radius alone: the W of reg's penalty
+            # ratio, its eigenvalues scaled by s
             lam = _lambda_diag(reg, fmap.signs)
+            key, s = _ratio(reg)
             scaled = B / sigma[None, :]
-            W = n * (scaled.T * lam[None, :]) @ scaled
+            W = n * (scaled.T * _lambda_diag(key, fmap.signs)[None, :]) @ scaled
             b = scaled.T @ (fmap.phi.T @ y)  # A' y with A = phi B / sigma
-            gamma = sphere_constrained_qp(SphereQP(W=W, b=b, r=r), tol=1e-12)
+            gamma = solve_sphere_qp(factor_sphere_qp(W, b), r, tol=1e-12, scale=s)
             z = scaled @ gamma
             model = solve(reg, r)
             assert np.array_equal(model.z, z)
@@ -961,8 +963,9 @@ _GRID = [10.0 ** e for e in range(-4, 3)]  # cv's default --lambdas
 
 
 def _ratio(reg):
-    scale = max(reg.lam_pos, reg.lam_neg)
-    return (reg.lam_pos / scale, reg.lam_neg / scale) if scale > 0.0 else (0.0, 0.0)
+    """reg's penalty ratio and the scale s = max(lam_pos, lam_neg) of its W."""
+    s = max(reg.lam_pos, reg.lam_neg)
+    return (RegPair(reg.lam_pos / s, reg.lam_neg / s) if s > 0.0 else reg), s
 
 
 def _counted_factors(monkeypatch):
@@ -991,27 +994,20 @@ def test_vclsm_path_factors_once_per_penalty_ratio(monkeypatch):
         for lp in _GRID:
             for ln in _GRID:
                 reg = RegPair(lp, ln)
-                fresh, _ = vc_lsm_path(centred, y)  # this pair's own factorisation
-                first = _ratio(reg) not in seen
-                seen.add(_ratio(reg))
+                fresh, _ = vc_lsm_path(centred, y)  # factors this pair's ratio first
+                seen.add(_ratio(reg)[0])
                 for r in (0.5, 1.0, 2.0):
+                    # the ratio's W and the pair's own scale, whichever pair
+                    # of the ratio came first: the same bits
                     model, reference = solve(reg, r), fresh(reg, r)
-                    objective = model.diagnostics["objective"]
-                    expected = reference.diagnostics["objective"]
-                    if first:  # factored here, from this pair's own W
-                        assert np.array_equal(model.z, reference.z)
-                        assert objective == expected
-                    # later pairs of a ratio scale its eigenvalues: the same
-                    # solution up to round-off in the eigenvectors
-                    gap = np.linalg.norm(model.z - reference.z)
-                    assert gap <= 1e-12 * np.linalg.norm(reference.z)
-                    assert objective == pytest.approx(expected, rel=1e-12)
+                    assert np.array_equal(model.z, reference.z)
+                    assert model.diagnostics == reference.diagnostics
         # 49 pairs make 15 ratios in floating point; the fresh paths add one each
         assert len(seen) == 15
         assert len(calls) == len(seen) + len(_GRID) ** 2
 
 
-def test_vclsm_path_factors_zero_and_overflowing_scales_itself(monkeypatch):
+def test_vclsm_path_factors_zero_penalties_as_their_own_ratio(monkeypatch):
     calls = _counted_factors(monkeypatch)
     rng = np.random.default_rng(59)
     n = 16
@@ -1024,15 +1020,15 @@ def test_vclsm_path_factors_zero_and_overflowing_scales_itself(monkeypatch):
     for reg in regs:
         models.append(solve(reg, 1.5))
         fresh = vc_lsm_path(fmap, y)[0](reg, 1.5)
-        if reg != RegPair(0.5, 0.5):  # the only pair scaled from a kept ratio
-            assert np.array_equal(models[-1].z, fresh.z)
-        assert np.linalg.norm(models[-1].z - fresh.z) <= 1e-12 * np.linalg.norm(fresh.z)
-    # (0, 0) is a ratio of its own, factored once; 1e10 / 1e-300 overflows
-    assert len(calls) == 4 + len(regs)  # one per ratio and overflow, one per fresh path
-    # so (1e10, 1e10) factors its own W and leaves the first factorisation of
-    # (1, 1), at s0 = 1e-300, kept: that pair solves again from it, unscaled
+        assert np.array_equal(models[-1].z, fresh.z)
+    # three ratios: (1, 1), (0, 1) and (0, 0), a ratio of its own whose W is
+    # zero; (1e10, 1e10) scales the W of (1, 1) as (1e-300, 1e-300) does
+    assert [key for key, _ in map(_ratio, regs)].count(RegPair(0.0, 0.0)) == 2
+    assert len(calls) == 3 + len(regs)  # one per ratio, one per fresh path
+    # the path's (0, 0) W and those of the two fresh (0, 0) paths
+    assert sum(not np.any(W) for W, _ in calls) == 1 + 2
     assert np.array_equal(solve(regs[0], 1.5).z, models[0].z)
-    assert len(calls) == 4 + len(regs)
+    assert len(calls) == 3 + len(regs)
 
 
 def test_vclsm_path_factors_again_after_a_raise(monkeypatch):
@@ -1053,7 +1049,7 @@ def test_vclsm_path_factors_again_after_a_raise(monkeypatch):
     monkeypatch.setattr(learners, "factor_sphere_qp", fails_first)
     with pytest.raises(SolverError):
         solve(RegPair(0.1, 0.2))
-    # the same ratio: the raise was not kept, so this pair factors its own W
+    # the same ratio: the raise was not kept, so this pair factors the ratio's W
     reg = RegPair(0.2, 0.4)
     assert np.array_equal(solve(reg, 1.0).z, vc_lsm_path(centred, y)[0](reg, 1.0).z)
     assert len(calls) == 3
@@ -1223,6 +1219,21 @@ def test_learner_grid_matches_single_solves(learner):
     assert failed.any() and not failed.all()
 
 
+def test_vclsm_grid_weights_do_not_depend_on_the_order_of_its_points():
+    rng = np.random.default_rng(107)
+    n = 40
+    fmap = center_features(landmark_feature_map(random_indefinite(rng, n), 14))
+    y = binary_labels(rng, n)
+    hypers = [(RegPair(lp, ln), r) for lp in _GRID for ln in _GRID for r in (0.5, 1.0, 2.0)]
+    Z, failed = vc_lsm_path(fmap, y)[1](hypers)
+    assert not failed.any()
+    for _ in range(3):
+        order = rng.permutation(len(hypers))
+        Z_perm, failed_perm = vc_lsm_path(fmap, y)[1]([hypers[p] for p in order])
+        assert not failed_perm.any()
+        assert np.array_equal(Z_perm, Z[:, order])
+
+
 def test_vclsm_grid_fails_every_radius_of_a_raising_factorisation(monkeypatch):
     rng = np.random.default_rng(89)
     n = 20
@@ -1239,16 +1250,20 @@ def test_vclsm_grid_fails_every_radius_of_a_raising_factorisation(monkeypatch):
 
     monkeypatch.setattr(learners, "factor_sphere_qp", fails_first)
     _, grid = vc_lsm_path(fmap, y)
-    first, mate = RegPair(0.1, 0.2), RegPair(1.0, 2.0)  # one ratio
-    hypers = [(first, 0.5), (first, 1.0), (mate, 0.5), (mate, 1.0), (first, 2.0)]
+    first, mate, other = RegPair(0.1, 0.2), RegPair(1.0, 2.0), RegPair(0.2, 0.1)
+    hypers = [(first, 0.5), (first, 1.0), (mate, 0.5), (other, 1.0), (mate, 1.0), (first, 2.0)]
     Z, failed = grid(hypers)
-    # the first pair's one attempt failed all its radii; its ratio mate
-    # factored its own W, which the ratio keeps
-    assert failed.tolist() == [True, True, False, False, True]
+    # first and mate share the ratio (0.5, 1): its one attempt failed every
+    # radius of both pairs, and the ratio (1, 0.5) factored its own W
+    assert failed.tolist() == [True, True, True, False, True, True]
+    assert not Z[:, failed].any()
     assert len(calls) == 2
+    # the raise was not kept: the next call factors the ratio again
+    Z, failed = grid(hypers)
+    assert not failed.any() and len(calls) == 3
     monkeypatch.undo()
-    for p in (2, 3):
-        z = vc_lsm_lowrank(fmap, y, *hypers[p]).z
+    for p, point in enumerate(hypers):
+        z = vc_lsm_lowrank(fmap, y, *point).z
         assert np.linalg.norm(Z[:, p] - z) <= 1e-12 * np.linalg.norm(z)
     # a radius is checked before the rank
     with pytest.raises(InvalidInput):
