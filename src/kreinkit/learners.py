@@ -339,11 +339,12 @@ def vc_lsm_path(fmap: FeatureMap, y) -> tuple[Callable, Callable]:
     not depend on the pairs solved before it.  A factorisation that raises
     is not kept.
 
-    ``grid`` groups its points by penalty ratio and solves each group, every
-    pair and radius of it, in one call of `solve_sphere_qp`.  It returns the
-    rank x P weights and the mask of the points that failed, whose columns
-    are zero: a ratio whose factorisation raises fails all its points, and a
-    problem that does not converge fails alone.
+    ``grid`` finds each distinct penalty pair's ratio once, groups its points
+    by ratio and solves each group, every pair and radius of it, in one call
+    of `solve_sphere_qp`.  It returns the rank x P weights and the mask of
+    the points that failed, whose columns are zero: a ratio whose
+    factorisation raises fails all its points, and a problem that does not
+    converge fails alone.
     """
     y = _as_labels(y, fmap.n)
     n = fmap.n
@@ -397,12 +398,17 @@ def vc_lsm_path(fmap: FeatureMap, y) -> tuple[Callable, Callable]:
             scaled = basis()
         except RankDeficient:
             return Z, failed
+        ratios = {}  # penalty pair -> its ratio and scale, None if n lam overflows
         groups = {}  # penalty ratio -> (grid positions, eigenvalue scales)
         for p, (reg, _) in enumerate(hypers):
-            try:
-                key, s = ratio(reg)
-            except SolverError:
+            if reg not in ratios:
+                try:
+                    ratios[reg] = ratio(reg)
+                except SolverError:
+                    ratios[reg] = None
+            if ratios[reg] is None:
                 continue
+            key, s = ratios[reg]
             at, scales = groups.setdefault(key, ([], []))
             at.append(p)
             scales.append(s)

@@ -33,6 +33,11 @@ __all__ = [
     "frobenius_error",
 ]
 
+# Largest bound on cond(G) at which one_shot_eigen orthonormalizes the
+# features through the Cholesky factor of their Gram G; CholeskyQR loses
+# orthogonality as eps * cond(G), so above it G's eigensystem is used.
+_CHOLESKY_COND_LIMIT = 1e10
+
 
 @dataclass(frozen=True)
 class LandmarkSet:
@@ -186,14 +191,22 @@ def one_shot_eigen(factor: NystroemFactor, phi) -> OneShotEigen:
     features Phi = K_XZ U_r |d_r|^{-1/2} diag(s_r) of ``factor``, which
     `learners.build_feature_map` fills.
 
-    Phi is orthonormalized through its Gram matrix G = Phi'Phi: an
-    eigensystem of G yields T with T'GT = I, so A = Phi T has orthonormal
-    columns and M = (GT)' diag(s_r) (GT) is the approximation
-    Phi diag(s_r) Phi' in that basis.  Eigendecomposing M and rotating gives
-    U and lam with U'U = I and U diag(lam) U' equal to the approximation up
-    to round-off.  Forming Phi, G and the final rotation are the 3 m^2 n of
-    the flop model.  Directions of sign zero have zero feature columns and
-    drop out of the rank.
+    Phi is orthonormalized through its Gram matrix G = Phi'Phi = LL', the
+    Cholesky factor of which gives the orthonormal Q = Phi L^{-T}
+    (CholeskyQR).  In that basis the approximation Phi diag(s_r) Phi' is
+    M = L' diag(s_r) L; eigendecomposing M = V diag(lam) V' and lifting
+    U = Phi W with W = L^{-T} V gives U'U = I and U diag(lam) U' equal to the
+    approximation up to round-off.  Forming Phi, G and the lift are the
+    3 m^2 n of the flop model.
+
+    Q loses orthogonality as eps * cond(G), so the route is taken only when
+    the bound cond(G) <= trace(G) ||W||_F^2 (||W||_F = ||L^{-1}||_F as V is
+    orthogonal) stays within `_CHOLESKY_COND_LIMIT`.  Otherwise, or when G is
+    singular and the Cholesky factorization fails, G's eigensystem yields T
+    with T'GT = I on the directions above 1e-12 of its largest eigenvalue,
+    one Cholesky polish restores T'GT = I to machine precision, and M is
+    formed in the basis Phi T.  Directions of sign zero have zero feature
+    columns, make G singular and drop out of the rank there.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 2 or phi.shape[1] != factor.effective_rank:
@@ -202,6 +215,22 @@ def one_shot_eigen(factor: NystroemFactor, phi) -> OneShotEigen:
     if not np.all(np.isfinite(G)):
         raise InvalidInput("feature entries must be finite")
     G = 0.5 * (G + G.T)
+    try:
+        chol = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return _one_shot_by_eigh(factor, phi, G)
+    M = (chol.T * factor.s_r) @ chol
+    rot = sym_eigen(SymMatrix(0.5 * (M + M.T)))
+    W = np.linalg.solve(chol.T, rot.U)
+    # cond(G) <= trace(G) ||L^{-1}||_F^2, and ||W||_F = ||L^{-1}||_F
+    if not np.trace(G) * np.sum(W * W) <= _CHOLESKY_COND_LIMIT:  # NaN included
+        return _one_shot_by_eigh(factor, phi, G)
+    return OneShotEigen(U=phi @ W, lam=rot.d, warning=factor.warning)
+
+
+def _one_shot_by_eigh(factor: NystroemFactor, phi: np.ndarray, G: np.ndarray) -> OneShotEigen:
+    """`one_shot_eigen` through the eigensystem of G, for singular or
+    ill-conditioned Grams."""
     w, V = np.linalg.eigh(G)
     wmax = w[-1] if w.size else 0.0
     if wmax <= 0.0:

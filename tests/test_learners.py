@@ -1233,6 +1233,31 @@ def test_vclsm_grid_weights_do_not_depend_on_the_order_of_its_points():
         assert np.array_equal(Z_perm, Z[:, order])
 
 
+def test_vclsm_grid_finds_each_penalty_pairs_ratio_once(monkeypatch):
+    rng = np.random.default_rng(109)
+    n = 30
+    fmap = center_features(landmark_feature_map(random_indefinite(rng, n), 12))
+    y = binary_labels(rng, n)
+    pairs = [RegPair(lp, ln) for lp in _GRID for ln in _GRID] + [RegPair(1e308, 1.0)]
+    hypers = [(reg, r) for reg in pairs for r in (0.5, 1.0, 2.0)]
+    Z, failed = vc_lsm_path(fmap, y)[1](hypers)
+    checked = []
+    original = learners._check_penalty_scale
+
+    def counted(reg, n):
+        checked.append(reg)
+        return original(reg, n)
+
+    monkeypatch.setattr(learners, "_check_penalty_scale", counted)
+    _, grid = vc_lsm_path(fmap, y)
+    for _ in range(2):  # per call: each distinct pair once, the overflowing one included
+        del checked[:]
+        Z_counted, failed_counted = grid(hypers)
+        assert sorted(checked, key=repr) == sorted(pairs, key=repr)
+        assert np.array_equal(Z_counted, Z) and np.array_equal(failed_counted, failed)
+    assert failed.tolist() == [False] * (len(hypers) - 3) + [True] * 3
+
+
 def test_vclsm_grid_fails_every_radius_of_a_raising_factorisation(monkeypatch):
     rng = np.random.default_rng(89)
     n = 20

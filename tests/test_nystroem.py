@@ -13,6 +13,9 @@ from kreinkit import (
     fit,
     flop_count,
     frobenius_error,
+    gaussian_diff,
+    gram,
+    gram_cross,
     one_shot_eigen,
     feature_rows,
     reconstruct,
@@ -20,7 +23,9 @@ from kreinkit import (
     sym_eigen,
     truncate_eigen,
     truncate_factor,
+    uniform_landmarks,
 )
+from kreinkit import nystroem
 
 
 def random_indefinite(rng, n, rank=None):
@@ -35,6 +40,41 @@ def random_indefinite(rng, n, rank=None):
 def one_shot(factor, cross):
     """`one_shot_eigen` of the signed features filled from a cross block."""
     return one_shot_eigen(factor, build_feature_map(factor, cross).phi)
+
+
+def one_shot_by_eigh(factor, phi):
+    """`one_shot_eigen` with its first Cholesky factorization made to fail:
+    the route through the eigensystem of G, polish included."""
+    original = np.linalg.cholesky
+    calls = []
+
+    def first_fails(a, *args, **kwargs):
+        calls.append(a)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("injected failure")
+        return original(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "cholesky", first_fails)
+        return one_shot_eigen(factor, phi)
+
+
+def same_eigen(a, b) -> bool:
+    return (np.array_equal(a.U, b.U) and np.array_equal(a.lam, b.lam)
+            and a.warning == b.warning)
+
+
+def counted_eighs(monkeypatch):
+    """The orders of the `np.linalg.eigh` calls made from here on."""
+    orders = []
+    original = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        orders.append(a.shape[0])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return orders
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +222,79 @@ def test_one_shot_drops_directions_of_sign_zero():
     factor = fit(SymMatrix(k.values[np.ix_(idx, idx)]), pinv_tol=0.0)
     assert factor.effective_rank == 8
     assert np.count_nonzero(factor.s_r) == 6
-    eig = one_shot(factor, k.values[:, idx])
+    phi = build_feature_map(factor, k.values[:, idx]).phi
+    eig = one_shot_eigen(factor, phi)
+    # zero columns make G singular: Cholesky raises, and G's eigensystem
+    # orthonormalizes
+    assert same_eigen(eig, one_shot_by_eigh(factor, phi))
     assert eig.rank == 6
     assert_allclose(eig.U.T @ eig.U, np.eye(6), atol=1e-12)
     target = approximate(factor, k.values[:, idx]).values
     assert np.abs(reconstruct(eig).values - target).max() <= 1e-12 * np.abs(target).max()
+
+
+def test_one_shot_takes_one_eigh_on_a_well_conditioned_gram(monkeypatch):
+    # uniform landmarks on clustered points, as `approx` samples them
+    rng = np.random.default_rng(12)
+    centers = rng.normal(scale=2.0, size=(32, 16))
+    x = centers[rng.integers(32, size=2000)] + rng.normal(size=(2000, 16))
+    spec = gaussian_diff(4.0, 8.0)
+    idx = uniform_landmarks(2000, 400, rng).indices
+    factor = fit(gram(spec, x[idx]))
+    cross = gram_cross(spec, x, x[idx])
+    phi = build_feature_map(factor, cross).phi
+    orders = counted_eighs(monkeypatch)
+    eig = one_shot_eigen(factor, phi)
+    # the rotation alone: G is orthonormalized through its Cholesky factor
+    assert orders == [factor.effective_rank]
+    assert eig.rank == factor.effective_rank and eig.warning == factor.warning
+    assert_allclose(eig.U.T @ eig.U, np.eye(eig.rank), atol=1e-12)
+    target = approximate(factor, cross).values
+    assert np.linalg.norm(reconstruct(eig).values - target) <= 1e-12 * np.linalg.norm(target)
+
+
+def near_duplicate_features(rng, eps):
+    """A full-rank factor of 50 mixed-sign directions and 2000 x 50 features
+    whose last column is the first plus eps times noise."""
+    x = rng.normal(size=(50, 50))
+    signs = np.ones(50)
+    signs[:16] = -1.0
+    factor = fit(SymMatrix((x * signs) @ x.T))
+    assert factor.effective_rank == 50
+    phi = rng.normal(size=(2000, 50))
+    phi[:, 49] = phi[:, 0] + eps * rng.normal(size=2000)
+    return factor, phi
+
+
+def test_one_shot_falls_back_to_the_eigensystem_of_an_ill_conditioned_gram(monkeypatch):
+    taken = {"cholesky": 0, "eigh": 0}
+    for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 0.0):
+        factor, phi = near_duplicate_features(np.random.default_rng(23), eps)
+        G = phi.T @ phi
+        try:
+            inv = np.linalg.inv(np.linalg.cholesky(0.5 * (G + G.T)))
+            bound = np.trace(G) * np.sum(inv * inv)  # >= cond(G)
+        except np.linalg.LinAlgError:
+            bound = np.inf
+        reference = one_shot_by_eigh(factor, phi)
+        with monkeypatch.context() as mp:
+            orders = counted_eighs(mp)
+            eig = one_shot_eigen(factor, phi)
+        target = (phi * factor.s_r) @ phi.T
+        error = np.abs(reconstruct(eig).values - target).max() / np.abs(target).max()
+        gram_error = np.abs(eig.U.T @ eig.U - np.eye(eig.rank)).max()
+        if bound <= nystroem._CHOLESKY_COND_LIMIT:
+            taken["cholesky"] += 1
+            assert orders == [50] and eig.rank == 50
+            # CholeskyQR loses orthogonality as eps * cond(G)
+            assert gram_error <= 1e-14 * bound
+            assert error <= 1e-13
+        else:  # bitwise the eigensystem route, whether Cholesky raised or not
+            taken["eigh"] += 1
+            assert same_eigen(eig, reference)
+    assert taken == {"cholesky": 3, "eigh": 5}
+    # an exactly duplicated column drops out of the rank
+    assert eig.rank == 49 and gram_error <= 1e-12 and error <= 1e-12
 
 
 def test_sgt_matches_one_shot():
