@@ -445,20 +445,25 @@ def _write_result(args: argparse.Namespace, payload: dict) -> None:
 
 def _residual_norms(source: GramSource, eigs) -> list:
     """Frobenius errors ||K - U diag(lam) U'|| of several eigensystems, from
-    one pass over the `row_blocks` grid of the kernel matrix K of ``source``;
-    no n x n array is formed."""
+    one pass over the `row_blocks` grid of the kernel matrix K of ``source``.
+
+    Both K and U diag(lam) U' are symmetric, so each row block [a, b) of
+    the residual R is formed only left of its end, R[a:b, :b], and adds
+    2 ||R[a:b, :a]||^2 + ||R[a:b, a:b]||^2: half the kernel entries and half
+    the products of the whole matrix, and no n x n array is formed."""
     for eig in eigs:
         if not (np.all(np.isfinite(eig.U)) and np.all(np.isfinite(eig.lam))):
             raise InvalidInput("approximate eigensystem entries must be finite")
     squares = np.zeros(len(eigs))
     for start, stop in row_blocks(source.n, source.n):
-        block = source.rows(start, stop)
+        block = source.cross(np.arange(start, stop), np.arange(stop))
         if not np.all(np.isfinite(block)):
             raise InvalidInput("matrix entries must be finite")
         for i, eig in enumerate(eigs):
-            resid = (eig.U[start:stop] * eig.lam) @ eig.U.T
+            resid = (eig.U[start:stop] * eig.lam) @ eig.U[:stop].T
             resid -= block
-            squares[i] += np.vdot(resid, resid)
+            off, diag = resid[:, :start], resid[:, start:]
+            squares[i] += 2.0 * np.vdot(off, off) + np.vdot(diag, diag)
     return np.sqrt(squares).tolist()
 
 

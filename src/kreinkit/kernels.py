@@ -236,45 +236,59 @@ _CHUNK = 256
 _CANCEL = 4.0 * np.finfo(float).eps
 
 
-def _sqdist(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def _distance_kernel(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     # |x|^2 + |z|^2 - 2 <x, z> after a shift by the mean of Z, which leaves
     # distances alone but keeps the identity's rounding error at the scale of
     # the spread, not of the offset.  einsum over a transposed Z adds the
     # products of each <x, z> one coordinate after the other, unlike BLAS
     # GEMM/GEMV whose sums depend on the row blocking; the norms are added as
     # one two-term sum, which commutes, so the result is exactly symmetric
-    # when X is Z.
+    # when X is Z.  The -2 is folded into Z: scaling by a power of two is
+    # exact, so the products and sums are -2 times those of <x, z> unless they
+    # underflow.  Each tile is turned into kernel values while it is in cache.
     n, p = X.shape
-    mu = Z.mean(axis=0) if Z.shape[0] else 0.0
+    m = Z.shape[0]
+    mu = Z.mean(axis=0) if m else 0.0
     xs = X - mu
     zs = Z - mu
-    zt = np.ascontiguousarray(zs.T)
+    zt = -2.0 * np.ascontiguousarray(zs.T)
     sx = np.einsum("ij,ij->i", xs, xs)
     sz = np.einsum("ij,ij->i", zs, zs)
-    out = np.empty((n, Z.shape[0]))
+    cancel = _CANCEL * (p + 2)
+    sz_max = sz.max(initial=0.0)
+    out = np.empty((n, m))
+    rows = min(n, _CHUNK)
+    norms = np.empty((rows, m))  # also the gaussdiff profile's scratch
+    mask = np.empty((rows, m), dtype=bool)
     for start in range(0, n, _CHUNK):
         stop = min(n, start + _CHUNK)
         d2 = out[start:stop]
+        tile = norms[: stop - start]
         np.einsum("ik,kj->ij", xs[start:stop], zt, out=d2)
-        d2 *= -2.0
-        norms = sx[start:stop, None] + sz[None, :]
-        d2 += norms
-        norms *= _CANCEL * (p + 2)
-        cancelled = d2 <= norms
-        if cancelled.any():  # rare: most tiles have no entry to redo
-            i, j = np.nonzero(cancelled)
+        np.add(sx[start:stop, None], sz, out=tile)
+        d2 += tile
+        # rounding is monotone, so no entry's bound exceeds the tile's largest
+        # one: only entries at or below it are put to the exact test
+        limit = (sx[start:stop].max() + sz_max) * cancel
+        cand = np.flatnonzero(np.less_equal(d2, limit, out=mask[: stop - start]))
+        if cand.size:  # most tiles without a landmark have no candidate
+            cand = cand[d2.flat[cand] <= tile.flat[cand] * cancel]
+            i, j = np.divmod(cand, m)
             diff = X[start + i] - Z[j]
             d2[i, j] = np.einsum("ij,ij->i", diff, diff)
+        _profile(spec, d2, tile)
     return out
 
 
-def _profile(spec: KernelSpec, d2: np.ndarray) -> None:
-    """Turn a block of squared distances into kernel values, in place."""
+def _profile(spec: KernelSpec, d2: np.ndarray, scratch: np.ndarray) -> None:
+    """Turn a block of squared distances into kernel values, in place;
+    ``scratch`` is a free array of the same shape."""
     if spec.kind == "gauss":
         d2 /= -2.0 * spec.sigma**2
         np.exp(d2, out=d2)
     elif spec.kind == "gaussdiff":
-        wide = np.exp(d2 / (-2.0 * spec.sigma2**2))
+        wide = np.divide(d2, -2.0 * spec.sigma2**2, out=scratch)
+        np.exp(wide, out=wide)
         d2 /= -2.0 * spec.sigma1**2
         np.exp(d2, out=d2)
         d2 -= wide
@@ -286,10 +300,7 @@ def _profile(spec: KernelSpec, d2: np.ndarray) -> None:
 
 def _evaluate(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     if spec.kind in ("gauss", "gaussdiff", "epan"):
-        k = _sqdist(X, Z)
-        for start in range(0, k.shape[0], _CHUNK):
-            _profile(spec, k[start : start + _CHUNK])
-        return k
+        return _distance_kernel(spec, X, Z)
     if spec.kind == "tanh":
         return np.tanh(spec.a * (X @ Z.T) + spec.b)
     return X @ Z.T  # linear
@@ -337,7 +348,7 @@ class GramSource:
     and cross blocks without caring which, and only ``_kernel`` looks.
     ``subset`` gives the same kernel on some of the points without copying a
     block.  ``full()`` materializes the complete matrix, as a reference for
-    tests; ``rows()`` hands it out one row block at a time instead.
+    tests.
     """
 
     def __init__(self, *, matrix: SymMatrix | None = None,
@@ -388,13 +399,6 @@ class GramSource:
 
     def cross_all(self, indices) -> np.ndarray:
         return self._kernel(self.points, self.points[np.asarray(indices, dtype=int)])
-
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """Rows start:stop of the full matrix without forming it: bit for bit
-        ``full().values[start:stop]`` for a matrix source and the distance
-        kernels (their distances do not depend on the row blocking), equal
-        up to round-off for the inner-product ones (BLAS products do)."""
-        return self._kernel(self.points[start:stop], self.points)
 
     def full(self) -> SymMatrix:
         return SymMatrix(self._kernel(self.points, self.points))

@@ -5,7 +5,8 @@ can be inverted, spectrum-flipped, and projected without losing track of the
 negative directions.  The module also houses a thin-SVD wrapper, the
 globally optimal sphere-constrained quadratic solver of the variance-
 constrained least squares learner (whose SVD is `learners.FeatureMap.svd`),
-and the grid of row blocks that the passes over n rows walk.
+the grid of row blocks that the passes over n rows walk, and the blocked
+triangular inverse of the one-shot route's Cholesky factor.
 """
 
 from __future__ import annotations
@@ -53,6 +54,41 @@ def row_blocks(n: int, width: int):
     step = max(64, _ROW_BLOCK_ELEMENTS // max(1, width) // 64 * 64)
     for start in range(0, n, step):
         yield start, min(n, start + step)
+
+
+# order up to which `tril_inverse` substitutes row by row instead of
+# splitting further
+_TRIL_BASE = 64
+
+
+def tril_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix, with exact zeros
+    above the diagonal.
+
+    The 2 x 2 block form [[A, 0], [B, C]]^{-1} = [[A^{-1}, 0],
+    [-C^{-1} B A^{-1}, C^{-1}]] is applied recursively, so nearly all the
+    work is matrix products (Elmroth, Gustavson, Jonsson & Kagstrom, SIAM
+    Review 2004); a block of order at most `_TRIL_BASE` is inverted by
+    forward substitution.  The residual is of order eps cond(L) (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 14).
+    """
+    L = np.asarray(L, dtype=float)
+    out = np.zeros_like(L)
+    _tril_inverse_into(L, out)
+    return out
+
+
+def _tril_inverse_into(L: np.ndarray, out: np.ndarray) -> None:
+    n = L.shape[0]
+    if n <= _TRIL_BASE:
+        for i in range(n):
+            out[i, :i] = -(L[i, :i] @ out[:i, :i]) / L[i, i]
+            out[i, i] = 1.0 / L[i, i]
+        return
+    h = n // 2
+    _tril_inverse_into(L[:h, :h], out[:h, :h])
+    _tril_inverse_into(L[h:, h:], out[h:, h:])
+    out[h:, :h] = -out[h:, h:] @ (L[h:, :h] @ out[:h, :h])
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

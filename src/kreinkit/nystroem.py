@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInput, ShapeError, SingularLandmarkBlock
-from .linalg import SignedEigenSystem, SymMatrix, sym_eigen
+from .linalg import SignedEigenSystem, SymMatrix, sym_eigen, tril_inverse
 
 __all__ = [
     "LandmarkSet",
@@ -196,12 +196,13 @@ def one_shot_eigen(factor: NystroemFactor, phi) -> OneShotEigen:
     (CholeskyQR).  In that basis the approximation Phi diag(s_r) Phi' is
     M = L' diag(s_r) L; eigendecomposing M = V diag(lam) V' and lifting
     U = Phi W with W = L^{-T} V gives U'U = I and U diag(lam) U' equal to the
-    approximation up to round-off.  Forming Phi, G and the lift are the
-    3 m^2 n of the flop model.
+    approximation up to round-off.  L^{-1} comes from `linalg.tril_inverse`,
+    and G, L, M and L^{-1} are released before the lift.  Forming Phi, G and
+    the lift are the 3 m^2 n of the flop model.
 
     Q loses orthogonality as eps * cond(G), so the route is taken only when
-    the bound cond(G) <= trace(G) ||W||_F^2 (||W||_F = ||L^{-1}||_F as V is
-    orthogonal) stays within `_CHOLESKY_COND_LIMIT`.  Otherwise, or when G is
+    the bound cond(G) <= trace(G) ||L^{-1}||_F^2, read before the rotation,
+    stays within `_CHOLESKY_COND_LIMIT`.  Otherwise, or when G is
     singular and the Cholesky factorization fails, G's eigensystem yields T
     with T'GT = I on the directions above 1e-12 of its largest eigenvalue,
     one Cholesky polish restores T'GT = I to machine precision, and M is
@@ -219,13 +220,18 @@ def one_shot_eigen(factor: NystroemFactor, phi) -> OneShotEigen:
         chol = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         return _one_shot_by_eigh(factor, phi, G)
-    M = (chol.T * factor.s_r) @ chol
-    rot = sym_eigen(SymMatrix(0.5 * (M + M.T)))
-    W = np.linalg.solve(chol.T, rot.U)
-    # cond(G) <= trace(G) ||L^{-1}||_F^2, and ||W||_F = ||L^{-1}||_F
-    if not np.trace(G) * np.sum(W * W) <= _CHOLESKY_COND_LIMIT:  # NaN included
+    inv = tril_inverse(chol)
+    # cond(G) <= trace(G) ||L^{-1}||_F^2
+    if not np.trace(G) * np.vdot(inv, inv) <= _CHOLESKY_COND_LIMIT:  # NaN included
         return _one_shot_by_eigh(factor, phi, G)
-    return OneShotEigen(U=phi @ W, lam=rot.d, warning=factor.warning)
+    del G
+    M = (chol.T * factor.s_r) @ chol
+    del chol
+    rot = sym_eigen(SymMatrix(0.5 * (M + M.T)))
+    del M
+    W, lam = inv.T @ rot.U, rot.d
+    del inv, rot  # the lift holds Phi, W and its result, no other order-r array
+    return OneShotEigen(U=phi @ W, lam=lam, warning=factor.warning)
 
 
 def _one_shot_by_eigh(factor: NystroemFactor, phi: np.ndarray, G: np.ndarray) -> OneShotEigen:

@@ -189,6 +189,37 @@ def test_approx_streamed_errors_match_dense(monkeypatch, from_matrix):
         assert row[4] == pytest.approx(frobenius_error(full, reconstruct(eig)), rel=1e-12)
 
 
+@pytest.mark.parametrize("from_matrix", [False, True])
+def test_approx_scores_the_lower_triangle_only(monkeypatch, from_matrix):
+    import kreinkit.cli
+
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(150, 3))
+    if from_matrix:
+        source = GramSource.from_matrix(gram(tanh_sigmoid(0.3, -0.5), x))
+    else:
+        source = GramSource.from_data(gaussian_diff(1.0, 3.0), x)
+    factor = landmark_factor(source, "uniform", 12, make_rng(4), None)
+    eig = one_shot_eigen(factor, build_feature_map(factor, source).phi)
+    monkeypatch.setattr(linalg, "_ROW_BLOCK_ELEMENTS", 64 * 150)
+    grid = list(linalg.row_blocks(150, 150))
+    assert [stop for _, stop in grid] == [64, 128, 150]
+    entries = []
+    kernel = GramSource._kernel
+
+    def counted(self, X, Z):
+        entries.append(len(X) * len(Z))
+        return kernel(self, X, Z)
+
+    monkeypatch.setattr(GramSource, "_kernel", counted)
+    errors = kreinkit.cli._residual_norms(source, [eig, eig])
+    # each block once for both eigensystems, left of its end: 64 * 64 +
+    # 64 * 128 + 22 * 150 entries, against the 150^2 = 22500 of all rows
+    assert sum(entries) <= sum((stop - start) * stop for start, stop in grid) == 15588
+    exact = frobenius_error(source.full(), reconstruct(eig))
+    assert errors[0] == errors[1] == pytest.approx(exact, rel=1e-12)
+
+
 def test_approx_forms_no_dense_matrix(tmp_path, monkeypatch):
     import kreinkit.nystroem
 
@@ -238,7 +269,7 @@ def test_eigen_forms_no_dense_matrix(tmp_path, monkeypatch, method):
 def test_eigen_scores_without_a_row_pass(tmp_path, monkeypatch, method):
     import kreinkit.cli
 
-    monkeypatch.setattr(GramSource, "rows", refuse)
+    monkeypatch.setattr(GramSource, "full", refuse)
     monkeypatch.setattr(kreinkit.cli, "_residual_norms", refuse)
     out = tmp_path / "eig"
     assert main(["eigen", *synthetic_args(), "--m", "12", "--method", method,

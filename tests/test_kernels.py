@@ -238,6 +238,65 @@ def test_self_evaluation_exactly_symmetric(p):
         assert np.array_equal(k, k.T)
 
 
+def _reference_distance_kernel(spec, X, Z):
+    """The straightforward form of the distance-kernel loop: each 256-row
+    tile of squared distances is finished, then screened entry by entry with
+    a 2-D nonzero, and the kernel profile is applied afterwards."""
+    n, p = X.shape
+    mu = Z.mean(axis=0) if Z.shape[0] else 0.0
+    xs = X - mu
+    zs = Z - mu
+    zt = np.ascontiguousarray(zs.T)
+    sx = np.einsum("ij,ij->i", xs, xs)
+    sz = np.einsum("ij,ij->i", zs, zs)
+    out = np.empty((n, Z.shape[0]))
+    for start in range(0, n, 256):
+        stop = min(n, start + 256)
+        d2 = out[start:stop]
+        np.einsum("ik,kj->ij", xs[start:stop], zt, out=d2)
+        d2 *= -2.0
+        norms = sx[start:stop, None] + sz[None, :]
+        d2 += norms
+        norms *= 4.0 * np.finfo(float).eps * (p + 2)
+        cancelled = d2 <= norms
+        if cancelled.any():
+            i, j = np.nonzero(cancelled)
+            diff = X[start + i] - Z[j]
+            d2[i, j] = np.einsum("ij,ij->i", diff, diff)
+    for start in range(0, n, 256):
+        d2 = out[start:start + 256]
+        if spec.kind == "gauss":
+            d2 /= -2.0 * spec.sigma**2
+            np.exp(d2, out=d2)
+        elif spec.kind == "gaussdiff":
+            wide = np.exp(d2 / (-2.0 * spec.sigma2**2))
+            d2 /= -2.0 * spec.sigma1**2
+            np.exp(d2, out=d2)
+            d2 -= wide
+        else:
+            d2 /= spec.sigma**2
+            np.subtract(1.0, d2, out=d2)
+            np.maximum(0.0, d2, out=d2)
+    return out
+
+
+def test_distance_kernels_match_the_reference_loop_bitwise():
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=(600, 5))  # two full 256-row tiles and a ragged one
+    x[[41, 300, 599]] = x[3]  # exact duplicates, across tiles
+    idx = rng.choice(600, size=70, replace=False)  # landmarks among the rows
+    line = rng.normal(size=(300, 1))  # p = 1: Z's transpose is already contiguous
+    inputs = [(x, x[idx]), (x, x), (x + 1e8, x[idx] + 1e8), (x, x[idx] + 30.0),
+              (x[:0], x[idx]), (x, x[:0]), (x[:257], x[:1]), (line, line[:40])]
+    specs = [gaussian(0.9), gaussian_diff(1.0, 3.0), gaussian_diff(1.0, 1.0000001),
+             epanechnikov(2.5)]
+    for X, Z in inputs:
+        for spec in specs:
+            got = gram_cross(spec, X, Z)
+            want = _reference_distance_kernel(spec, X, Z)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def test_gram_validation():
     with pytest.raises(ShapeError):
         gram(gaussian(1.0), np.zeros(3))
@@ -331,7 +390,8 @@ def test_gram_source_rows_match_full_exactly(spec):
     src = GramSource.from_data(spec, x)
     full = src.full().values
     for start, stop in _row_blocks(300, 37):
-        assert_allclose(src.rows(start, stop), full[start:stop], rtol=0, atol=0)
+        assert_allclose(src.cross(np.arange(start, stop), np.arange(300)), full[start:stop],
+                        rtol=0, atol=0)
 
 
 def test_gram_source_rows_tanh():
@@ -340,7 +400,8 @@ def test_gram_source_rows_tanh():
     src = GramSource.from_data(tanh_sigmoid(0.5, -0.2), x)
     full = gram(tanh_sigmoid(0.5, -0.2), x).values
     for start, stop in _row_blocks(70, 16):
-        assert_allclose(src.rows(start, stop), full[start:stop], rtol=0, atol=1e-13)
+        assert_allclose(src.cross(np.arange(start, stop), np.arange(70)), full[start:stop],
+                        rtol=0, atol=1e-13)
 
 
 def test_gram_source_rows_from_matrix():
@@ -349,12 +410,13 @@ def test_gram_source_rows_from_matrix():
     k = SymMatrix(a + a.T)
     src = GramSource.from_matrix(k)
     for start, stop in _row_blocks(9, 4):
-        assert_allclose(src.rows(start, stop), k.values[start:stop], rtol=0, atol=0)
+        assert_allclose(src.cross(np.arange(start, stop), np.arange(9)), k.values[start:stop],
+                        rtol=0, atol=0)
 
 
 def _source_parts(src, idx, rows):
     return [src.block(idx).values, src.cross(rows, idx), src.cross_all(idx),
-            src.rows(1, 4), src.full().values]
+            src.cross(np.arange(1, 4), np.arange(src.n)), src.full().values]
 
 
 def test_gram_source_matrix_subset_slices_the_matrix():

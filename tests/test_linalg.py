@@ -17,6 +17,7 @@ from kreinkit import (
     sym_eigen,
     thin_svd,
 )
+from kreinkit.linalg import tril_inverse
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -113,6 +114,21 @@ def test_sym_eigen_reconstructs():
         assert_allclose(eig.U.T @ eig.U, np.eye(n), atol=1e-12)
         order = np.abs(eig.d)
         assert np.all(order[:-1] >= order[1:] - 1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200, 801])
+def test_tril_inverse_matches_inv(n):
+    # the Cholesky factor of a Gram of graded columns: cond(L) up to ~5e5;
+    # 64 is the substitution base, and 65 splits into two base blocks
+    rng = np.random.default_rng(31)
+    a = rng.normal(size=(n + 10, n)) * np.logspace(0, -4, n)
+    L = np.linalg.cholesky(a.T @ a)
+    X = tril_inverse(L)
+    assert np.all(np.triu(X, 1) == 0.0)
+    bound = n * np.finfo(float).eps * np.linalg.cond(L)
+    assert np.linalg.norm(X @ L - np.eye(n)) <= bound
+    ref = np.linalg.inv(L)
+    assert np.linalg.norm(X - ref) <= bound * np.linalg.norm(ref)
 
 
 def test_sym_eigen_deterministic():

@@ -297,6 +297,17 @@ def test_one_shot_falls_back_to_the_eigensystem_of_an_ill_conditioned_gram(monke
     assert eig.rank == 49 and gram_error <= 1e-12 and error <= 1e-12
 
 
+@pytest.mark.parametrize("eps", [1e-4, 0.0])
+def test_one_shot_reads_the_bound_before_the_rotation(monkeypatch, eps):
+    # Cholesky of these Grams succeeds and the bound sends them to the
+    # eigensystem route, whose two eigh calls (G's and the rotation's) are
+    # then all the call makes
+    factor, phi = near_duplicate_features(np.random.default_rng(23), eps)
+    orders = counted_eighs(monkeypatch)
+    eig = one_shot_eigen(factor, phi)
+    assert orders == [50, eig.rank]
+
+
 def test_sgt_matches_one_shot():
     rng = np.random.default_rng(5)
     for _ in range(10):
