@@ -286,8 +286,15 @@ def test_distance_kernels_match_the_reference_loop_bitwise():
     x[[41, 300, 599]] = x[3]  # exact duplicates, across tiles
     idx = rng.choice(600, size=70, replace=False)  # landmarks among the rows
     line = rng.normal(size=(300, 1))  # p = 1: Z's transpose is already contiguous
+    # near-duplicates of the landmarks whose squared distance is 1.5 times
+    # the cancellation bound of one norm: below the bound of the two norms
+    z = x[idx] - x[idx].mean(axis=0)
+    step = rng.normal(size=z.shape)
+    step *= np.sqrt(1.5 * 4.0 * np.finfo(float).eps * 7 * np.sum(z * z, axis=1)
+                    / np.sum(step * step, axis=1))[:, None]
     inputs = [(x, x[idx]), (x, x), (x + 1e8, x[idx] + 1e8), (x, x[idx] + 30.0),
-              (x[:0], x[idx]), (x, x[:0]), (x[:257], x[:1]), (line, line[:40])]
+              (x[idx] + step, x[idx]), (x[:0], x[idx]), (x, x[:0]), (x[:257], x[:1]),
+              (line, line[:40])]
     specs = [gaussian(0.9), gaussian_diff(1.0, 3.0), gaussian_diff(1.0, 1.0000001),
              epanechnikov(2.5)]
     for X, Z in inputs:
