@@ -12,6 +12,7 @@ the diagonals of the distance kernels come out exactly right.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -97,6 +98,15 @@ class KernelSpec:
                 raise InvalidInput("sigma1 and sigma2 must be positive")
             if self.sigma1 == self.sigma2:
                 raise InvalidInput("sigma1 and sigma2 must differ, otherwise the kernel is zero")
+        # the profile divides by 2 sigma^2 (sigma^2 for epan): a width whose
+        # divisor overflows would raise there, and one that underflows to a
+        # subnormal or zero would turn the block into infinities
+        factor = 1.0 if self.kind == "epan" else 2.0
+        for name in ("sigma", "sigma1", "sigma2"):
+            width = getattr(self, name)
+            if name in allowed and not sys.float_info.min <= factor * width * width < math.inf:
+                raise InvalidInput(f"kernel width {name}={width!r} is out of range: "
+                                   f"{factor:g} * {name}^2 must be a normal, finite float")
 
 
 def gaussian(sigma: float) -> KernelSpec:
@@ -340,6 +350,14 @@ def center_kernel(K: SymMatrix) -> SymMatrix:
     return SymMatrix(a - row_mean[None, :] - row_mean[:, None] + total)
 
 
+def _as_slice(positions: np.ndarray):
+    """``positions`` as the equal basic slice when they run consecutively
+    upwards, else unchanged."""
+    if positions.size and np.all(np.diff(positions) == 1):
+        return slice(int(positions[0]), int(positions[-1]) + 1)
+    return positions
+
+
 class GramSource:
     """Uniform access to kernel evaluations on a fixed set of points.
 
@@ -379,7 +397,13 @@ class GramSource:
         """Kernel values between two point sets of this source."""
         if self.matrix is not None:
             # the matrix is exactly symmetric: gather whole rows Z, not
-            # scattered columns, and hand back their transpose
+            # scattered columns, and hand back their transpose.  Columns X
+            # that run consecutively are a basic slice: then the block is a
+            # read-only view of the stored matrix if Z runs too, and a gather
+            # of rows in the layout of the full gather if not
+            cols = _as_slice(X)
+            if isinstance(cols, slice):
+                return self.matrix.values[_as_slice(Z), cols].T
             return self.matrix.values[np.ix_(Z, X)].T
         return gram_cross(self.spec, X, Z)
 

@@ -101,10 +101,14 @@ def uniform_landmarks(n: int, m: int, rng: np.random.Generator) -> LandmarkSet:
 
 
 def build_sketch(source: GramSource, m0: int, rng: np.random.Generator,
-                 pinv_tol: float | None = None) -> Sketch:
-    """One-shot eigendecomposition of the features of m0 uniform landmarks."""
+                 pinv_tol: float | None = None, rank: int | None = None) -> Sketch:
+    """One-shot eigendecomposition of the features of m0 uniform landmarks.
+
+    ``rank`` keeps only the leading ``rank`` approximate eigenpairs, by
+    |lam|: `one_shot_eigen` then lifts n x rank eigenvectors, not n x m0.
+    """
     factor = landmark_factor(source, "uniform", m0, rng, pinv_tol)
-    eig = one_shot_eigen(factor, build_feature_map(factor, source).phi)
+    eig = one_shot_eigen(factor, build_feature_map(factor, source).phi, rank)
     return Sketch(eig=eig, sketch_size=m0)
 
 
@@ -195,7 +199,10 @@ def select_landmarks(sampler: str, source: GramSource, budget: int,
     The leverage sketch has min(n, 3 budget) columns: its scores need to
     resolve only the budget's dimension, and a larger sketch flattens them
     towards uniform.  k-means++ seeds over a sketch of
-    ``default_sketch_size(budget, n)`` columns.
+    ``default_sketch_size(budget, n)`` columns, in the features of its
+    leading ``budget`` directions by |lam| only (Oglic & Gaertner, ICML
+    2017): it picks ``budget`` points, and lifting, scaling and scanning the
+    rest would cost n x m0 where n x budget does.
     """
     n = source.n
     if not 1 <= budget <= n:
@@ -206,7 +213,8 @@ def select_landmarks(sampler: str, source: GramSource, budget: int,
         sketch = build_sketch(source, min(n, _LEVERAGE_SKETCH_FACTOR * budget), rng, pinv_tol)
         return sample_leverage(leverage_scores(sketch.eig), budget, rng)
     if sampler == "kmeanspp":
-        sketch = build_sketch(source, default_sketch_size(budget, n), rng, pinv_tol)
+        sketch = build_sketch(source, default_sketch_size(budget, n), rng, pinv_tol,
+                              rank=budget)
         return kmeanspp_landmarks(sketch.features, budget, rng)
     raise ConfigError(f"unknown sampler {sampler!r}")
 

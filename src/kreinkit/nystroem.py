@@ -186,7 +186,7 @@ def approximate(factor: NystroemFactor, K_XZ) -> SymMatrix:
     return SymMatrix((c / factor.d_r) @ c.T)
 
 
-def one_shot_eigen(factor: NystroemFactor, phi) -> OneShotEigen:
+def one_shot_eigen(factor: NystroemFactor, phi, rank: int | None = None) -> OneShotEigen:
     """Approximate eigendecomposition in a single pass over the n x r signed
     features Phi = K_XZ U_r |d_r|^{-1/2} diag(s_r) of ``factor``, which
     `learners.build_feature_map` fills.
@@ -208,7 +208,13 @@ def one_shot_eigen(factor: NystroemFactor, phi) -> OneShotEigen:
     one Cholesky polish restores T'GT = I to machine precision, and M is
     formed in the basis Phi T.  Directions of sign zero have zero feature
     columns, make G singular and drop out of the rank there.
+
+    ``rank`` lifts only the leading ``rank`` eigenpairs (by |lam|), the n x
+    rank product Phi W[:, :rank], for callers that read no more; the r x r
+    work is unchanged.  None, or a rank of at least r, lifts them all.
     """
+    if rank is not None and rank < 1:
+        raise InvalidInput("rank must be at least 1")
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 2 or phi.shape[1] != factor.effective_rank:
         raise ShapeError(f"features must have {factor.effective_rank} columns, got {phi.shape}")
@@ -219,22 +225,24 @@ def one_shot_eigen(factor: NystroemFactor, phi) -> OneShotEigen:
     try:
         chol = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
-        return _one_shot_by_eigh(factor, phi, G)
+        return _one_shot_by_eigh(factor, phi, G, rank)
     inv = tril_inverse(chol)
     # cond(G) <= trace(G) ||L^{-1}||_F^2
     if not np.trace(G) * np.vdot(inv, inv) <= _CHOLESKY_COND_LIMIT:  # NaN included
-        return _one_shot_by_eigh(factor, phi, G)
+        return _one_shot_by_eigh(factor, phi, G, rank)
     del G
     M = (chol.T * factor.s_r) @ chol
     del chol
     rot = sym_eigen(SymMatrix(0.5 * (M + M.T)))
     del M
-    W, lam = inv.T @ rot.U, rot.d
+    # a slice to None or past the end is the whole array, so the bits stay
+    W, lam = inv.T @ rot.U[:, :rank], rot.d[:rank]
     del inv, rot  # the lift holds Phi, W and its result, no other order-r array
     return OneShotEigen(U=phi @ W, lam=lam, warning=factor.warning)
 
 
-def _one_shot_by_eigh(factor: NystroemFactor, phi: np.ndarray, G: np.ndarray) -> OneShotEigen:
+def _one_shot_by_eigh(factor: NystroemFactor, phi: np.ndarray, G: np.ndarray,
+                      rank: int | None) -> OneShotEigen:
     """`one_shot_eigen` through the eigensystem of G, for singular or
     ill-conditioned Grams."""
     w, V = np.linalg.eigh(G)
@@ -260,7 +268,7 @@ def _one_shot_by_eigh(factor: NystroemFactor, phi: np.ndarray, G: np.ndarray) ->
     H = G @ T
     M = H.T @ (factor.s_r[:, None] * H)
     rot = sym_eigen(SymMatrix(0.5 * (M + M.T)))
-    return OneShotEigen(U=phi @ (T @ rot.U), lam=rot.d, warning=warning)
+    return OneShotEigen(U=phi @ (T @ rot.U[:, :rank]), lam=rot.d[:rank], warning=warning)
 
 
 def sgt_one_shot(factor: NystroemFactor, K_XZ) -> OneShotEigen:

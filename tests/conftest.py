@@ -46,9 +46,9 @@ def sketch_sizes(monkeypatch):
     sizes = []
     original = kreinkit.landmarks.build_sketch
 
-    def spy(source, m0, rng, pinv_tol=None):
+    def spy(source, m0, *args, **kwargs):
         sizes.append(m0)
-        return original(source, m0, rng, pinv_tol)
+        return original(source, m0, *args, **kwargs)
 
     monkeypatch.setattr(kreinkit.landmarks, "build_sketch", spy)
     return sizes

@@ -357,7 +357,7 @@ def test_sample_command_deterministic(tmp_path):
     assert rows_a == rows_b
     header, rows = read_csv(tmp_path / "a" / "landmarks.csv")
     assert header == ["position", "index", "multiplicity"]
-    assert [int(row[1]) for row in rows] == [40, 11, 77, 8, 4, 67, 32]
+    assert [int(row[1]) for row in rows] == [40, 10, 77, 7, 5, 67, 33]
 
 
 @pytest.mark.parametrize("sampler", ["uniform", "leverage"])
@@ -1338,6 +1338,26 @@ def test_hyperparameters_are_checked_before_any_io(tmp_path, capsys, command, fl
 
 _BENCH = ["bench", "--n-schedule", "60", "--m", "5", "--reps", "1"]
 _SYNTHETIC = ["--synthetic", "two_gaussians", "--n", "40"]
+
+
+# widths whose divisor 2 sigma^2 (sigma^2 for epan) overflowed, which exited 1
+# with an OverflowError, or underflowed to zero, which exited 3 with
+# non-finite kernel values
+@pytest.mark.parametrize("argv", [
+    ["train", *synthetic_args(n=20)[:-2], "--m", "5"],
+    ["approx", *synthetic_args(n=20)[:-2], "--ranks", "5", "--reps", "1"],
+    [*_BENCH],
+], ids=["train", "approx", "bench"])
+@pytest.mark.parametrize("kernel", [
+    "kernel=gauss sigma=1e160",
+    "kernel=gaussdiff sigma1=1e300 sigma2=8",
+    "kernel=epan sigma=1e300",
+    "kernel=epan sigma=1e-200",
+])
+def test_kernel_widths_out_of_float_range_exit_two(capsys, argv, kernel):
+    assert main([*argv, "--kernel", kernel]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: kernel width") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

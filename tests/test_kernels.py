@@ -38,6 +38,8 @@ def test_parse_round_trip():
         "kernel=tanh a=2.0 b=-1.0",
         "kernel=epan sigma=2.0",
         "kernel=linear",
+        "kernel=gauss sigma=1e150",  # 2 sigma^2 = 2e300
+        "kernel=epan sigma=1e-150",  # sigma^2 = 1e-300, still normal
     ):
         spec = parse_kernel_spec(text)
         assert parse_kernel_spec(format_kernel_spec(spec)) == spec
@@ -61,6 +63,9 @@ def test_rlsigmoid_preset():
         "kernel=gauss sigma=1.0 a=2.0",  # foreign parameter
         "kernel=gauss sigma=abc",  # bad float
         "kernel=gauss sigma=-1.0",  # non-positive width
+        "kernel=gauss sigma=1e160",  # 2 sigma^2 overflows
+        "kernel=gaussdiff sigma1=1.0 sigma2=1e-160",  # 2 sigma2^2 underflows
+        "kernel=epan sigma=1e-154",  # sigma^2 is subnormal
         "kernel=gaussdiff sigma1=2.0 sigma2=2.0",  # equal widths
         "kernel=gauss sigma",  # not key=value
         "kernel=gauss kernel=linear",  # duplicate key
@@ -441,6 +446,27 @@ def test_gram_source_matrix_subset_slices_the_matrix():
         assert sub.matrix is src.matrix  # shared, not copied
         for got, want in zip(_source_parts(sub, idx, rows), expected):
             assert_allclose(got, want, rtol=0, atol=0)
+
+
+def test_gram_source_matrix_runs_are_slices_equal_to_the_gather():
+    rng = np.random.default_rng(15)
+    a = rng.normal(size=(12, 12))
+    k = SymMatrix(a + a.T)
+    src = GramSource.from_matrix(k)
+    runs = [np.arange(3, 9), np.arange(12), np.array([5])]
+    scattered = [np.array([4, 1, 9]), np.array([2, 3, 5]), np.array([6, 5, 4]), np.array([], int)]
+    for rows in runs + scattered:
+        for cols in runs + scattered:
+            got = src.cross(rows, cols)
+            assert np.array_equal(got, k.values[np.ix_(cols, rows)].T)
+            # both runs: a view of the stored matrix, which is read-only
+            assert np.shares_memory(got, k.values) == (
+                any(rows is r for r in runs) and any(cols is r for r in runs))
+    # positions of a subset that run in the whole matrix
+    sub = src.subset(np.arange(2, 10))
+    got = sub.cross(np.arange(1, 4), np.arange(8))
+    assert np.array_equal(got, k.values[3:6, 2:10]) and np.shares_memory(got, k.values)
+    assert np.array_equal(sub.block(np.arange(3)).values, k.values[2:5, 2:5])
 
 
 @pytest.mark.parametrize("spec", [gaussian_diff(1.0, 3.0), tanh_sigmoid(0.5, -0.2)])

@@ -26,6 +26,7 @@ from kreinkit import (
     spawn_rng,
     uniform_landmarks,
 )
+from kreinkit import landmarks
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +226,32 @@ def test_leverage_sketch_has_three_columns_per_landmark(sketch_sizes, n, budget,
 def test_kmeanspp_sketch_keeps_the_default_size(sketch_sizes):
     select_landmarks("kmeanspp", fixture_source(n=45, seed=3), 5, make_rng(4), None)
     assert sketch_sizes == [default_sketch_size(5, 45)]
+
+
+@pytest.mark.parametrize("sampler", ["kmeanspp", "leverage"])
+def test_only_kmeanspp_lifts_just_its_budget(monkeypatch, sampler):
+    lifted, seeded = [], []
+    lift, seed = landmarks.one_shot_eigen, landmarks.kmeanspp_landmarks
+
+    def lift_spy(factor, phi, *args, **kwargs):
+        eig = lift(factor, phi, *args, **kwargs)
+        lifted.append((phi.shape[1], eig.U.shape[1]))
+        return eig
+
+    def seed_spy(features, *args, **kwargs):
+        seeded.append(features.shape)
+        return seed(features, *args, **kwargs)
+
+    monkeypatch.setattr(landmarks, "one_shot_eigen", lift_spy)
+    monkeypatch.setattr(landmarks, "kmeanspp_landmarks", seed_spy)
+    select_landmarks(sampler, fixture_source(n=45, seed=3), 5, make_rng(4), None)
+    (columns, lift_cols), = lifted
+    if sampler == "kmeanspp":
+        # the sketch keeps its ceil(5 ln 45) = 20 columns; 5 directions are lifted
+        assert columns == default_sketch_size(5, 45) and lift_cols == 5
+        assert seeded == [(45, 5)]
+    else:
+        assert lift_cols == columns and seeded == []
 
 
 def test_select_landmarks_budget_validation():

@@ -42,7 +42,7 @@ def one_shot(factor, cross):
     return one_shot_eigen(factor, build_feature_map(factor, cross).phi)
 
 
-def one_shot_by_eigh(factor, phi):
+def one_shot_by_eigh(factor, phi, rank=None):
     """`one_shot_eigen` with its first Cholesky factorization made to fail:
     the route through the eigensystem of G, polish included."""
     original = np.linalg.cholesky
@@ -56,7 +56,7 @@ def one_shot_by_eigh(factor, phi):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "cholesky", first_fails)
-        return one_shot_eigen(factor, phi)
+        return one_shot_eigen(factor, phi, rank)
 
 
 def same_eigen(a, b) -> bool:
@@ -306,6 +306,30 @@ def test_one_shot_reads_the_bound_before_the_rotation(monkeypatch, eps):
     orders = counted_eighs(monkeypatch)
     eig = one_shot_eigen(factor, phi)
     assert orders == [50, eig.rank]
+
+
+@pytest.mark.parametrize("route", ["cholesky", "eigh"])
+def test_one_shot_rank_lifts_the_leading_eigenpairs(route):
+    rng = np.random.default_rng(31)
+    k = random_indefinite(rng, 200, rank=40)
+    idx = rng.choice(200, size=30, replace=False)
+    factor = fit(SymMatrix(k.values[np.ix_(idx, idx)]))
+    phi = build_feature_map(factor, k.values[:, idx]).phi
+    run = one_shot_eigen if route == "cholesky" else one_shot_by_eigh
+    full = run(factor, phi)
+    assert full.rank == factor.effective_rank == 30
+    # None, the rank itself or more: the same bits as no argument
+    for rank in (None, 30, 31, 1000):
+        assert same_eigen(run(factor, phi, rank), full)
+    for rank in (1, 7, 29):
+        eig = run(factor, phi, rank)
+        assert eig.U.shape == (200, rank) and eig.warning == full.warning
+        assert np.array_equal(eig.lam, full.lam[:rank])
+        lead = full.U[:, :rank]
+        assert np.linalg.norm(eig.U - lead) <= 1e-12 * np.linalg.norm(lead)
+        assert_allclose(eig.U.T @ eig.U, np.eye(rank), atol=1e-12)
+    with pytest.raises(InvalidInput):
+        one_shot_eigen(factor, phi, 0)
 
 
 def test_sgt_matches_one_shot():
