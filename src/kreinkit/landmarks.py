@@ -67,7 +67,8 @@ class Sketch:
     @functools.cached_property
     def features(self) -> np.ndarray:
         """Rows of U |lam|^{1/2}, formed on first read: their Gram is the
-        flipped-spectrum version of the sketched approximation."""
+        flipped-spectrum version of the sketched approximation, cut to the
+        lifted eigenpairs."""
         return self.eig.U * np.sqrt(np.abs(self.eig.lam))
 
 
