@@ -1344,8 +1344,8 @@ _SYNTHETIC = ["--synthetic", "two_gaussians", "--n", "40"]
 # with an OverflowError, or underflowed to zero, which exited 3 with
 # non-finite kernel values
 @pytest.mark.parametrize("argv", [
-    ["train", *synthetic_args(n=20)[:-2], "--m", "5"],
-    ["approx", *synthetic_args(n=20)[:-2], "--ranks", "5", "--reps", "1"],
+    ["train", *_SYNTHETIC, "--m", "5"],
+    ["approx", *_SYNTHETIC, "--ranks", "5", "--reps", "1"],
     [*_BENCH],
 ], ids=["train", "approx", "bench"])
 @pytest.mark.parametrize("kernel", [
