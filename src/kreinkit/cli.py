@@ -43,20 +43,7 @@ from .data import (
     one_vs_all,
     stratified_kfold,
 )
-from .errors import (
-    ConfigError,
-    DegenerateScores,
-    DegenerateSpectrum,
-    FoldError,
-    InvalidBudget,
-    InvalidClass,
-    InvalidInput,
-    ParseError,
-    RankDeficient,
-    ShapeError,
-    SingularLandmarkBlock,
-    SolverError,
-)
+from .errors import ConfigError, InvalidInput, KreinKitError, ShapeError
 from .kernels import (
     GramSource,
     gram,
@@ -388,6 +375,9 @@ def load_inputs(args: argparse.Namespace, need_labels: bool = False):
                                       spawn_rng(args.seed, _DOMAIN_DATA), args.separation)
             except InvalidInput as exc:
                 raise ConfigError(str(exc)) from None
+            except (MemoryError, ValueError):  # numpy refuses an array this large
+                raise ConfigError(f"--n {args.n} and --p {args.p}: the synthetic points "
+                                  "do not fit in memory") from None
         else:
             x = load_table(args.data)
         if not args.no_standardize:
@@ -752,7 +742,11 @@ def run_bench(args: argparse.Namespace):
         if n < args.m:
             raise ConfigError(f"--n-schedule entry {n} is below the landmark budget {args.m}")
         rng = spawn_rng(args.seed, _DOMAIN_BENCH, ni)
-        x = rng.normal(size=(n, args.p))
+        try:
+            x = rng.normal(size=(n, args.p))
+        except (MemoryError, ValueError):
+            raise ConfigError(f"--n-schedule entry {n} and --p {args.p}: the points do not "
+                              "fit in memory") from None
         marks = uniform_landmarks(n, args.m, rng)
         K_ZZ = gram(spec, x[marks.indices])
         K_XZ = gram_cross(spec, x, x[marks.indices])
@@ -830,11 +824,6 @@ _COMMANDS = {
     "flops": cmd_flops,
 }
 
-_DATA_ERRORS = (ParseError, FoldError, InvalidClass, ShapeError, InvalidInput,
-                DegenerateSpectrum, DegenerateScores)
-_SOLVER_ERRORS = (SolverError, SingularLandmarkBlock, RankDeficient)
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)  # the list flags and --seed raise ConfigError
@@ -847,15 +836,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse: --help, or a malformed flag
         return int(exc.code or 0)
-    except (ConfigError, InvalidBudget) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except _DATA_ERRORS as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except _SOLVER_ERRORS as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 4
+    except KreinKitError as exc:  # each error type declares its status
+        print(f"{exc.kind} error: {exc}", file=sys.stderr)
+        return exc.exit_status
 
 
 if __name__ == "__main__":

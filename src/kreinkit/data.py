@@ -24,7 +24,6 @@ __all__ = [
     "CVPlan",
     "load_table",
     "load_matrix",
-    "write_matrix",
     "load_labels",
     "double_center_neg",
     "stratified_kfold",
@@ -165,18 +164,6 @@ def load_matrix(path, kind: str = "similarity", squared: bool = False):
     if kind == "dissimilarity":
         return DissimilarityMatrix(sym, squared=squared)
     raise InvalidInput(f"unknown matrix kind {kind!r}")
-
-
-def write_matrix(path, values, fmt: str = "csv") -> None:
-    """Write a dense matrix; %.17g round-trips every float bit-exactly."""
-    a = np.asarray(values, dtype=float)
-    sep = "," if fmt == "csv" else " "
-    if fmt not in ("csv", "whitespace"):
-        raise InvalidInput(f"unknown format {fmt!r}")
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in a:
-            handle.write(sep.join(f"{v:.17g}" for v in row))
-            handle.write("\n")
 
 
 def load_labels(path) -> np.ndarray:

@@ -9,7 +9,16 @@ __all__ = [
 
 
 class KreinKitError(Exception):
-    """Base class for every error raised by this library."""
+    """Base class for every error raised by this library.
+
+    Each class declares how the command line reports it: the process exits
+    with ``exit_status`` after printing ``"<kind> error: <message>"``.  A
+    class is a data error (3) unless it belongs to the configuration (2) or
+    the solver (4) family.
+    """
+
+    exit_status = 3
+    kind = "data"
 
 
 class InvalidInput(KreinKitError):
@@ -27,6 +36,9 @@ class DegenerateSpectrum(KreinKitError):
 class SolverError(KreinKitError):
     """An iterative solver failed to converge within its iteration cap."""
 
+    exit_status = 4
+    kind = "solver"
+
     def __init__(self, message, *, residual=None, iterations=None, diagnostics=None):
         super().__init__(message)
         self.residual = residual
@@ -37,9 +49,15 @@ class SolverError(KreinKitError):
 class SingularLandmarkBlock(KreinKitError):
     """The landmark block has no eigenvalue above the pseudo-inverse cutoff."""
 
+    exit_status = 4
+    kind = "solver"
+
 
 class InvalidBudget(KreinKitError):
     """A landmark budget is outside the feasible range for the dataset."""
+
+    exit_status = 2
+    kind = "configuration"
 
 
 class DegenerateScores(KreinKitError):
@@ -48,6 +66,9 @@ class DegenerateScores(KreinKitError):
 
 class RankDeficient(KreinKitError):
     """A matrix has too low a rank for the solve, such as all-zero vclsm features."""
+
+    exit_status = 4
+    kind = "solver"
 
 
 class FoldError(KreinKitError):
@@ -73,6 +94,9 @@ class ParseError(KreinKitError):
 
 class ConfigError(KreinKitError):
     """A run configuration is invalid; reported before any computation."""
+
+    exit_status = 2
+    kind = "configuration"
 
 
 class ConstantFeatureWarning(UserWarning):

@@ -28,7 +28,6 @@ from .learners import build_feature_map
 from .nystroem import LandmarkSet, NystroemFactor, OneShotEigen, fit, one_shot_eigen
 
 __all__ = [
-    "make_rng",
     "spawn_rng",
     "Sketch",
     "default_sketch_size",
@@ -42,16 +41,13 @@ __all__ = [
 ]
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator with platform-independent output."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent child generator for a (seed, task) pair.
+    """Independent child generator for a (seed, task) pair: a counter-based
+    Philox generator with platform-independent output.
 
     Children with different keys are statistically independent and
     reproducible, which is what per-repetition and per-fold seeding needs.
+    A call without a key, ``spawn_rng(seed)``, gives the root generator.
     """
     seq = np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(seq))
@@ -80,6 +76,11 @@ class Sketch:
 _LEVERAGE_SKETCH_FACTOR = 3
 
 
+def _check_budget(m: int, n: int) -> None:
+    if not 1 <= m <= n:
+        raise InvalidBudget(f"landmark budget must satisfy 1 <= m <= n, got m={m}, n={n}")
+
+
 def default_sketch_size(m: int, n: int) -> int:
     """ceil(m ln n), capped at n: the k-means++ sketch size for a budget of
     m landmarks, and the landmark budget of ``--landmark-factor logn``.
@@ -88,15 +89,13 @@ def default_sketch_size(m: int, n: int) -> int:
     this size; the leverage sketch is sized from the budget alone (see
     `select_landmarks`).
     """
-    if not 1 <= m <= n:
-        raise InvalidBudget(f"need 1 <= m <= n, got m={m}, n={n}")
+    _check_budget(m, n)
     return min(n, math.ceil(m * math.log(n)) if n > 1 else 1)
 
 
 def uniform_landmarks(n: int, m: int, rng: np.random.Generator) -> LandmarkSet:
     """Uniform subset of m distinct indices; each subset is equiprobable."""
-    if not 1 <= m <= n:
-        raise InvalidBudget(f"landmark budget must satisfy 1 <= m <= n, got m={m}, n={n}")
+    _check_budget(m, n)
     indices = rng.choice(n, size=m, replace=False)
     return LandmarkSet(indices=indices, requested=m)
 
@@ -159,8 +158,7 @@ def kmeanspp_landmarks(features, m: int, rng: np.random.Generator) -> LandmarkSe
     if x.ndim != 2:
         raise InvalidInput("features must form a 2-d array")
     n = x.shape[0]
-    if not 1 <= m <= n:
-        raise InvalidBudget(f"landmark budget must satisfy 1 <= m <= n, got m={m}, n={n}")
+    _check_budget(m, n)
     # squared distances by |a|^2 + |b|^2 - 2 a'b on centred rows: one GEMV a
     # step.  The identity is off by at most about 2 d eps (|a|^2 + |b|^2), so
     # entries within that of zero are recomputed by differencing; chosen and
@@ -206,8 +204,7 @@ def select_landmarks(sampler: str, source: GramSource, budget: int,
     rest would cost n x m0 where n x budget does.
     """
     n = source.n
-    if not 1 <= budget <= n:
-        raise InvalidBudget(f"landmark budget must satisfy 1 <= m <= n, got m={budget}, n={n}")
+    _check_budget(budget, n)
     if sampler == "uniform":
         return uniform_landmarks(n, budget, rng)
     if sampler == "leverage":

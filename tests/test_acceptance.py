@@ -37,7 +37,6 @@ from kreinkit import (
     krein_krr_lowrank,
     kmeanspp_landmarks,
     leverage_scores,
-    make_rng,
     one_shot_eigen,
     parse_kernel_spec,
     sample_leverage,
@@ -65,7 +64,7 @@ def _mixed_spectrum_matrix(rng, n: int, lo: float = 0.3, hi: float = 5.0) -> np.
 
 
 def _instances(seed: int, count: int, nlo: int, nhi: int):
-    rng = make_rng(seed)
+    rng = spawn_rng(seed)
     for _ in range(count):
         n = int(rng.integers(nlo, nhi + 1))
         yield n, _mixed_spectrum_matrix(rng, n), rng
@@ -86,7 +85,7 @@ def test_c01_full_landmark_recovery(acceptance_report):
 
 
 def test_c02_one_shot_orthonormal_and_reconstructs(acceptance_report):
-    pick = make_rng(1002)
+    pick = spawn_rng(1002)
     worst_ortho, worst_recon = 0.0, 0.0
     for n, K, _ in _instances(1001, 50, 6, 60):
         m = int(pick.integers(5, n + 1))
@@ -135,7 +134,7 @@ def test_c03_squared_route_equivalence(acceptance_report):
 
 
 def test_c04_flop_model_and_wall_clock(acceptance_report):
-    rng = make_rng(1004)
+    rng = spawn_rng(1004)
     for _ in range(30):
         m = int(rng.integers(1, 500))
         n = int(rng.integers(m, 4 * m + 1))
@@ -146,9 +145,9 @@ def test_c04_flop_model_and_wall_clock(acceptance_report):
 
     t0 = time.perf_counter()
     n, m = 10_000, 200
-    x = make_rng(74).normal(size=(n, 6))
+    x = spawn_rng(74).normal(size=(n, 6))
     spec = parse_kernel_spec("kernel=gaussdiff sigma1=1.0 sigma2=3.0")
-    marks = uniform_landmarks(n, m, make_rng(75))
+    marks = uniform_landmarks(n, m, spawn_rng(75))
     factor = fit(gram(spec, x[marks.indices]))
     K_XZ = gram_cross(spec, x, x[marks.indices])
 
@@ -193,7 +192,7 @@ def test_c05_split_penalty_ridge_matches_flip_baseline(acceptance_report):
 
 
 def test_c06_squared_hinge_matches_flip_baseline(acceptance_report):
-    rng = make_rng(1006)
+    rng = spawn_rng(1006)
     spec = parse_kernel_spec("kernel=gaussdiff sigma1=1.0 sigma2=2.0")
     worst = 0.0
     for _ in range(50):
@@ -218,7 +217,7 @@ def test_c06_squared_hinge_matches_flip_baseline(acceptance_report):
 
 
 def test_c07_sphere_constrained_global_optimality(acceptance_report):
-    rng = make_rng(1007)
+    rng = spawn_rng(1007)
     worst_constraint, worst_excess = 0.0, -np.inf
     hard_count = 0
     for i in range(200):
@@ -270,7 +269,7 @@ def test_c07_sphere_constrained_global_optimality(acceptance_report):
 
 
 def test_c08_squared_hinge_solver_correctness(acceptance_report):
-    rng = make_rng(1008)
+    rng = spawn_rng(1008)
     worst_grad_rel = 0.0
     for _ in range(25):
         n = int(rng.integers(15, 51))
@@ -356,7 +355,7 @@ def test_c09_sampler_quality_decay(acceptance_report):
 def test_c10_lowrank_matches_full_rank(acceptance_report):
     from scipy.optimize import minimize
 
-    rng = make_rng(1010)
+    rng = spawn_rng(1010)
     worst = {"lsm": 0.0, "vclsm": 0.0, "shsvm": 0.0}
     for trial in range(20):
         n = int(rng.integers(12, 41))
@@ -444,7 +443,7 @@ def test_c11_end_to_end_classification(acceptance_report, tmp_path):
 
 
 def test_c12_double_centering_round_trip(acceptance_report):
-    rng = make_rng(1012)
+    rng = spawn_rng(1012)
     worst = 0.0
     for _ in range(6):
         n = int(rng.integers(8, 41))

@@ -22,14 +22,13 @@ from kreinkit import (
     landmark_factor,
     learner_path,
     load_model,
-    make_rng,
     misclassification,
     one_shot_eigen,
     parse_kernel_spec,
     reconstruct,
+    spawn_rng,
     tanh_sigmoid,
     truncate_eigen,
-    write_matrix,
 )
 from kreinkit import learners, linalg
 from kreinkit.cli import _parse_ranks, main
@@ -199,7 +198,7 @@ def test_approx_scores_the_lower_triangle_only(monkeypatch, from_matrix):
         source = GramSource.from_matrix(gram(tanh_sigmoid(0.3, -0.5), x))
     else:
         source = GramSource.from_data(gaussian_diff(1.0, 3.0), x)
-    factor = landmark_factor(source, "uniform", 12, make_rng(4), None)
+    factor = landmark_factor(source, "uniform", 12, spawn_rng(4), None)
     eig = one_shot_eigen(factor, build_feature_map(factor, source).phi)
     monkeypatch.setattr(linalg, "_ROW_BLOCK_ELEMENTS", 64 * 150)
     grid = list(linalg.row_blocks(150, 150))
@@ -336,7 +335,7 @@ def test_eigen_relative_error_scales_with_the_kernel(tmp_path):
     k = gram(gaussian_diff(1.0, 3.0), rng.normal(size=(40, 3))).values
     ratios = []
     for name, scale in (("unit", 1.0), ("tiny", 1e-10)):
-        write_matrix(tmp_path / f"{name}.csv", scale * k)
+        np.savetxt(tmp_path / f"{name}.csv", scale * k, fmt="%.17g", delimiter=",")
         out = tmp_path / name
         assert main(["eigen", "--matrix", str(tmp_path / f"{name}.csv"), "--m", "12",
                      "--seed", "0", "--out", str(out)]) == 0
@@ -372,7 +371,7 @@ def test_sample_synthetic_without_kernel(tmp_path, sampler):
 
 def test_sample_vector_data_needs_kernel(tmp_path, capsys):
     points = tmp_path / "x.csv"
-    write_matrix(points, np.eye(4))
+    np.savetxt(points, np.eye(4), fmt="%.17g", delimiter=",")
     assert main(["sample", "--data", str(points), "--m", "2"]) == 2
     assert "vector data needs --kernel" in capsys.readouterr().err
 
@@ -387,8 +386,8 @@ def test_whitespace_twin_gives_the_same_outputs(tmp_path, command):
     else:
         values, inputs = gram(gaussian_diff(1.0, 3.0), x).values, ["--sampler", "leverage"]
         flag, table = "--matrix", "eigenvalues.csv"
-    for fmt in ("csv", "whitespace"):
-        write_matrix(tmp_path / f"in.{fmt}", values, fmt)
+    for fmt, delimiter in (("csv", ","), ("whitespace", " ")):
+        np.savetxt(tmp_path / f"in.{fmt}", values, fmt="%.17g", delimiter=delimiter)
         assert main([command, flag, str(tmp_path / f"in.{fmt}"), *inputs, "--m", "8",
                      "--seed", "2", "--out", str(tmp_path / fmt)]) == 0
     assert (tmp_path / "csv" / table).read_bytes() == \
@@ -559,7 +558,7 @@ def test_features_and_predictions_by_row_blocks(monkeypatch, kernel, tol):
         source = GramSource.from_matrix(SymMatrix((a + a.T) / 2.0))
     else:
         source = GramSource.from_data(parse_kernel_spec(kernel), rng.normal(size=(300, 4)))
-    factor = landmark_factor(source, "uniform", 20, make_rng(3), None)
+    factor = landmark_factor(source, "uniform", 20, spawn_rng(3), None)
     cross = source.cross_all(factor.landmarks.indices)
     one_product = cross @ (factor.U_r / np.sqrt(np.abs(factor.d_r)) * factor.s_r)
     monkeypatch.setattr(linalg, "_ROW_BLOCK_ELEMENTS", 64 * factor.m)
@@ -586,7 +585,7 @@ def test_one_budget_blocks_every_n_scale_pass(monkeypatch):
     rng = np.random.default_rng(23)
     source = GramSource.from_data(parse_kernel_spec("kernel=gaussdiff sigma1=1.0 sigma2=3.0"),
                                   rng.normal(size=(300, 4)))
-    factor = landmark_factor(source, "uniform", 20, make_rng(5), None)
+    factor = landmark_factor(source, "uniform", 20, spawn_rng(5), None)
     cross = source.cross_all(factor.landmarks.indices)
     eig = truncate_eigen(one_shot_eigen(factor, build_feature_map(factor, cross).phi), 10)
     y = np.where(rng.random(300) < 0.5, -1.0, 1.0)
@@ -1022,7 +1021,7 @@ def test_split_decisions_are_each_column_models_predictions(monkeypatch, learner
     monkeypatch.setattr(cli, "learner_path", recorded_path)
     test = np.arange(0, source.n, 4)
     train = np.setdiff1d(np.arange(source.n), test)
-    predict = cli._split_predictor(learner, source, y, train, test, 8, 8, args, make_rng(7))
+    predict = cli._split_predictor(learner, source, y, train, test, 8, 8, args, spawn_rng(7))
     decisions, failed = predict(cli._hyper_grid(args, learner))
     fmap = seen["map"]
     k_test = source.cross(test, train[fmap.factor.landmarks.indices])
@@ -1279,7 +1278,7 @@ def test_exit_code_data_errors(tmp_path, capsys):
     labels = tmp_path / "y.txt"
     labels.write_text("a\nb\n")
     good = tmp_path / "good.csv"
-    write_matrix(good, np.eye(3))
+    np.savetxt(good, np.eye(3), fmt="%.17g", delimiter=",")
     assert main(["cv", "--matrix", str(good), "--labels", str(labels),
                  "--learners", "lsm", "--ranks", "2", "--folds", "2"]) == 3
     # a target class is one of the labels as a whole, not a prefix of one
@@ -1291,7 +1290,7 @@ def test_exit_code_data_errors(tmp_path, capsys):
 
 def test_exit_code_solver_errors(tmp_path, capsys):
     zeros = tmp_path / "zeros.csv"
-    write_matrix(zeros, np.zeros((4, 4)))
+    np.savetxt(zeros, np.zeros((4, 4)), fmt="%.17g", delimiter=",")
     assert main(["eigen", "--matrix", str(zeros), "--m", "2", "--seed", "0"]) == 4
     capsys.readouterr()
     # a vanishing penalty makes the linear-kernel Newton Hessian exactly singular
@@ -1414,7 +1413,7 @@ _INPUT_KEYS = ("n", "p", "separation", "no_standardize", "matrix_kind", "no_squa
     ("matrix", (None, None, None, None, "similarity", False)),
 ])
 def test_result_config_records_the_input_defaults_used(tmp_path, source, used):
-    write_matrix(tmp_path / "k.csv", np.eye(4))
+    np.savetxt(tmp_path / "k.csv", np.eye(4), fmt="%.17g", delimiter=",")
     inputs = {"synthetic": ["--synthetic", "two_gaussians", "--n", "20"],
               "data": ["--data", str(tmp_path / "k.csv"), "--kernel", "kernel=linear"],
               "matrix": ["--matrix", str(tmp_path / "k.csv")]}[source]
@@ -1458,7 +1457,7 @@ def test_unreadable_input_files_exit_three(tmp_path, capsys, flag, kind):
         path.mkdir()
     elif kind == "non_utf8":
         path.write_bytes(np.random.default_rng(8).bytes(300))
-    write_matrix(tmp_path / "k.csv", np.eye(4))
+    np.savetxt(tmp_path / "k.csv", np.eye(4), fmt="%.17g", delimiter=",")
     inputs = {"--data": ["--data", str(path), "--kernel", "kernel=linear"],
               "--matrix": ["--matrix", str(path)],
               "--labels": ["--matrix", str(tmp_path / "k.csv"), "--labels", str(path)]}
