@@ -73,7 +73,6 @@ from .nystroem import (
     flop_count,
     one_shot_eigen,
     sgt_one_shot,
-    truncate_eigen,
     truncate_factor,
 )
 
@@ -265,12 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_finite(flag: str, values, zero_ok: bool = False) -> None:
-    """Every value that is not None must be finite and positive (or zero)."""
+def _check_finite(flag: str, values, zero_ok: bool = False, squared: bool = False) -> None:
+    """Every value that is not None must be finite and positive (or zero), and
+    with ``squared`` have a normal, finite square, as `KernelSpec` widths do."""
     for v in values:
         if v is not None and not (math.isfinite(v) and (v > 0.0 or zero_ok and v == 0.0)):
             raise ConfigError(f"{flag} must be finite and "
                               f"{'non-negative' if zero_ok else 'positive'}, got {v}")
+        if squared and v is not None and not sys.float_info.min <= v * v < math.inf:
+            raise ConfigError(f"{flag} {v!r} is out of range: its square must be a "
+                              "normal, finite float")
 
 
 # input flag -> (the inputs that read it, its default with those inputs); the
@@ -302,7 +305,7 @@ def validate_config(args: argparse.Namespace) -> None:
         if args.inner_folds < 2:
             raise ConfigError("--inner-folds must be at least 2")
         _check_finite("--lambdas", args.lambdas)
-        _check_finite("--radius-factors", args.radius_factors or [])
+        _check_finite("--radius-factors", args.radius_factors or [], squared=True)
         if "vclsm" in args.learners:
             args.radius_factors = args.radius_factors or [0.5, 1.0, 2.0]
         elif args.radius_factors is not None:
@@ -311,7 +314,7 @@ def validate_config(args: argparse.Namespace) -> None:
         # zero penalties are allowed but for the squared-hinge solver
         _check_finite("--lambda-pos/--lambda-neg", [args.lambda_pos, args.lambda_neg],
                       zero_ok=args.learner != "shsvm")
-        _check_finite("--radius", [args.radius])
+        _check_finite("--radius", [args.radius], squared=True)
         if args.radius is not None and args.learner != "vclsm":
             raise ConfigError("--radius acts only with --learner vclsm")
     if args.command in ("train", "cv") and args.target_class is not None and not args.labels:
@@ -473,8 +476,7 @@ def run_approx_sweep(source: GramSource, samplers, schedule, reps: int, seed: in
                 rng = spawn_rng(seed, _DOMAIN_SWEEP, si, ki, max(rep, 0), int(rep < 0))
                 start = time.perf_counter()
                 factor = landmark_factor(source, sampler, l, rng, pinv_tol)
-                eig = truncate_eigen(
-                    one_shot_eigen(factor, build_feature_map(factor, source).phi), k)
+                eig = one_shot_eigen(factor, build_feature_map(factor, source).phi, k)
                 if rep >= 0:
                     timed.append(((sampler, k, l, rep), eig, time.perf_counter() - start))
     errors = _residual_norms(source, [eig for _, eig, _ in timed])
@@ -836,7 +838,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse: --help, or a malformed flag
         return int(exc.code or 0)
-    except KreinKitError as exc:  # each error type declares its status
+    except (KreinKitError, MemoryError) as exc:  # each error type declares its status
+        if isinstance(exc, MemoryError):  # an array past the points, e.g. bench's cross block
+            exc = ConfigError("the arrays of this run do not fit in memory; lower its sizes")
         print(f"{exc.kind} error: {exc}", file=sys.stderr)
         return exc.exit_status
 

@@ -189,29 +189,14 @@ def approximate(factor: NystroemFactor, K_XZ) -> SymMatrix:
 def one_shot_eigen(factor: NystroemFactor, phi, rank: int | None = None) -> OneShotEigen:
     """Approximate eigendecomposition in a single pass over the n x r signed
     features Phi = K_XZ U_r |d_r|^{-1/2} diag(s_r) of ``factor``, which
-    `learners.build_feature_map` fills.
-
-    Phi is orthonormalized through its Gram matrix G = Phi'Phi = LL', the
-    Cholesky factor of which gives the orthonormal Q = Phi L^{-T}
-    (CholeskyQR).  In that basis the approximation Phi diag(s_r) Phi' is
-    M = L' diag(s_r) L; eigendecomposing M = V diag(lam) V' and lifting
-    U = Phi W with W = L^{-T} V gives U'U = I and U diag(lam) U' equal to the
-    approximation up to round-off.  L^{-1} comes from `linalg.tril_inverse`,
-    and G, L, M and L^{-1} are released before the lift.  Forming Phi, G and
-    the lift are the 3 m^2 n of the flop model.
-
-    Q loses orthogonality as eps * cond(G), so the route is taken only when
-    the bound cond(G) <= trace(G) ||L^{-1}||_F^2, read before the rotation,
-    stays within `_CHOLESKY_COND_LIMIT`.  Otherwise, or when G is
-    singular and the Cholesky factorization fails, G's eigensystem yields T
-    with T'GT = I on the directions above 1e-12 of its largest eigenvalue,
-    one Cholesky polish restores T'GT = I to machine precision, and M is
-    formed in the basis Phi T.  Directions of sign zero have zero feature
-    columns, make G singular and drop out of the rank there.
+    `learners.build_feature_map` fills: the r x r core `_one_shot_core` takes
+    G = Phi'Phi to W and lam, and the lift U = Phi W has U'U = I and
+    U diag(lam) U' equal to Phi diag(s_r) Phi' up to round-off.  Forming Phi,
+    G and the lift are the 3 m^2 n of the flop model.
 
     ``rank`` lifts only the leading ``rank`` eigenpairs (by |lam|), the n x
-    rank product Phi W[:, :rank], for callers that read no more; the r x r
-    work is unchanged.  None, or a rank of at least r, lifts them all.
+    rank product Phi W[:, :rank]; the r x r work is unchanged.  None, or a
+    rank of at least r, lifts them all.
     """
     if rank is not None and rank < 1:
         raise InvalidInput("rank must be at least 1")
@@ -222,53 +207,56 @@ def one_shot_eigen(factor: NystroemFactor, phi, rank: int | None = None) -> OneS
     if not np.all(np.isfinite(G)):
         raise InvalidInput("feature entries must be finite")
     G = 0.5 * (G + G.T)
+    W, lam, warning = _one_shot_core(G, factor.s_r, rank, factor.warning)
+    del G  # the lift holds Phi, W and its result, no other order-r array
+    return OneShotEigen(U=phi @ W, lam=lam, warning=warning)
+
+
+def _one_shot_core(G: np.ndarray, s: np.ndarray, rank: int | None,
+                   warning: str | None):
+    """W, lam and the warning of `one_shot_eigen` from the Gram G of the
+    features and their signs s.
+
+    A basis B with B'GB = I makes Phi B orthonormal, and in it the
+    approximation is M = (GB)' diag(s) (GB) = V diag(lam) V', so W = B V.
+    B is L^{-T} for the Cholesky factor G = LL' (CholeskyQR, with GB = L),
+    from `linalg.tril_inverse`.  Phi B loses orthogonality as eps * cond(G),
+    so that basis is taken only while the bound cond(G) <= trace(G)
+    ||L^{-1}||_F^2 stays within `_CHOLESKY_COND_LIMIT`.  Otherwise, or when
+    G is singular and has no Cholesky factor, B comes from G's eigensystem on
+    the directions above 1e-12 of its largest eigenvalue, and one Cholesky
+    polish restores B'GB = I to machine precision.  Directions of sign zero
+    have zero feature columns, make G singular and drop out of the rank there.
+    """
     try:
-        chol = np.linalg.cholesky(G)
+        GB = np.linalg.cholesky(G)  # L, as G L^{-T} = L
+        B = tril_inverse(GB).T
+        # cond(G) <= trace(G) ||L^{-1}||_F^2; NaN fails it too
+        cholesky = np.trace(G) * np.vdot(B.T, B.T) <= _CHOLESKY_COND_LIMIT
     except np.linalg.LinAlgError:
-        return _one_shot_by_eigh(factor, phi, G, rank)
-    inv = tril_inverse(chol)
-    # cond(G) <= trace(G) ||L^{-1}||_F^2
-    if not np.trace(G) * np.vdot(inv, inv) <= _CHOLESKY_COND_LIMIT:  # NaN included
-        return _one_shot_by_eigh(factor, phi, G, rank)
-    del G
-    M = (chol.T * factor.s_r) @ chol
-    del chol
+        cholesky = False
+    if not cholesky:
+        w, V = np.linalg.eigh(G)
+        if not (w.size and w[-1] > 0.0):
+            raise SingularLandmarkBlock("feature block collapsed to rank zero")
+        # directions below the cutoff contribute O(1e-12) relative error to
+        # the reconstruction but would poison the orthonormalization
+        keep = w > 1e-12 * w[-1]
+        B = V[:, keep][:, ::-1] / np.sqrt(w[keep][::-1])
+        # one Cholesky polish: restore B'GB = I to machine precision, which
+        # the eigensystem alone only achieves up to eps * cond(G)
+        C = B.T @ (G @ B)
+        try:
+            B = np.linalg.solve(np.linalg.cholesky(0.5 * (C + C.T)), B.T).T
+        except np.linalg.LinAlgError:
+            note = "Cholesky polish failed: U'U = I holds only to eps * cond(G)"
+            warning = note if warning is None else f"{warning}; {note}"
+        GB = G @ B
+    M = (GB.T * s) @ GB
+    del GB
     rot = sym_eigen(SymMatrix(0.5 * (M + M.T)))
-    del M
     # a slice to None or past the end is the whole array, so the bits stay
-    W, lam = inv.T @ rot.U[:, :rank], rot.d[:rank]
-    del inv, rot  # the lift holds Phi, W and its result, no other order-r array
-    return OneShotEigen(U=phi @ W, lam=lam, warning=factor.warning)
-
-
-def _one_shot_by_eigh(factor: NystroemFactor, phi: np.ndarray, G: np.ndarray,
-                      rank: int | None) -> OneShotEigen:
-    """`one_shot_eigen` through the eigensystem of G, for singular or
-    ill-conditioned Grams."""
-    w, V = np.linalg.eigh(G)
-    wmax = w[-1] if w.size else 0.0
-    if wmax <= 0.0:
-        raise SingularLandmarkBlock("feature block collapsed to rank zero")
-    # directions below the cutoff contribute O(1e-12) relative error to the
-    # reconstruction but would poison the orthonormalization
-    keep = w > 1e-12 * wmax
-    sig = np.sqrt(w[keep][::-1])
-    T = V[:, keep][:, ::-1] / sig
-    # one Cholesky polish: restore T'GT = I to machine precision, which the
-    # eigensystem alone only achieves up to eps * cond(G)
-    C = T.T @ (G @ T)
-    C = 0.5 * (C + C.T)
-    warning = factor.warning
-    try:
-        chol = np.linalg.cholesky(C)
-        T = np.linalg.solve(chol, T.T).T
-    except np.linalg.LinAlgError:
-        note = "Cholesky polish failed: U'U = I holds only to eps * cond(G)"
-        warning = note if warning is None else f"{warning}; {note}"
-    H = G @ T
-    M = H.T @ (factor.s_r[:, None] * H)
-    rot = sym_eigen(SymMatrix(0.5 * (M + M.T)))
-    return OneShotEigen(U=phi @ (T @ rot.U[:, :rank]), lam=rot.d[:rank], warning=warning)
+    return B @ rot.U[:, :rank], rot.d[:rank], warning
 
 
 def sgt_one_shot(factor: NystroemFactor, K_XZ) -> OneShotEigen:
@@ -278,10 +266,17 @@ def sgt_one_shot(factor: NystroemFactor, K_XZ) -> OneShotEigen:
     through K_XZ, orthonormalizes them via a second small eigendecomposition,
     and reads eigenvalues off the projected approximation.  Costs roughly
     7 m^2 n against 3 m^2 n for one_shot_eigen; at full effective rank both
-    produce the same approximation.
+    produce the same approximation.  K'K scales as max|d_r|^2; when that is
+    not a normal, finite float, the route runs on the blocks scaled by a power
+    of two that brings max|d_r| into [1/2, 1) and scales lam back, exactly.
     """
     k = _check_cross(factor, K_XZ)
-    winv = (factor.U_r / factor.d_r) @ factor.U_r.T
+    d = factor.d_r
+    top = float(np.abs(d).max())
+    e = 0 if np.finfo(float).tiny <= top * top < math.inf else math.frexp(top)[1]
+    if e:
+        d, k = np.ldexp(d, -e), np.ldexp(k, -e)
+    winv = (factor.U_r / d) @ factor.U_r.T
     squared = SymMatrix(winv @ (k.T @ k) @ winv)
     inner = sym_eigen(squared)
     # the squared matrix is PSD by construction; clip tiny negatives
@@ -306,7 +301,7 @@ def sgt_one_shot(factor: NystroemFactor, K_XZ) -> OneShotEigen:
     t = u.T @ k
     diag = np.einsum("ij,ij->i", t @ winv, t)
     order = np.lexsort((-diag, -np.abs(diag)))
-    return OneShotEigen(U=u[:, order], lam=diag[order], warning=warning)
+    return OneShotEigen(U=u[:, order], lam=np.ldexp(diag[order], e), warning=warning)
 
 
 def truncate_factor(factor: NystroemFactor, rank: int) -> NystroemFactor:

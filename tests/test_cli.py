@@ -157,6 +157,24 @@ def test_approx_logn_leverage_sketch_is_three_budgets(tmp_path, sketch_sizes):
     assert sketch_sizes == [27, 27, 60, 60]  # a warm-up and a timed repetition each
 
 
+def test_approx_logn_lifts_only_k_columns(monkeypatch):
+    import kreinkit.cli
+
+    source = GramSource.from_data(gaussian_diff(1.0, 3.0),
+                                  np.random.default_rng(23).normal(size=(120, 3)))
+    calls = []
+
+    def lifted(factor, phi, rank=None):
+        eig = one_shot_eigen(factor, phi, rank)
+        calls.append((phi.shape[1], rank, eig.U.shape[1], eig.rank))
+        return eig
+
+    monkeypatch.setattr(kreinkit.cli, "one_shot_eigen", lifted)
+    # l = ceil(k ln 120) = 10 and 24 features, of which only k columns are lifted
+    kreinkit.cli.run_approx_sweep(source, ["uniform"], [(2, 10), (5, 24)], 1, 0, None)
+    assert calls == [(10, 2, 2, 2)] * 2 + [(24, 5, 5, 5)] * 2  # a warm-up and a timed run
+
+
 @pytest.mark.parametrize("from_matrix", [False, True])
 def test_approx_streamed_errors_match_dense(monkeypatch, from_matrix):
     import kreinkit.cli
@@ -172,11 +190,11 @@ def test_approx_streamed_errors_match_dense(monkeypatch, from_matrix):
     assert [stop for _, stop in linalg.row_blocks(150, 150)] == [64, 128, 150]
     eigs = []
 
-    def keep(eig, rank):
-        eigs.append(truncate_eigen(eig, rank))
+    def keep(factor, phi, rank):
+        eigs.append(one_shot_eigen(factor, phi, rank))
         return eigs[-1]
 
-    monkeypatch.setattr(kreinkit.cli, "truncate_eigen", keep)
+    monkeypatch.setattr(kreinkit.cli, "one_shot_eigen", keep)
     reps = 2
     raw, _ = kreinkit.cli.run_approx_sweep(source, ["uniform", "leverage"],
                                            [(4, 6), (9, 9)], reps, 3, None)

@@ -195,3 +195,49 @@ def test_points_too_large_for_memory_exit_two(monkeypatch, capsys, argv, message
     monkeypatch.setattr(kreinkit.cli, "spawn_rng", lambda *key: _NoMemoryRng())
     assert main(argv) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--n-schedule", "30", "--m", "4", "--reps", "1"],
+    ["eigen", *_SYNTHETIC, "--m", "4", "--method", "sgt"],
+])
+def test_sgt_holds_on_subnormal_landmark_eigenvalues(argv, capsys):
+    # every kernel value is a small multiple of the smallest subnormal, and
+    # so are the landmark eigenvalues that sgt divides by
+    assert main([*argv, "--kernel", "kernel=tanh a=5e-324 b=0"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+_VCLSM = ["train", *_SYNTHETIC, "--m", "4", "--learner", "vclsm", "--radius"]
+_CV_VCLSM = ["cv", *_RUNS["cv"][0], *_SYNTHETIC, "--learners", "vclsm", "--radius-factors"]
+
+
+@pytest.mark.parametrize("argv", [
+    *([*_VCLSM, value] for value in ("5e-324", "1e-200", "1e160", "1e300")),
+    [*_CV_VCLSM, "1e300"],
+    [*_CV_VCLSM, "1,1e-170"],
+])
+def test_radius_whose_square_is_not_normal_exits_two(argv, capsys):
+    assert main(argv) == 2
+    assert "its square must be a normal, finite float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # the extreme radii whose squares are normal: 2e-154 squares to 4e-308,
+    # above the smallest normal 2.2e-308, and 1e154 to 1e308
+    [*_VCLSM, "2e-154"], [*_VCLSM, "1e154"], [*_CV_VCLSM, "2e-154,1e154"],
+])
+def test_radius_whose_square_is_normal_runs(argv):
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("gram_cross", _BENCH),
+    ("build_feature_map", ["train", *_SYNTHETIC, "--m", "4"]),
+    ("build_feature_map", ["eigen", *_SYNTHETIC, "--m", "4"]),
+])
+def test_out_of_memory_past_the_points_exits_two(monkeypatch, capsys, name, argv):
+    monkeypatch.setattr(kreinkit.cli, name, _no_memory)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("configuration error: the arrays of this run do not "
+                                       "fit in memory; lower its sizes\n")

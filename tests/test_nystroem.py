@@ -351,6 +351,19 @@ def test_sgt_matches_one_shot():
         assert_allclose(theirs.U.T @ theirs.U, np.eye(theirs.rank), atol=1e-8)
 
 
+@pytest.mark.parametrize("power", [-600, 600])
+def test_sgt_holds_on_a_block_whose_square_leaves_the_normal_range(power):
+    # K'K of a block scaled by 2^-600 underflows to zero, by 2^600 overflows
+    rng = np.random.default_rng(6)
+    k = random_indefinite(rng, 40)
+    idx = rng.choice(40, size=6, replace=False)
+    block, cross = k.values[np.ix_(idx, idx)], k.values[:, idx]
+    plain = sgt_one_shot(fit(SymMatrix(block)), cross)
+    scaled = sgt_one_shot(fit(SymMatrix(np.ldexp(block, power))), np.ldexp(cross, power))
+    assert_allclose(np.ldexp(scaled.lam, -power), plain.lam, rtol=1e-10)
+    assert_allclose(np.abs(scaled.U.T @ plain.U), np.eye(plain.rank), atol=1e-10)
+
+
 def test_truncation():
     rng = np.random.default_rng(6)
     k = random_indefinite(rng, 30)
